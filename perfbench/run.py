@@ -15,9 +15,9 @@ workload's curves while the next pass is expected to end within
 checked against references.json.  The last line of standard output is one
 JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.  With
 ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1`` the
-run times pass 0 once without and once with the tracer (spans.py) and
-reports per-layer metrics of the traced pass, writing every span to
-``.perfbench_out/``.
+run times pass 0 without the tracer and pass 1, distinct copies of the same
+shapes, with it (spans.py), and reports per-layer metrics of the traced
+pass, writing every span to ``.perfbench_out/``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-PROBES = 7  # set-up probes per run; setup_s is their median
+PROBES = 30  # set-up probes per run; setup_s is their median
 CLI = "import sys; from superell.cli import main; sys.exit(main())"
 
 
@@ -101,15 +101,10 @@ class InProcess:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def start_trace(self):
-        import superell.pipeline
         self.tracer = spans.Tracer().install()
-        # the tracer rebinds compute_with_retry to count curves
-        self._compute = superell.pipeline.compute_with_retry
 
     def stop_trace(self):
-        import superell.pipeline
         self.tracer.uninstall()
-        self._compute = superell.pipeline.compute_with_retry
         tracer, self.tracer = self.tracer, None
         return tracer.dump(), {}
 
@@ -193,6 +188,7 @@ def layer_metrics(dump, extra, traced_s, untraced_s, checker):
         return sum(c for (n, _), c in calls.items() if n == name)
 
     counts = dump["counts"]
+    computes = [s[5] for s in dump["spans"] if s[1] == "pipeline.compute"]
     yielded = counts.get("fieldsearch.candidates.yielded", 0)
     built = calls.get(("fieldsearch.construct_candidate",
                        "fieldsearch.candidates"), 0)
@@ -213,8 +209,8 @@ def layer_metrics(dump, extra, traced_s, untraced_s, checker):
             built - yielded
             + counts.get("fieldsearch.candidates_not_semistable", 0),
             "count"),
-        "pipeline.retries": (total_calls("pipeline.compute")
-                             - counts.get("pipeline.curves", 0), "count"),
+        # compute spans beyond the first of each curve
+        "pipeline.retries": (len(computes) - len(set(computes)), "count"),
     })
     for name in ("localfield.mul_count", "localfield.invert_count",
                  "finitefield.mul_count", "finitefield.inverse_count",
@@ -237,7 +233,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--smoke", action="store_true",
-                    help="one pass of the smoke shapes, no warm-up, one "
+                    help="two passes of the smoke shapes, no warm-up, one "
                          "set-up probe")
     args = ap.parse_args(argv)
 
@@ -262,9 +258,10 @@ def main(argv=None):
     if args.trace:
         run_pass(runner, passes[0], checker, samples)
         untraced_s = sum(samples)
+        # trace fresh copies, so that no traced curve has been seen before
         runner.start_trace()
         traced = []
-        run_pass(runner, passes[0], checker, traced)
+        run_pass(runner, passes[1], checker, traced)
         dump, extra = runner.stop_trace()
         metrics = layer_metrics(dump, extra, sum(traced), untraced_s,
                                 checker)

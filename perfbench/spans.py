@@ -67,12 +67,6 @@ COUNTED_METHODS = (
      "localfield.invert_count"),
 )
 
-# (module, function, counter): calls counted, no span.
-COUNTED_FUNCTIONS = (
-    ("superell.pipeline", "compute_with_retry", "pipeline.curves"),
-)
-
-
 class Tracer:
     def __init__(self):
         self.spans = []
@@ -160,8 +154,7 @@ class Tracer:
     def install(self):
         """Wrap every listed layer; import the modules first, so that every
         from-import binding exists before the scan."""
-        for table in (SPANS, GENERATOR_SPANS, COUNTED_METHODS,
-                      COUNTED_FUNCTIONS):
+        for table in (SPANS, GENERATOR_SPANS, COUNTED_METHODS):
             for modname, _, _ in table:
                 importlib.import_module(modname)
         for modname, attr, name in SPANS:
@@ -184,10 +177,6 @@ class Tracer:
             cls = getattr(importlib.import_module(modname), cls_name)
             self._patch(cls, meth, self._counting(counter,
                                                   getattr(cls, meth)))
-        for modname, attr, counter in COUNTED_FUNCTIONS:
-            module = importlib.import_module(modname)
-            self._rebind(module, attr,
-                         lambda fn, c=counter: self._counting(c, fn))
         return self
 
     def uninstall(self):

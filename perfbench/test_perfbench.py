@@ -13,7 +13,7 @@ import pytest
 import reference
 import spans
 import workloads
-from run import SRC, InProcess
+from run import SRC, InProcess, layer_metrics
 
 sys.path.insert(0, str(SRC))
 HERE = Path(__file__).resolve().parent
@@ -31,11 +31,14 @@ def test_build_is_deterministic(workload):
     assert [c.key for c in passes[0]] != [c.key for c in other]
 
 
-def test_smoke_cases_are_pass_zero_cases():
+def test_smoke_passes_are_full_passes():
     for w in workloads.WORKLOADS:
-        full = {c.key for c in workloads.build(w, 0)[1][0]}
+        full = workloads.build(w, 0)[1]
         _, smoke = workloads.build(w, 0, smoke=True)
-        assert smoke[0] and {c.key for c in smoke[0]} <= full
+        assert len(smoke) == 2
+        for k, cases in enumerate(smoke):
+            keys = {(c.slot, c.key) for c in full[k]}
+            assert cases and {(c.slot, c.key) for c in cases} <= keys
 
 
 def test_substitution_is_invertible():
@@ -57,6 +60,19 @@ def test_self_times_of_nested_trace():
     got = spans.self_times(trace)
     assert got == pytest.approx({"root": 3.0 + 1.5, "a": 3.0, "b": 4.0})
     assert sum(got.values()) == pytest.approx(10.0 + 1.5)
+
+
+def test_retries_are_compute_spans_beyond_one_per_curve():
+    trace = [  # (id, name, start, end, parent, curve)
+        (1, "pipeline.compute", 0.0, 1.0, None, "a/0"),
+        (2, "pipeline.compute", 1.0, 3.0, None, "a/0"),  # a retry of a/0
+        (3, "pipeline.compute", 3.0, 4.0, None, "b/0"),
+    ]
+    dump = {"spans": trace, "calls": [], "counts": {}}
+    checker = reference.Checker(reference.load(), "padic_tree")
+    m = layer_metrics(dump, {}, 4.0, 4.0, checker)
+    assert m["pipeline.retries"] == (1, "count")
+    assert m["trace.coverage_frac"][0] == pytest.approx(1.0)
 
 
 def test_generator_span_per_next():
