@@ -13,8 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import RootMultiplicityMismatch
+from .errors import (
+    DegreeMismatch,
+    GenusMismatch,
+    NonIntegralFactor,
+    RootMultiplicityMismatch,
+    ValidationError,
+)
 from .finitefield import is_prime
+from .localfield import roots_of_qpoly
 from .qpoly import QPoly, parse_poly
 
 
@@ -38,7 +45,8 @@ class SuperellipticCurve:
             m = lcm(m, c.denominator)
         self.rescale = m
         self.f = f * Fraction(m**self.n)
-        assert all(c.denominator == 1 for c in self.f.coeffs)
+        if any(c.denominator != 1 for c in self.f.coeffs):
+            raise NonIntegralFactor("rescaled f is not integral")
         self._sqfree = None
 
     def __repr__(self):
@@ -95,9 +103,12 @@ class SuperellipticCurve:
         for g_i, m in self.squarefree_decomposition():
             two_g += g_i.degree() * (n - gcd(n, m))
             total += g_i.degree() * m
-        assert total == self.degree()
+        if total != self.degree():
+            raise DegreeMismatch(f"squarefree decomposition has degree "
+                                 f"{total}, f has degree {self.degree()}")
         two_g += n - gcd(n, total)
-        assert two_g % 2 == 0
+        if two_g % 2:
+            raise GenusMismatch("Riemann-Hurwitz parity failure")
         return two_g // 2
 
     @classmethod
@@ -105,18 +116,40 @@ class SuperellipticCurve:
         """Curve spec: {"n": 4, "f": [c0, c1, ...], "p": 3} with coefficients
         integers or "a/b" strings, or factored form "f": [["x^2-3", 1], ...].
         """
-        n = data["n"]
-        p = data["p"]
-        fspec = data["f"]
+        if not isinstance(data, dict):
+            raise ValidationError("curve spec must be a JSON object")
+        n, p, fspec = data["n"], data["p"], data["f"]
+        for key, val in (("n", n), ("p", p)):
+            if not _is_int(val):
+                raise ValidationError(f"{key} must be an integer, not {val!r}")
+        if not isinstance(fspec, (list, tuple)):
+            raise ValidationError(f"f must be a list, not {fspec!r}")
         if fspec and isinstance(fspec[0], (list, tuple)):
             f = QPoly([1])
-            for entry, mult in fspec:
+            for factor in fspec:
+                if not (isinstance(factor, (list, tuple)) and len(factor) == 2
+                        and isinstance(factor[0], (str, list, tuple))
+                        and _is_int(factor[1])):
+                    raise ValidationError(
+                        f"factor must be [poly, multiplicity], not {factor!r}")
+                entry, mult = factor
                 base = parse_poly(entry) if isinstance(entry, str) \
-                    else QPoly([Fraction(c) for c in entry])
-                f = f * base**int(mult)
+                    else QPoly([_coefficient(c) for c in entry])
+                f = f * base**mult
         else:
-            f = QPoly([Fraction(c) for c in fspec])
+            f = QPoly([_coefficient(c) for c in fspec])
         return cls(n, f, p)
+
+
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _coefficient(c):
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"bad coefficient {c!r}") from None
 
 
 class BranchPoint:
@@ -147,19 +180,16 @@ class BranchDivisor:
         return len(self.points)
 
 
-def branch_divisor(curve, L, root_finder=None):
+def branch_divisor(curve, L):
     """Branch divisor of y^n = f over L: all roots of f with multiplicities,
     plus infinity when n does not divide deg f.
 
     Roots of each squarefree factor are located separately, so every root
-    carries its exact multiplicity.  ``root_finder(qpoly) -> roots in L``
-    defaults to ``L.roots_of_qpoly``.
+    carries its exact multiplicity.
     """
-    if root_finder is None:
-        root_finder = L.roots_of_qpoly
     points = []
     for g_i, mult in curve.squarefree_decomposition():
-        roots = root_finder(g_i)
+        roots = roots_of_qpoly(L, g_i)
         if len(roots) != g_i.degree():
             raise RootMultiplicityMismatch(
                 f"factor of degree {g_i.degree()} has only {len(roots)} "
@@ -170,6 +200,6 @@ def branch_divisor(curve, L, root_finder=None):
     if inf:
         points.append(BranchPoint(None, None, is_infinity=True))
     div = BranchDivisor(points, inf)
-    if curve.genus() >= 2:
-        assert len(div) >= 3, "marked tree needs at least three points"
+    if curve.genus() >= 2 and len(div) < 3:
+        raise DegreeMismatch("marked tree needs at least three points")
     return div

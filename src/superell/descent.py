@@ -96,20 +96,6 @@ def rewrite_in_power(rat, m):
     return RationalFunction(compress(num), compress(den))
 
 
-def _mu_elements(F, d):
-    """mu_d(F) sorted canonically (d must divide q - 1 unless d = 1)."""
-    if d == 1:
-        return [F.one()]
-    assert (F.q - 1) % d == 0, "mu_d not contained in the field"
-    g = F.multiplicative_generator()
-    z = g ** ((F.q - 1) // d)
-    out, acc = [], F.one()
-    for _ in range(d):
-        out.append(acc)
-        acc = acc * z
-    return sorted(out, key=lambda x: x.index())
-
-
 def _mult_order(x):
     F = x.field
     n, acc = 1, x
@@ -179,8 +165,8 @@ class ActionContext:
 
     def sheets(self, v):
         """Component labels of Ybar_v: mu_(d_max) in canonical order."""
-        return _mu_elements(self.L.residue_field,
-                            self.fiber.reductions[v].d_max)
+        return self.L.residue_field.roots_of_unity(
+            self.fiber.reductions[v].d_max)
 
     def sheet_action(self, g, v, zeta):
         """Image component label of the sheet (v, zeta) under g."""
@@ -366,8 +352,6 @@ class InertiaQuotient:
         self.h_raw = rewrite_in_power(H, m)
         self.h_norm = normalize_kummer_equation(self.nbar, self.h_raw)
         self.flagged = (mu // m) == n
-        # degree bookkeeping: nbar * (mu/m) = n
-        assert self.nbar * (mu // m) == n
 
 
 def _u_action(ctx, u_poly, g, v):
@@ -401,52 +385,45 @@ def _w_action(ctx, iq, g):
 # Hilbert 90 by F_p-linear algebra
 # ---------------------------------------------------------------------------
 
-def _fp_kernel(rows, p):
-    n, m = len(rows), len(rows[0])
-    A = [row[:] for row in rows]
-    pivots = {}
-    r = 0
+def _fp_row_reduce(A, m, p):
+    """Gauss-Jordan elimination over F_p on the first m columns of A, in
+    place; returns the pivot columns, the i-th pivot sitting in row i."""
+    pivots = []
     for c in range(m):
-        piv = next((i for i in range(r, n) if A[i][c] % p), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(A)) if A[i][c] % p), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = pow(A[r][c], -1, p)
         A[r] = [x * inv % p for x in A[r]]
-        for i in range(n):
+        for i in range(len(A)):
             if i != r and A[i][c] % p:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots[c] = r
-        r += 1
+        pivots.append(c)
+    return pivots
+
+
+def _fp_kernel(rows, p):
+    m = len(rows[0])
+    A = [row[:] for row in rows]
+    pivots = _fp_row_reduce(A, m, p)
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         vec = [0] * m
         vec[fc] = 1
-        for c, rr in pivots.items():
-            vec[c] = (-A[rr][fc]) % p
+        for r, c in enumerate(pivots):
+            vec[c] = (-A[r][fc]) % p
         basis.append(vec)
     return basis
 
 
 def _fp_solve(rows, rhs, p):
-    n, m = len(rows), len(rows[0])
-    A = [rows[i][:] + [rhs[i] % p] for i in range(n)]
-    r, pivots = 0, []
-    for c in range(m):
-        piv = next((i for i in range(r, n) if A[i][c] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] % p:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    if any(A[i][m] % p for i in range(r, n)):
+    m = len(rows[0])
+    A = [row[:] + [b % p] for row, b in zip(rows, rhs)]
+    pivots = _fp_row_reduce(A, m, p)
+    if any(A[i][m] % p for i in range(len(pivots), len(A))):
         return None
     sol = [0] * m
     for i, c in enumerate(pivots):
@@ -575,7 +552,7 @@ class DescendedComponent:
         if not ratio.is_constant():
             raise NotInvariant("witness Frobenius ratio not constant")
         omega = ratio.leading_unit()
-        labels = _mu_elements(F, d_geo)
+        labels = F.roots_of_unity(d_geo)
         pieces = []
         seen = set()
         for zeta0 in labels:

@@ -60,6 +60,10 @@ class CountsInconsistent(InternalError):
     pass
 
 
+class WitnessMismatch(InternalError):
+    """A power-class witness g does not satisfy g^d = h."""
+
+
 class IsProperPower(ValidationError):
     pass
 
@@ -119,7 +123,8 @@ class NoRationalFixedPoint(InternalError):
 # -- reduction / descent / lzeta -------------------------------------------
 
 class NotDivisible(InternalError):
-    """n does not divide N_v although semistability was already checked."""
+    """A divisibility the construction relies on fails, e.g. n does not
+    divide N_v although semistability was already checked."""
 
 
 class AdmissibilityViolation(InternalError):
@@ -134,19 +139,11 @@ class NotInvariant(InternalError):
     pass
 
 
-class NoSecondFixedPoint(InternalError):
-    pass
-
-
 class CocycleInconsistent(InternalError):
     pass
 
 
 class NormNotOne(InternalError):
-    pass
-
-
-class GluingAmbiguity(InternalError):
     pass
 
 

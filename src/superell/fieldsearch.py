@@ -22,6 +22,7 @@ from math import gcd
 
 from .errors import (
     CatalogExhausted,
+    NotDivisible,
     NotEisenstein,
     NotGalois,
     PrecisionExhausted,
@@ -30,6 +31,7 @@ from .localfield import (
     INFINITE,
     LocalField,
     LocalFieldElement,
+    coeff_transport,
     galois_group,
     roots_integral,
     roots_of_qpoly,
@@ -202,9 +204,9 @@ def flatten_extension(L1, g_coeffs, z_exponents, label=None):
     if k:
         scale = LocalFieldElement(L1, scale.vec, scale.shift - k, scale.prec,
                                   False)
-    z[B % d] = scale if B < d else scale  # B < d by construction
     if B >= d:
         raise _SkipCandidate("bad uniformizer exponent")
+    z[B] = scale
 
     one_t2 = [zero1 for _ in range(d)]
     one_t2[0] = L1.one()
@@ -267,7 +269,8 @@ def adjoin_radical(L1, d, c_elt, label=None):
     A = pow(d, -1, e1) if e1 > 1 else 0
     B = pow(e1, -1, d) if d > 1 else 0
     V = A * d + B * e1
-    assert V % (e1 * d) == 1 % (e1 * d)
+    if V % (e1 * d) != 1 % (e1 * d):
+        raise NotDivisible(f"{V} - 1 is not divisible by e*d = {e1 * d}")
     k = (V - 1) // (e1 * d)
     g = [-c_elt] + [L1.zero()] * (d - 1) + [L1.one()]
     return flatten_extension(L1, g, (A, B, k), label=label)
@@ -300,15 +303,11 @@ def adjoin_eisenstein(L1, g_coeffs, label=None):
 
 def _cyclotomic_pk_shifted(p, s):
     """Phi_{p^s}(x + 1) as integer coefficients (Eisenstein at p)."""
-    phi = QPoly([0] * (p ** (s - 1)) + [1])  # x^(p^(s-1))
-    cyc = QPoly([0] * 0 + [1])
     # Phi_{p^s}(x) = sum_{i<p} x^(i p^(s-1))
     coeffs = [0] * ((p - 1) * p ** (s - 1) + 1)
     for i in range(p):
-        if i * p ** (s - 1) < len(coeffs):
-            coeffs[i * p ** (s - 1)] = 1
+        coeffs[i * p ** (s - 1)] = 1
     cyc = QPoly(coeffs)
-    shifted = cyc  # compose with x + 1
     xp1 = QPoly([1, 1])
     acc = QPoly([0])
     for c in reversed(cyc.coeffs):
@@ -344,10 +343,8 @@ def _teich_unit(L, u_idx, e):
     Fq = L.residue_field
     g0 = gcd(e, Fq.q - 1)
     if g0 == 1 or u_idx == 0:
-        return L.one(), 0
-    gen = Fq.multiplicative_generator()
-    u = gen**u_idx
-    return L.teichmueller(u), u_idx % g0
+        return L.one()
+    return L.teichmueller(Fq.multiplicative_generator() ** u_idx)
 
 
 def _construct_candidate(p, f0, s, e, u_idx, prec):
@@ -358,8 +355,7 @@ def _construct_candidate(p, f0, s, e, u_idx, prec):
     if s == 0:
         if e == 1:
             return base
-        u, _ = _teich_unit(base, u_idx, e)
-        c = u * base.from_int(p)
+        c = _teich_unit(base, u_idx, e) * base.from_int(p)
         return adjoin_radical(base, e, c, label=label)
     eis = _cyclotomic_pk_shifted(p, s)
     L1 = LocalField(p, f0, eis, prec, label=f"Q_{p}(f{f0};zeta_{p ** s})")
@@ -367,8 +363,7 @@ def _construct_candidate(p, f0, s, e, u_idx, prec):
         return L1
     if gcd(e, L1.e) != 1:
         raise _SkipCandidate("wild composite with gcd(e, phi(p^s)) > 1")
-    u, _ = _teich_unit(L1, u_idx, e)
-    c = u * L1.from_int(p)
+    c = _teich_unit(L1, u_idx, e) * L1.from_int(p)
     return adjoin_radical(L1, e, c, label=label)
 
 
@@ -396,13 +391,6 @@ def catalog_entries(p, config):
                     out.append((deg, f0, s, e, u_idx))
     out.sort()
     return out
-
-
-def _poly_roots_count(L, qp):
-    try:
-        return len(roots_of_qpoly(L, qp))
-    except PrecisionExhausted:
-        return -1
 
 
 def splits_in(L, factors):
@@ -455,17 +443,7 @@ def contains_field(M, L0):
     else:
         a_roots = [M.one()]
     for a_img in a_roots:
-        pows = [M.one()]
-        for _ in range(L0.f - 1):
-            pows.append(pows[-1] * a_img)
-
-        def transport(ucoeff):
-            acc = M.zero()
-            for j, d in enumerate(ucoeff):
-                if d:
-                    acc = acc + pows[j] * M.from_int(d)
-            return acc
-
+        transport = coeff_transport(M, a_img, L0.f)
         E_img = [transport(c) for c in L0.E]
         if roots_integral(E_img, M):
             return True
@@ -493,15 +471,12 @@ def semistabilizing_candidates(L0, n, f, p, config=None):
         config = SearchConfig()
     found = False
     for deg, f0, s, e, u_idx in catalog_entries(p, config):
-        if (f0 * (1 if s == 0 else (p ** (s - 1)) * (p - 1)) * e) % 1:
-            continue
         if deg % L0.degree:
             continue
         if f0 % L0.f:
             continue
-        # e(L) must be divisible by n for p^(1/n) to exist
-        phi = 1 if s == 0 else (p ** (s - 1)) * (p - 1)
-        if (phi * e) % n:
+        # e(L) = deg / f0 must be divisible by n for p^(1/n) to exist
+        if (deg // f0) % n:
             continue
         try:
             L = construct_candidate(p, f0, s, e, u_idx, config.precision)

@@ -30,9 +30,12 @@ from .errors import (
     CharacteristicDividesExponent,
     CountsInconsistent,
     EnumerationBudgetExceeded,
+    GenusMismatch,
     IsProperPower,
     NonPrime,
+    NotDivisible,
     ReducibleModulus,
+    WitnessMismatch,
     ZeroFunction,
     ZeroPolynomial,
 )
@@ -261,6 +264,19 @@ class FqField:
                     self._gen = u
                     break
         return self._gen
+
+    def roots_of_unity(self, d):
+        """mu_d(F) sorted canonically; d must divide q - 1."""
+        if d == 1:
+            return [self._one]
+        if (self.q - 1) % d:
+            raise NotDivisible(f"mu_{d} is not contained in {self!r}")
+        z = self.multiplicative_generator() ** ((self.q - 1) // d)
+        out, acc = [], self._one
+        for _ in range(d):
+            out.append(acc)
+            acc = acc * z
+        return sorted(out, key=lambda x: x.index())
 
     def dlog(self, u):
         """Discrete log of u with respect to the canonical generator."""
@@ -908,9 +924,10 @@ def power_class(F, h, n):
             witness = RationalFunction(FqPoly.constant(root))
             for f, e in facs:
                 witness = witness * RationalFunction(f) ** (e // d)
-            assert witness**d == h, "witness verification failed"
+            if witness**d != h:
+                raise WitnessMismatch("witness verification failed")
             return PowerClassData(n, d, n // d, witness)
-    raise AssertionError("unreachable: d = 1 always works")
+    raise WitnessMismatch("unreachable: d = 1 always works")
 
 
 def geometric_power_class(F, h, n):
@@ -1054,23 +1071,29 @@ def zeta_numerator(nbar, h, genus, budget=DEFAULT_POINT_BUDGET):
             raise CountsInconsistent(f"non-integral zeta coefficient {c}")
         out.append(int(c))
     # consistency: predicted N_{genus+1} from P must match the direct count
+    # N_i = 1 + q^i - sum of alpha^i
     i = genus + 1
-    # N_i = 1 + q^i - sum of alpha^i; power sums via Newton's identity on P
-    e = [Fraction((-1) ** j * out[j]) for j in range(2 * genus + 1)]
-    psums = [Fraction(0)] * (i + 1)
-    for m in range(1, i + 1):
-        acc = Fraction((-1) ** (m - 1) * m) * (e[m] if m <= 2 * genus else 0)
-        for j in range(1, m):
-            if j <= 2 * genus:
-                acc += Fraction((-1) ** (j - 1)) * e[j] * psums[m - j]
-        psums[m] = acc
-    predicted = 1 + q**i - psums[i]
+    predicted = 1 + q**i - power_sums(out, i)[i]
     if predicted != counts[genus]:
         raise CountsInconsistent(
             f"functional equation check failed: N_{i} = {counts[genus]}, "
             f"zeta predicts {predicted} (wrong genus upstream?)")
     _weil_check(out, q, genus)
     return out
+
+
+def power_sums(poly, upto):
+    """[0, s_1, ..., s_upto]: power sums of the reciprocal roots alpha of
+    the integer polynomial prod (1 - alpha T), by Newton's identities."""
+    e = [(-1) ** j * poly[j] if j < len(poly) else 0
+         for j in range(upto + 1)]
+    ps = [0] * (upto + 1)
+    for m in range(1, upto + 1):
+        acc = (-1) ** (m - 1) * m * e[m]
+        for j in range(1, m):
+            acc += (-1) ** (j - 1) * e[j] * ps[m - j]
+        ps[m] = acc
+    return ps
 
 
 def normalize_kummer_equation(nbar, h):
@@ -1121,5 +1144,6 @@ def kummer_genus(n_c, h):
     a_inf = -(h.num.degree() - h.den.degree()) // d
     if a_inf % n_comp:
         two_g += n_comp - gcd(n_comp, a_inf)
-    assert two_g % 2 == 0, "Riemann-Hurwitz parity failure"
+    if two_g % 2:
+        raise GenusMismatch("Riemann-Hurwitz parity failure")
     return two_g // 2

@@ -33,6 +33,7 @@ from .errors import (
     NotMonogenicWitness,
     PrecisionExhausted,
     PrecisionTooLow,
+    ReducibleModulus,
 )
 from .finitefield import FqPoly, fq_make
 
@@ -57,7 +58,8 @@ class Unramified:
         if modulus_lift is None:
             modulus_lift = self.residue_field.modulus
         self.modulus = tuple(int(c) % self.pN for c in modulus_lift)
-        assert len(self.modulus) == f + 1 and self.modulus[-1] == 1
+        if len(self.modulus) != f + 1 or self.modulus[-1] != 1:
+            raise ReducibleModulus("modulus must be monic of degree f")
         self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
 
@@ -691,9 +693,6 @@ def roots_of_qpoly(K, qp):
     return sorted(roots, key=sort_key())
 
 
-LocalField.roots_of_qpoly = lambda self, qp: roots_of_qpoly(self, qp)
-
-
 # ---------------------------------------------------------------------------
 # Galois groups
 # ---------------------------------------------------------------------------
@@ -842,7 +841,7 @@ def galois_group(L, base="Qp"):
     autos = []
     for a_img in a_roots:
         # sigma|U determined by a -> a_img; transport E's coefficients
-        sigmaU = _coeff_transport(K, a_img)
+        sigmaU = coeff_transport(K, a_img, K.f)
         E_sigma = [sigmaU(c) for c in K.E]
         pi_roots = roots_integral(E_sigma, K)
         for pi_img in pi_roots:
@@ -871,10 +870,11 @@ def galois_group(L, base="Qp"):
     return GaloisGroupData(K, autos, table, inertia, frob)
 
 
-def _coeff_transport(K, a_img):
-    """The map U -> L sending sum d_j a^j to sum d_j a_img^j."""
+def coeff_transport(K, a_img, f):
+    """The map sending sum_(j<f) d_j a^j, a U-coordinate of a field of
+    residue degree f, to sum d_j a_img^j in K."""
     pows = [K.one()]
-    for _ in range(K.f - 1):
+    for _ in range(f - 1):
         pows.append(pows[-1] * a_img)
 
     def fn(ucoeff):

@@ -15,6 +15,7 @@ from .descent import build_inertial_curve
 from .errors import (
     CatalogExhausted,
     CountsInconsistent,
+    DegreeMismatch,
     PrecisionExhausted,
     ValidationError,
 )
@@ -23,7 +24,7 @@ from .fieldsearch import (
     semistabilizing_candidates,
     splitting_field,
 )
-from .finitefield import count_kummer_points
+from .finitefield import count_kummer_points, power_sums
 from .localfield import galois_group, ramification_filtration
 from .lzeta import conductor_exponent, local_l_factor
 from .reduction import raw_gauss_values, reduce_special_fiber, semistable_check
@@ -146,27 +147,13 @@ def verify_point_counts(curve, inertial, p1):
             if i % orb["size"] == 0:
                 direct -= orb["size"]
         # prediction: N_i = 1 - (power sum of P1 reciprocal roots) + p^i * m_i
-        ps = _power_sums(p1, i)
+        ps = power_sums(p1, i)
         m_i = sum(d for d in inertial.component_orbit_sizes() if i % d == 0)
         predicted = 1 - ps[i] + p**i * m_i
         if direct != predicted:
             raise CountsInconsistent(
                 f"|Z(F_p^{i})| = {direct} but the zeta function predicts "
                 f"{predicted}")
-
-
-def _power_sums(p1, upto):
-    """Power sums of the reciprocal roots of P1 via Newton's identities."""
-    deg = len(p1) - 1
-    e = [Fraction((-1) ** j * p1[j]) if j <= deg else Fraction(0)
-         for j in range(upto + 1)]
-    ps = [Fraction(0)] * (upto + 1)
-    for m in range(1, upto + 1):
-        acc = Fraction((-1) ** (m - 1) * m) * e[m]
-        for j in range(1, m):
-            acc += Fraction((-1) ** (j - 1)) * e[j] * ps[m - j]
-        ps[m] = acc
-    return [int(x) for x in ps]
 
 
 def compute(curve, config=None, explicit_field=None, trace=None):
@@ -214,7 +201,8 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         lfactor = local_l_factor(inertial)
         conductor = conductor_exponent(curve, filt, inertial)
         verify_point_counts(curve, inertial, lfactor.p1)
-        assert len(lfactor.p1) - 1 == 2 * curve.genus() - conductor.epsilon
+        if len(lfactor.p1) - 1 != 2 * curve.genus() - conductor.epsilon:
+            raise DegreeMismatch("deg P1 differs from 2g - epsilon")
         say(f"  P1 = {lfactor.p1}, f = {conductor.conductor}")
         return PipelineResult(curve=curve, L=L, G=G, filt=filt,
                               divisor=div, tree=tree, fiber=fiber,

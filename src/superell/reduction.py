@@ -170,9 +170,9 @@ class EdgeNodes:
                 u = emb(u0)
                 root = big.nth_root(u, self.d)
                 if root is not None:
-                    zetas = [x for x in _mu_d(big, self.d)]
                     self.label_field = big
-                    self.labels = sorted((root * z for z in zetas),
+                    self.labels = sorted((root * z for z in
+                                          big.roots_of_unity(self.d)),
                                          key=lambda x: x.index())
                     break
             m += 1
@@ -186,17 +186,6 @@ class EdgeNodes:
     def __repr__(self):
         return (f"EdgeNodes(({self.parent},{self.child}), d={self.d}, "
                 f"a={self.a_child})")
-
-
-def _mu_d(F, d):
-    g = F.multiplicative_generator()
-    step = (F.q - 1) // gcd(d, F.q - 1)
-    out, acc = [], F.one()
-    z = g**step
-    for _ in range(gcd(d, F.q - 1)):
-        out.append(acc)
-        acc = acc * z
-    return out
 
 
 class SpecialFiber:

@@ -359,7 +359,8 @@ class TreeGaloisAction:
                 if (ia, ib) not in edge_set and (ib, ia) not in edge_set:
                     raise NotInvariant("Galois image of an edge is not an edge")
                 # radii are preserved, so a parent can never swap with a child
-                assert (ia, ib) in edge_set, "edge inverted under Galois"
+                if (ia, ib) not in edge_set:
+                    raise NotInvariant("edge inverted under Galois")
         self.stabilizer = []
         for v in tree.vertices:
             self.stabilizer.append(sorted(
@@ -452,17 +453,9 @@ class TreeGaloisAction:
                     B_t = self.matrix(t, v.index)
                     B_s = self.matrix(s, v.index)
                     sB_t = tuple(self.residue_action(s, x) for x in B_t)
-                    rhs = normalize_pgl2(
-                        _fq_matrix_mul(sB_t, B_s))
+                    rhs = normalize_pgl2(matrix_mul(sB_t, B_s))
                     if lhs != rhs:
                         raise NotInvariant("cocycle rule violated")
-
-
-def _fq_matrix_mul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
 def _big(x, L):

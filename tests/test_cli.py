@@ -1,9 +1,24 @@
+import ast
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 
 from superell.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+
+# sha256 of the --json stdout of sample_curves/<name>.json; a refactor must
+# leave these bytes unchanged
+REPORT_SHA256 = {
+    "ex1": "5361cba8afc49c9a80fe4b44fff97778a26fc0ff452096a76e8dc8d81157d79b",
+    "ex2": "b06781250250e23fc6066f3f4e42ab643085d71a45fba24924de9bb4224d3ccf",
+    "good_reduction":
+        "20b54a6a547a2c5cb7486b54c6e28b701c6a5dde527a2e1e2e473185f5a0742b",
+}
 
 
 def run_cli(tmp_path, spec, *args):
@@ -13,6 +28,15 @@ def run_cli(tmp_path, spec, *args):
         [sys.executable, "-m", "superell.cli", str(path), *args],
         capture_output=True, text=True, timeout=600)
     return proc
+
+
+def sample_report_sha256(name, *python_flags):
+    proc = subprocess.run(
+        [sys.executable, *python_flags, "-m", "superell.cli",
+         str(REPO / "sample_curves" / f"{name}.json"), "--json"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout.encode()).hexdigest()
 
 
 EX1 = {"n": 4, "f": [["x^2-3", 1], ["x^2+3", 1], ["x^2-6*x-3", 1]], "p": 3}
@@ -48,6 +72,33 @@ class TestCli:
         out1 = run_cli(tmp_path, EX1, "--json").stdout
         out2 = run_cli(tmp_path, EX1, "--json").stdout
         assert out1 == out2
+        assert hashlib.sha256(out1.encode()).hexdigest() == \
+            REPORT_SHA256["ex1"]
+        for name in ("ex2", "good_reduction"):
+            assert sample_report_sha256(name) == REPORT_SHA256[name]
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 3, "f": 5, "p": 7},
+        [1, 2],
+        {"n": 3.7, "f": [1, 0, -1, 0, 1], "p": 2},
+        {"n": 3, "f": [1, 0, -1, 0, 1], "p": 7.9},
+        {"n": 3, "f": [["x^2+1", 1], 3], "p": 7},
+        {"n": 3, "f": [1, None, 1], "p": 7},
+    ])
+    def test_malformed_spec_exit_code(self, tmp_path, spec):
+        proc = run_cli(tmp_path, spec)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_no_assert_statements(self):
+        """Every internal check raises a typed error, so it also holds
+        under python -O; the report is the same there."""
+        for path in sorted((REPO / "src" / "superell").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not lines, f"assert statements in {path.name}: {lines}"
+        assert sample_report_sha256("ex2", "-O") == REPORT_SHA256["ex2"]
 
     def test_trace_goes_to_stderr(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--trace")
@@ -69,6 +120,15 @@ class TestCli:
         data = json.loads(proc.stdout)
         assert data["conductor_exponent"] == 11
         assert data["P1"] == [1, 1, 3, 3]
+
+    def test_field_tower_non_monic_modulus(self, tmp_path):
+        tower = {"p": 3, "unramified_modulus": [1, 0, 2],
+                 "eisenstein": [[-3, 0, 0, 0, 1]]}
+        tpath = tmp_path / "tower.json"
+        tpath.write_text(json.dumps(tower))
+        proc = run_cli(tmp_path, EX1, "--field-tower", str(tpath))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_in_process_main(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -3,7 +3,7 @@ import pytest
 from superell.curve import SuperellipticCurve, branch_divisor
 from superell.errors import NotSplit
 from superell.fieldsearch import semistabilizing_field, splitting_field
-from superell.localfield import ramification_filtration
+from superell.localfield import ramification_filtration, roots_of_qpoly
 from superell.qpoly import parse_poly
 from superell.tree import (
     INF_POINT,
@@ -115,7 +115,7 @@ class TestSmallTrees:
         L0, _ = splitting_field(f, 7)
         # divisor with 3 points: construct directly
         from superell.curve import BranchDivisor, BranchPoint
-        roots = L0.roots_of_qpoly(f)
+        roots = roots_of_qpoly(L0, f)
         pts = [BranchPoint(r, 1) for r in roots]
         div = BranchDivisor(pts, False)
         tree = build_tree(div, L0)
