@@ -26,6 +26,7 @@ from .errors import (
     NotEisenstein,
     NotGalois,
     PrecisionExhausted,
+    ValidationError,
 )
 from .localfield import (
     INFINITE,
@@ -95,12 +96,14 @@ def _coerce_step_coefficient(L, c):
         for v in c:
             if isinstance(v, int):
                 coords.append((v,) + (0,) * (L.f - 1))
-            else:
+            elif isinstance(v, list) and all(isinstance(a, int) for a in v):
                 coords.append(tuple(v))
+            else:
+                raise ValidationError(f"bad tower coefficient {c!r}")
         while len(coords) < L.e:
             coords.append((0,) * L.f)
         return L.element_from_coords(coords)
-    raise TypeError(f"bad tower coefficient {c!r}")
+    raise ValidationError(f"bad tower coefficient {c!r}")
 
 
 def _solve_linear(K, cols, rhs):

@@ -18,6 +18,16 @@ On top of the field arithmetic this module provides
   normalization of z^nbar = h(w) and the numerator of its zeta function;
 * ``normalize_kummer_equation``: strip nbar-th power factors and denominators
   without changing the function field of the cover.
+
+Bulk work runs on numpy digit arrays, (k, N) int64 arrays holding N
+elements as columns of base-p digits.  ``count_kummer_points`` evaluates
+num and den of h at all of F_{q^i}, a fixed chunk of points at a time, and
+decides n-th-power residuosity of the ordinary points by comparing discrete
+logs.  The logs come from one int32 table per field (index -> log, -1 at
+zero), built by baby-step/giant-step on first use and kept on the field:
+4 bytes per element, so at most about 4 MB for a field within
+``DEFAULT_POINT_BUDGET``.  numpy is imported inside the functions that use
+it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import (
     CharacteristicDividesExponent,
@@ -44,6 +55,9 @@ from .errors import (
 DEFAULT_POINT_BUDGET = 10**6
 
 INF = "inf"  # marker for the point at infinity of P^1
+
+#: points of F_{q^i} evaluated per numpy pass in ``count_kummer_points``
+_KUMMER_CHUNK = 8192
 
 
 def is_prime(n):
@@ -206,7 +220,7 @@ class FqField:
         self.modulus = modulus
         self._zero = FqElement(self, (0,) * k)
         self._one = FqElement(self, (1,) + (0,) * (k - 1))
-        self._dlog = None
+        self._log = None
         self._gen = None
         self._embeddings = {}
 
@@ -280,14 +294,74 @@ class FqField:
 
     def dlog(self, u):
         """Discrete log of u with respect to the canonical generator."""
-        if self._dlog is None:
-            table, g = {}, self.multiplicative_generator()
-            acc = self._one
-            for e in range(self.q - 1):
-                table[acc.coeffs] = e
+        e = int(self._log_table()[u.index()])
+        if e < 0:
+            raise KeyError(f"discrete log of zero in {self!r}")
+        return e
+
+    def _log_table(self):
+        """int32 array of length q: index -> discrete log, -1 at zero.
+
+        Baby-step/giant-step: about sqrt(q) scalar multiplies give the baby
+        block g^0, ..., g^(m-1); every giant step multiplies the whole block
+        by g^m as one digit-array product and files the next m logs.
+        """
+        if self._log is None:
+            import numpy as np
+            n = self.q - 1
+            m = isqrt(n - 1) + 1  # ceil(sqrt(n))
+            g = self.multiplicative_generator()
+            baby, acc = [], self._one
+            for _ in range(m):
+                baby.append(acc.coeffs)
                 acc = acc * g
-            self._dlog = table
-        return self._dlog[u.coeffs]
+            block = np.array(baby, dtype=np.int64).T
+            giant = np.array(acc.coeffs, dtype=np.int64)[:, None]
+            exps = np.arange(m, dtype=np.int32)
+            table = np.full(self.q, -1, dtype=np.int32)
+            for start in range(0, n, m):
+                cnt = min(m, n - start)
+                table[self._indices(block[:, :cnt])] = exps[:cnt] + start
+                if start + m < n:
+                    block = self._mul_digits(block, giant)
+            self._log = table
+        return self._log
+
+    # Digit arrays: (k, N) int64 arrays whose column c holds the base-p
+    # digits of one element, row j the coefficient of a^j (the order of
+    # ``from_index``).
+
+    def _digits(self, idx):
+        """Digit array of an int64 array of canonical indices."""
+        import numpy as np
+        out = np.empty((self.k, len(idx)), dtype=np.int64)
+        for j in range(self.k):
+            idx, out[j] = np.divmod(idx, self.p)
+        return out
+
+    def _indices(self, digits):
+        """Canonical indices of the columns of a digit array."""
+        acc = digits[-1].copy()
+        for row in digits[-2::-1]:
+            acc *= self.p
+            acc += row
+        return acc
+
+    def _mul_digits(self, a, b):
+        """Column-wise product of digit arrays (b may be one (k, 1) column):
+        schoolbook, then reduction by the modulus from the top down."""
+        import numpy as np
+        p, k = self.p, self.k
+        if k == 1:
+            return a * b % p
+        res = np.zeros((2 * k - 1, max(a.shape[1], b.shape[1])),
+                       dtype=np.int64)
+        for i in range(k):
+            res[i:i + k] += a[i] * b
+        mod = np.array(self.modulus[:k], dtype=np.int64)[:, None]
+        for i in range(2 * k - 2, k - 1, -1):
+            res[i - k:i] -= res[i] % p * mod
+        return res[:k] % p
 
     def nth_root(self, u, d):
         """Some x with x^d = u, or None.  Deterministic (smallest exponent)."""
@@ -427,9 +501,6 @@ class FqElement:
     def frobenius(self, j=1):
         """x -> x^(p^j)."""
         return self ** (self.field.p**j)
-
-    def to_list(self):
-        return list(self.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -969,7 +1040,14 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
     a point x0 of P^1 with a = ord(h), d = gcd(nbar, a) and unit value u0,
     the fiber of the normalization has as many rational points as w^d = u0
     has solutions.
+
+    The affine points are evaluated as digit arrays, ``_KUMMER_CHUNK`` at a
+    time.  Where num and den are both nonzero, a = 0 and there are g =
+    gcd(nbar, q^i - 1) points above x0 if num/den is a g-th power, i.e. if
+    log(num) = log(den) mod g; the other points and infinity take the
+    general rule above.
     """
+    import numpy as np
     from math import gcd
     if isinstance(h, FqPoly):
         h = RationalFunction(h)
@@ -984,28 +1062,34 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
             f"q^i = {F.q ** i} exceeds budget {budget}")
     big, emb = _extension_with_embedding(F, i)
     hh = RationalFunction(h.num.map_coeffs(emb, big), h.den.map_coeffs(emb, big))
-    total = 0
     g_full = gcd(nbar, big.q - 1)
-    e_full = (big.q - 1) // g_full
-    one = big.one()
-    for idx in range(big.q):
-        x0 = big.from_index(idx)
-        nv = hh.num.evaluate(x0)
-        dv = hh.den.evaluate(x0)
-        if not nv.is_zero() and not dv.is_zero():
-            # ordinary point: a = 0, d = nbar; u0 is an nbar-th power iff
-            # (nv * dv^(g-1))^((q-1)/g) = 1 (multiplying u0 by dv^g)
-            probe = nv * dv ** (g_full - 1) if g_full > 1 else one
-            if g_full == 1 or probe**e_full == one:
-                total += g_full
-            continue
-        a = hh.ord_at(x0)
-        d = gcd(nbar, a)
-        u0 = hh.unit_value_at(x0)
-        total += kummer_solutions(big, d, u0)
-    a = hh.ord_at(INF)
-    d = gcd(nbar, a)
-    total += kummer_solutions(big, d, hh.unit_value_at(INF))
+    log = big._log_table() if g_full > 1 else None
+
+    def values(poly, x):
+        cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
+                for c in reversed(poly.coeffs)]
+        acc = np.broadcast_to(cols[0], x.shape)
+        for col in cols[1:]:
+            acc = big._mul_digits(acc, x)
+            acc += col
+            acc %= big.p
+        return big._indices(acc)
+
+    total = 0
+    special = []
+    for start in range(0, big.q, _KUMMER_CHUNK):
+        idx = np.arange(start, min(start + _KUMMER_CHUNK, big.q),
+                        dtype=np.int64)
+        x = big._digits(idx)
+        nv, dv = values(hh.num, x), values(hh.den, x)
+        ordinary = (nv != 0) & (dv != 0)
+        special.extend(idx[~ordinary].tolist())
+        if log is not None:
+            ordinary &= (log[nv] - log[dv]) % g_full == 0
+        total += g_full * int(np.count_nonzero(ordinary))
+    for x0 in [big.from_index(j) for j in special] + [INF]:
+        d = gcd(nbar, hh.ord_at(x0))
+        total += kummer_solutions(big, d, hh.unit_value_at(x0))
     return total
 
 

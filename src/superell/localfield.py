@@ -54,12 +54,13 @@ class Unramified:
         self.f = f
         self.N = prec
         self.pN = p**prec
-        self.residue_field = fq_make(p, f)
         if modulus_lift is None:
-            modulus_lift = self.residue_field.modulus
+            modulus_lift = fq_make(p, f).modulus
         self.modulus = tuple(int(c) % self.pN for c in modulus_lift)
         if len(self.modulus) != f + 1 or self.modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree f")
+        # FqField rejects a modulus that is reducible mod p
+        self.residue_field = fq_make(p, f, self.modulus)
         self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
 
@@ -74,10 +75,6 @@ class Unramified:
     def neg(self, x):
         pN = self.pN
         return tuple(-a % pN for a in x)
-
-    def smul(self, c, x):
-        pN = self.pN
-        return tuple(c * a % pN for a in x)
 
     def mul(self, x, y):
         f, pN = self.f, self.pN
@@ -127,16 +124,6 @@ class Unramified:
         if any(a % pk for a in x):
             raise PrecisionExhausted("inexact division by p^k: out of digits")
         return tuple(a // pk for a in x)
-
-    def inv_unit(self, x):
-        """Newton inverse of a unit (val 0)."""
-        r = self.residue(x)
-        z = self.lift(r.inverse())
-        steps = max(1, (self.N - 1).bit_length() + 1)
-        two = (2,) + (0,) * (self.f - 1)
-        for _ in range(steps):
-            z = self.mul(z, self.sub(two, self.mul(x, z)))
-        return z
 
     def from_int(self, n):
         return (n % self.pN,) + (0,) * (self.f - 1)
@@ -786,20 +773,6 @@ class GaloisGroupData:
             n += 1
         return n
 
-    def subgroup_generated(self, gens):
-        seen = set(gens) | {self.identity_index}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in list(seen):
-                    for k in (self.table[i][j], self.table[j][i]):
-                        if k not in seen:
-                            seen.add(k)
-                            nxt.append(k)
-            frontier = nxt
-        return sorted(seen)
-
 
 def _closeness(x, y):
     v = (x - y).valuation_or_none()
@@ -902,9 +875,6 @@ class RamificationFiltration:
         if i < len(self.groups):
             return self.groups[i]
         return self.groups[-1]
-
-    def wild_order(self):
-        return len(self.groups[1]) if len(self.groups) > 1 else 1
 
 
 def ramification_filtration(G):

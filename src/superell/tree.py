@@ -59,10 +59,6 @@ class MarkedTree:
     def vertex_count(self):
         return len(self.vertices)
 
-    def direction_of_point(self, v, j):
-        """Residue direction of marked point j on the component of v."""
-        return moebius_eval(self.vertices[v].chart, self.points[j], self.L)
-
     def direction_of_vertex(self, v, w):
         """Residue direction of the (smaller) disc of w on the component
         of v."""

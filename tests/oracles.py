@@ -9,11 +9,23 @@ code with the gcd-based counting rule of the package.
 
 ``count_affine_brute`` is plain exhaustive enumeration of affine solutions,
 used for good-reduction cross-checks where the affine model is smooth.
+
+``count_kummer_points_scalar`` is the package's counting rule evaluated one
+point at a time with ``FqElement`` arithmetic: the reference for the
+vectorized ``count_kummer_points``.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from superell.finitefield import INF, FqPoly, RationalFunction, factor_poly, fq_make
+from superell.finitefield import (
+    INF,
+    FqPoly,
+    RationalFunction,
+    factor_poly,
+    fq_make,
+    kummer_solutions,
+)
 
 _MAX_DEPTH = 80
 
@@ -256,3 +268,34 @@ def places_at_infinity(nbar, h):
     if isinstance(h, FqPoly):
         h = RationalFunction(h)
     return _places_over(nbar, h, INF)
+
+
+def count_kummer_points_scalar(nbar, h, i=1):
+    """``count_kummer_points`` by a Horner evaluation and a power per point."""
+    if isinstance(h, FqPoly):
+        h = RationalFunction(h)
+    F = h.field
+    big = fq_make(F.p, F.k * i)
+    emb = F.embedding(big)
+    hh = RationalFunction(h.num.map_coeffs(emb, big),
+                          h.den.map_coeffs(emb, big))
+    total = 0
+    g_full = gcd(nbar, big.q - 1)
+    e_full = (big.q - 1) // g_full
+    one = big.one()
+    for idx in range(big.q):
+        x0 = big.from_index(idx)
+        nv = hh.num.evaluate(x0)
+        dv = hh.den.evaluate(x0)
+        if not nv.is_zero() and not dv.is_zero():
+            # ordinary point: a = 0, d = nbar; u0 is an nbar-th power iff
+            # (nv * dv^(g-1))^((q-1)/g) = 1 (multiplying u0 by dv^g)
+            probe = nv * dv ** (g_full - 1) if g_full > 1 else one
+            if g_full == 1 or probe**e_full == one:
+                total += g_full
+            continue
+        d = gcd(nbar, hh.ord_at(x0))
+        total += kummer_solutions(big, d, hh.unit_value_at(x0))
+    d = gcd(nbar, hh.ord_at(INF))
+    total += kummer_solutions(big, d, hh.unit_value_at(INF))
+    return total

@@ -30,6 +30,13 @@ def run_cli(tmp_path, spec, *args):
     return proc
 
 
+def run_tower(tmp_path, tower, *args):
+    """Run EX1 with ``--field-tower`` given by the dict ``tower``."""
+    tpath = tmp_path / "tower.json"
+    tpath.write_text(json.dumps(tower))
+    return run_cli(tmp_path, EX1, "--field-tower", str(tpath), *args)
+
+
 def sample_report_sha256(name, *python_flags):
     proc = subprocess.run(
         [sys.executable, *python_flags, "-m", "superell.cli",
@@ -106,29 +113,47 @@ class TestCli:
         assert "candidate field" in proc.stderr
 
     def test_field_tower_flag(self, tmp_path):
-        tower = {"p": 3, "unramified_modulus": [1, 0, 1],
-                 "eisenstein": [[-3, 0, 0, 0, 1]], "precision": 40}
-        tpath = tmp_path / "tower.json"
-        tpath.write_text(json.dumps(tower))
-        path = tmp_path / "curve.json"
-        path.write_text(json.dumps(EX1))
-        proc = subprocess.run(
-            [sys.executable, "-m", "superell.cli", str(path),
-             "--field-tower", str(tpath), "--json"],
-            capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
-        assert data["conductor_exponent"] == 11
-        assert data["P1"] == [1, 1, 3, 3]
+        # the default x^2 + 1, and x^2 + x + 2, also irreducible over GF(3)
+        for modulus in ([1, 0, 1], [2, 1, 1]):
+            tower = {"p": 3, "unramified_modulus": modulus,
+                     "eisenstein": [[-3, 0, 0, 0, 1]], "precision": 40}
+            proc = run_tower(tmp_path, tower, "--json")
+            assert proc.returncode == 0, proc.stderr
+            data = json.loads(proc.stdout)
+            assert data["conductor_exponent"] == 11
+            assert data["P1"] == [1, 1, 3, 3]
 
     def test_field_tower_non_monic_modulus(self, tmp_path):
         tower = {"p": 3, "unramified_modulus": [1, 0, 2],
                  "eisenstein": [[-3, 0, 0, 0, 1]]}
-        tpath = tmp_path / "tower.json"
-        tpath.write_text(json.dumps(tower))
-        proc = run_cli(tmp_path, EX1, "--field-tower", str(tpath))
+        proc = run_tower(tmp_path, tower)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_field_tower_reducible_modulus(self, tmp_path):
+        # x^2 + 2 = (x + 1)(x + 2) over GF(3)
+        tower = {"p": 3, "unramified_modulus": [2, 0, 1],
+                 "eisenstein": [[-3, 0, 0, 0, 1]], "precision": 40}
+        proc = run_tower(tmp_path, tower, "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "ReducibleModulus"
+
+    def test_field_tower_bad_coefficient(self, tmp_path):
+        for step in (["a", 0, 1], [[None], 0, 1]):
+            proc = run_tower(tmp_path, {"p": 3, "eisenstein": [step]})
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+
+    def test_import_loads_no_numpy(self):
+        """numpy is imported where it is used, so start-up does not pay
+        for it."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, superell, superell.cli; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_in_process_main(self, tmp_path, capsys):
         path = tmp_path / "c.json"

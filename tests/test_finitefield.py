@@ -1,5 +1,7 @@
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
 from superell.errors import (
@@ -24,7 +26,7 @@ from superell.finitefield import (
     zeta_numerator,
 )
 
-from oracles import count_points_by_places
+from oracles import count_kummer_points_scalar, count_points_by_places
 
 
 def poly(F, *ints):
@@ -88,6 +90,47 @@ class TestFieldConstruction:
             b = F.from_index(rng.randrange(F.q))
             assert emb(a * b) == emb(a) * emb(b)
             assert emb(a + b) == emb(a) + emb(b)
+
+
+class TestLogTable:
+    FIELDS = ((2, 4), (3, 3), (7, 2))
+
+    def test_digit_array_product(self):
+        # every pair of GF(3^3), and a prime field, against FqElement
+        for F in (fq_make(3, 3), fq_make(7)):
+            a = np.repeat(np.arange(F.q, dtype=np.int64), F.q)
+            b = np.tile(np.arange(F.q, dtype=np.int64), F.q)
+            x, y = F._digits(a), F._digits(b)
+            assert list(F._indices(x)) == list(a)
+            prod = F._indices(F._mul_digits(x, y))
+            assert list(prod) == [(F.from_index(i) * F.from_index(j)).index()
+                                  for i, j in zip(a.tolist(), b.tolist())]
+
+    def test_dlog_of_every_power(self):
+        for p, k in self.FIELDS:
+            F = fq_make(p, k)
+            g = F.multiplicative_generator()
+            for e in range(F.q - 1):
+                assert F.dlog(g**e) == e
+
+    def test_dlog_of_zero_raises(self):
+        for p, k in self.FIELDS:
+            F = fq_make(p, k)
+            with pytest.raises(KeyError):
+                F.dlog(F.zero())
+
+    def test_nth_root_round_trip(self):
+        for p, k in self.FIELDS:
+            F = fq_make(p, k)
+            for d in (2, 3, 4, 6):
+                g = gcd(d, F.q - 1)
+                assert F.nth_root(F.zero(), d) == F.zero()
+                for u in list(F.elements())[1:]:
+                    r = F.nth_root(u, d)
+                    if u ** ((F.q - 1) // g) == F.one():
+                        assert r is not None and r**d == u
+                    else:
+                        assert r is None
 
 
 class TestFactorization:
@@ -239,6 +282,40 @@ class TestCounting:
         for nbar, h, i in cases:
             assert (count_kummer_points(nbar, h, i)
                     == count_points_by_places(nbar, h, i)), (nbar, h, i)
+
+
+class TestVectorizedCounting:
+    """count_kummer_points against the one-point-at-a-time reference on
+    fields with more points than one evaluation chunk."""
+
+    def test_gf3_9_polynomial(self):
+        F = fq_make(3)
+        h = poly(F, 0, 1) * poly(F, -1, 1) ** 2 * poly(F, 2, 1, 0, 1)
+        assert gcd(4, 3**9 - 1) == 2
+        assert (count_kummer_points(4, h, 9)
+                == count_kummer_points_scalar(4, h, 9))
+
+    def test_gf2_14_rational(self):
+        F = fq_make(2)
+        h = RationalFunction(poly(F, 0, 1) * poly(F, 1, 1, 0, 1),
+                             poly(F, 1, 1) ** 2)
+        assert gcd(5, 2**14 - 1) == 1
+        assert (count_kummer_points(5, h, 14)
+                == count_kummer_points_scalar(5, h, 14))
+
+    def test_gf5_6_from_gf25(self):
+        F = fq_make(5, 2)
+        a, one, zero = F.gen(), F.one(), F.zero()
+        cases = [
+            (3, RationalFunction(FqPoly(F, [a, one, zero, one])
+                                 * poly(F, 0, 1))),
+            (4, RationalFunction(FqPoly(F, [one, a, one]) * poly(F, -1, 1) ** 2,
+                                 FqPoly(F, [a, one]))),
+        ]
+        for nbar, h in cases:
+            assert gcd(nbar, 5**6 - 1) > 1
+            assert (count_kummer_points(nbar, h, 3)
+                    == count_kummer_points_scalar(nbar, h, 3))
 
 
 class TestZeta:
