@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .curve import SuperellipticCurve
-from .errors import SuperellError
+from .curve import SuperellipticCurve, _is_int
+from .errors import SuperellError, ValidationError
 from .fieldsearch import SearchConfig, build_tower
 from .pipeline import compute_with_retry
 
@@ -49,6 +49,35 @@ def _load_json(path):
         return json.load(sys.stdin)
     with open(path) as fh:
         return json.load(fh)
+
+
+def _explicit_field(tower, curve, precision):
+    """The field of a ``--field-tower`` spec, {"p": 3,
+    "unramified_modulus": [1, 0, 1], "eisenstein": [[-3, 0, 1]],
+    "precision": 40}, after checking its fields against their types and
+    its p against the curve's."""
+    if not isinstance(tower, dict):
+        raise ValidationError("field tower must be a JSON object")
+    p, modulus = tower["p"], tower.get("unramified_modulus")
+    steps = tower.get("eisenstein", [])
+    precision = tower.get("precision", precision)
+    for key, val in (("p", p), ("precision", precision)):
+        if not _is_int(val):
+            raise ValidationError(f"tower {key} must be an integer, "
+                                  f"not {val!r}")
+    if p != curve.p:
+        raise ValidationError(f"tower p = {p} differs from the curve's "
+                              f"p = {curve.p}")
+    if modulus is not None and not (isinstance(modulus, list)
+                                    and all(map(_is_int, modulus))):
+        raise ValidationError("unramified_modulus must be a list of "
+                              f"integers, not {modulus!r}")
+    if not (isinstance(steps, list)
+            and all(isinstance(step, list) and step for step in steps)):
+        raise ValidationError("eisenstein must be a list of non-empty "
+                              f"coefficient lists, not {steps!r}")
+    f0 = len(modulus) - 1 if modulus else 1
+    return build_tower(p, f0, steps, precision, unramified_modulus=modulus)
 
 
 def _ascii_tree(tree, result):
@@ -123,13 +152,8 @@ def main(argv=None):
         curve = SuperellipticCurve.from_json_dict(spec)
         explicit = None
         if args.field_tower:
-            tower = _load_json(args.field_tower)
-            modulus = tower.get("unramified_modulus")
-            f0 = len(modulus) - 1 if modulus else 1
-            explicit = build_tower(
-                tower["p"], f0, tower.get("eisenstein", []),
-                tower.get("precision", args.precision),
-                unramified_modulus=modulus)
+            explicit = _explicit_field(_load_json(args.field_tower),
+                                       curve, args.precision)
         result = compute_with_retry(curve, config, explicit_field=explicit,
                                     trace=trace)
     except SuperellError as exc:

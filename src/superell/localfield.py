@@ -17,6 +17,18 @@ Key consequences of the normalized shape:
 * automorphisms are determined by a root of m in U and a root of E^sigma
   in L, which is how the Galois group is enumerated.
 
+The hot paths avoid division in L, which costs a full-precision Newton
+inversion:
+
+* leading residues: ``unit_residue`` reads the residue of x / pi^v(x) off
+  the coordinate realizing v(x), turning p-powers into pi-powers with the
+  per-field constant wbar = residue(p / pi^e);
+* pi^-1 is inverted once per field (``LocalField.pi_inverse``) and reused
+  by the digit expansion and by every rescaling by a pi-power;
+* Newton root refinement inverts f'(x_0) once and carries the inverse
+  along, refining it by z <- z(2 - f'(x) z) at each step (Caruso,
+  "Computations with p-adic numbers", arXiv:1701.06794, section 2).
+
 Valuations are integers in the v(pi_L) = 1 normalization unless stated;
 ``as_vp1`` converts to the v(p) = 1 scale (divide by e).
 """
@@ -160,6 +172,8 @@ class LocalField:
         self.label = label or f"Q_{p}(f={self.f},e={self.e})"
         self._pi_table = self._build_pi_table()
         self._zero_vec = tuple(self.U.zero for _ in range(self.e))
+        self._pi_inv = None
+        self._wbar = None
 
     def _coerce_ucoeff(self, c):
         if isinstance(c, tuple):
@@ -203,6 +217,20 @@ class LocalField:
             return LocalFieldElement(self, vec, 0, self.N, False)
         vec = (self.U.zero, self.U.one) + (self.U.zero,) * (self.e - 2)
         return LocalFieldElement(self, vec, 0, self.N, False)
+
+    def pi_inverse(self):
+        """pi^-1, inverted on first use and kept on the field."""
+        if self._pi_inv is None:
+            self._pi_inv = self.pi().invert()
+        return self._pi_inv
+
+    def wbar(self):
+        """residue(p / pi^e) = -1 / residue(E_0 / p), computed on first use:
+        p^k = pi^(e k) (p / pi^e)^k turns a p-power into a pi-power."""
+        if self._wbar is None:
+            U = self.U
+            self._wbar = -U.residue(U.div_p(self.E[0], 1)).inverse()
+        return self._wbar
 
     def gen_unramified(self):
         u = (0, 1) + (0,) * (self.f - 2) if self.f > 1 else (1,)
@@ -492,6 +520,21 @@ class LocalFieldElement:
             raise PrecisionExhausted("no digits left for residue")
         return K.U.residue(x.vec[0])
 
+    def unit_residue(self):
+        """Residue of self / pi^v, v = v(self), read off the coordinate c_i
+        realizing v = e*k + i: residue(c_i / p^k) * wbar^(k + shift).  The
+        other coordinates lie in pi^(v+1), so no division in L is needed."""
+        K = self.K
+        v = None if self.exact_zero else K._vec_val(self.vec)
+        if v is None:
+            raise PrecisionExhausted("unit residue of an element "
+                                     "indistinguishable from zero")
+        k, i = divmod(v, K.e)
+        if k >= self.prec:
+            raise PrecisionExhausted("no digits left for the unit residue")
+        unit = K.U.residue(K.U.div_p(self.vec[i], k))
+        return unit * K.wbar() ** (k + self.shift)
+
     def is_zero_to_precision(self):
         return self.exact_zero or self.K._vec_val(self.vec) is None
 
@@ -516,7 +559,7 @@ class LocalFieldElement:
         if v in (INFINITE, None):
             return (INFINITE,)
         K = self.K
-        piinv = K.pi().invert()
+        piinv = K.pi_inverse()
         y = self * piinv.pow_int(v)
         out = [v]
         while len(out) <= count:
@@ -598,7 +641,7 @@ def _poly_strip(coeffs, K):
                                      "to normalize the polynomial")
     if m == 0:
         return coeffs
-    piinv_m = K.pi().invert().pow_int(m)
+    piinv_m = K.pi_inverse().pow_int(m)
     return [c * piinv_m for c in coeffs]
 
 
@@ -615,15 +658,21 @@ def _residue_or_zero(c):
 
 
 def _newton_refine(coeffs, K, x, dcoeffs):
-    """Quadratically convergent refinement of a simple root."""
+    """Quadratically convergent refinement of a simple root.
+
+    The inverse z of f'(x) is carried along: f'(x_0) is inverted once, and
+    each later step refines z by z <- z(2 - f'(x) z) for the new x."""
     target = K.e * (K.N - _MARGIN)
+    two = K.from_int(2)
+    z = None
     for _ in range(K.N * K.e + 8):
         fx = poly_eval(coeffs, x)
         v = fx.valuation_or_none()
         if v is None or v == INFINITE or v >= target:
             return x
         dfx = poly_eval(dcoeffs, x)
-        x = x - fx / dfx
+        z = dfx.invert() if z is None else z * (two - dfx * z)
+        x = x - fx * z
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
@@ -632,7 +681,8 @@ def roots_integral(coeffs, K, depth=0):
 
     Digit-refinement: residue roots of the stripped reduction are either
     lifted by Newton (simple) or explored one pi-digit deeper (multiple).
-    Deterministic output order (valuation, then digit-lexicographic).
+    Deterministic output order (valuation, then digit-lexicographic),
+    sorted once, at depth 0.
     """
     if depth > 6 * K.N:
         raise PrecisionExhausted("root search recursion exceeded the "
@@ -654,7 +704,7 @@ def roots_integral(coeffs, K, depth=0):
         pi = K.pi()
         for s in roots_integral(shifted, K, depth + 1):
             out.append(lift + pi * s)
-    return sorted(out, key=sort_key())
+    return sorted(out, key=sort_key()) if depth == 0 else out
 
 
 def roots_of_qpoly(K, qp):

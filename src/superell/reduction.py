@@ -78,7 +78,7 @@ def _gauss_data(L, poly):
     if not vals:
         raise PrecisionExhausted("Gauss valuation of a fuzzy polynomial")
     mu = min(vals)
-    piinv = L.pi().invert().pow_int(mu) if mu else None
+    piinv = L.pi_inverse().pow_int(mu) if mu else None
     red = []
     for c in poly:
         x = c * piinv if piinv is not None else c

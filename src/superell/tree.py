@@ -6,7 +6,11 @@ determines (radius = the largest pairwise valuation among its finite
 entries, realized at the center).  The reduction of the triple chart maps
 the marked points to P^1(F_L); two triples give the same vertex exactly
 when their discs coincide, which is cross-checked on every build against
-the partition of the marked points into chart-reduction fibers.
+the partition of the marked points into chart-reduction fibers.  The
+cross-check runs on every ordered triple; a triple whose disc is already a
+vertex is evaluated on its chart up to a scalar, which is the same Moebius
+map without a division in L.  Chart values in P^1(F_L) are ratios of
+leading residues, so no evaluation divides in L either.
 
 Edges are the covering relations of disc inclusion; since every Galois
 element acts isometrically on discs, the action permutes vertices
@@ -28,13 +32,11 @@ INF_POINT = "inf"  # marker for the marked point at infinity
 
 
 class Vertex:
-    __slots__ = ("index", "triple", "chart", "disc_center", "disc_radius",
+    __slots__ = ("index", "chart", "disc_center", "disc_radius",
                  "partition", "marked", "parent", "children")
 
-    def __init__(self, index, triple, chart, disc_center, disc_radius,
-                 partition):
+    def __init__(self, index, chart, disc_center, disc_radius, partition):
         self.index = index
-        self.triple = triple
         self.chart = chart              # 2x2 matrix (tuple of 4 L-elements)
         self.disc_center = disc_center
         self.disc_radius = disc_radius  # pi-units
@@ -85,6 +87,16 @@ def triple_chart(L, points, t):
     return (u, -(u * a), one, -g)
 
 
+def _chart_up_to_scalar(L, points, t):
+    """A matrix of the same Moebius map as ``triple_chart``, with no
+    division: for three finite points it is (b - a) times that chart."""
+    a, b, g = (points[i] for i in t)
+    if INF_POINT in (a, b, g):
+        return triple_chart(L, points, t)
+    bg, ba = b - g, b - a
+    return (bg, -(bg * a), ba, -(ba * g))
+
+
 def matrix_mul(m1, m2):
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
@@ -105,17 +117,11 @@ def moebius_eval(m, x, L):
         raise PrecisionExhausted("Moebius value indeterminate")
     if vd in (None, INFINITE):
         return INF_POINT
-    if vn in (None, INFINITE):
-        return L.residue_field.zero() if _lt(vd, vn) else INF_POINT
+    if vn in (None, INFINITE) or vn > vd:
+        return L.residue_field.zero()
     if vn < vd:
         return INF_POINT
-    return (num / den).residue()
-
-
-def _lt(a, b):
-    if b in (None, INFINITE):
-        return True
-    return a < b
+    return num.unit_residue() / den.unit_residue()
 
 
 def _scale_matrix_integral(m, L):
@@ -129,7 +135,7 @@ def _scale_matrix_integral(m, L):
     if not vals:
         raise MatrixNotIntegral("matrix is zero to precision")
     mu = min(vals)
-    piinv = L.pi().invert().pow_int(mu) if mu > 0 else \
+    piinv = L.pi_inverse().pow_int(mu) if mu > 0 else \
         L.pi().pow_int(-mu) if mu < 0 else L.one()
     scaled = tuple(x * piinv for x in m)
     red = []
@@ -208,7 +214,7 @@ def build_tree(divisor, L):
         raise NotSplit("need at least three marked points")
     order = list(range(m))
 
-    classes = []  # (center, radius, partition, triple, chart)
+    classes = []  # (center, radius, partition, chart)
     for i in order:
         for j in order:
             for k in order:
@@ -217,31 +223,30 @@ def build_tree(divisor, L):
                 t = (i, j, k)
                 center, radius = _disc_of_triple(L, points, t)
                 hit = None
-                for idx, (c0, r0, part0, t0, ch0) in enumerate(classes):
+                for idx, (c0, r0, part0, ch0) in enumerate(classes):
                     if _same_disc(L, c0, r0, center, radius):
                         hit = idx
                         break
                 if hit is None:
                     chart = triple_chart(L, points, t)
                     part = _phi_partition(L, points, chart)
-                    classes.append((center, radius, part, t, chart))
+                    classes.append((center, radius, part, chart))
                 else:
                     # disc/phi cross-check: same disc must mean same fibers
-                    c0, r0, part0, t0, ch0 = classes[hit]
                     part = _phi_partition(L, points,
-                                          triple_chart(L, points, t))
-                    if part != part0:
+                                          _chart_up_to_scalar(L, points, t))
+                    if part != classes[hit][2]:
                         raise NotInvariant(
                             "disc model and chart-fiber model disagree")
     # deterministic vertex order: radius, then digits of the center
     def class_key(entry):
-        center, radius, part, t, chart = entry
+        center, radius, part, chart = entry
         return (radius,) + center.digits(10)
     classes.sort(key=class_key)
 
     vertices = []
-    for idx, (center, radius, part, t, chart) in enumerate(classes):
-        vertices.append(Vertex(idx, t, chart, center, radius, part))
+    for idx, (center, radius, part, chart) in enumerate(classes):
+        vertices.append(Vertex(idx, chart, center, radius, part))
 
     # specialization: delta goes to the unique vertex isolating it
     psi = []

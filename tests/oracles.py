@@ -13,11 +13,16 @@ used for good-reduction cross-checks where the affine model is smooth.
 ``count_kummer_points_scalar`` is the package's counting rule evaluated one
 point at a time with ``FqElement`` arithmetic: the reference for the
 vectorized ``count_kummer_points``.
+
+``moebius_eval_by_division`` is the value of a Moebius chart in P^1(F_L)
+computed as residue(num / den), with a p-adic division: the reference for
+``tree.moebius_eval``, which reads the value off leading residues.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from superell.errors import PrecisionExhausted
 from superell.finitefield import (
     INF,
     FqPoly,
@@ -26,6 +31,8 @@ from superell.finitefield import (
     fq_make,
     kummer_solutions,
 )
+from superell.localfield import INFINITE
+from superell.tree import INF_POINT
 
 _MAX_DEPTH = 80
 
@@ -299,3 +306,24 @@ def count_kummer_points_scalar(nbar, h, i=1):
     d = gcd(nbar, hh.ord_at(INF))
     total += kummer_solutions(big, d, hh.unit_value_at(INF))
     return total
+
+
+def moebius_eval_by_division(m, x, L):
+    """``tree.moebius_eval`` with the residue of num / den taken by dividing
+    in L."""
+    a, b, c, d = m
+    if x == INF_POINT:
+        num, den = a, c
+    else:
+        num, den = a * x + b, c * x + d
+    vn = num.valuation_or_none()
+    vd = den.valuation_or_none()
+    if vn is None and vd is None:
+        raise PrecisionExhausted("Moebius value indeterminate")
+    if vd in (None, INFINITE):
+        return INF_POINT
+    if vn in (None, INFINITE):
+        return L.residue_field.zero()
+    if vn < vd:
+        return INF_POINT
+    return (num / den).residue()

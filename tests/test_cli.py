@@ -31,7 +31,7 @@ def run_cli(tmp_path, spec, *args):
 
 
 def run_tower(tmp_path, tower, *args):
-    """Run EX1 with ``--field-tower`` given by the dict ``tower``."""
+    """Run EX1 with ``--field-tower`` given by the JSON value ``tower``."""
     tpath = tmp_path / "tower.json"
     tpath.write_text(json.dumps(tower))
     return run_cli(tmp_path, EX1, "--field-tower", str(tpath), *args)
@@ -143,6 +143,22 @@ class TestCli:
             proc = run_tower(tmp_path, {"p": 3, "eisenstein": [step]})
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("tower", [
+        {"p": "3", "eisenstein": []},
+        {"p": 3, "unramified_modulus": 5},
+        {"p": 3, "unramified_modulus": [1, None, 1]},
+        {"p": 3, "eisenstein": 5},
+        [1],
+        {"p": 3, "precision": "x"},
+        {"p": 3, "eisenstein": [[]]},
+        {"p": 5, "eisenstein": [[-5, 0, 0, 0, 1]]},
+    ])
+    def test_field_tower_bad_field_types(self, tmp_path, tower):
+        proc = run_tower(tmp_path, tower, "--json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "ValidationError"
 
     def test_import_loads_no_numpy(self):
         """numpy is imported where it is used, so start-up does not pay

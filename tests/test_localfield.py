@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from superell import localfield
 from superell.errors import (
     CatalogExhausted,
     NotEisenstein,
     NotGalois,
+    PrecisionExhausted,
     PrecisionTooLow,
 )
 from superell.fieldsearch import (
@@ -19,6 +21,7 @@ from superell.fieldsearch import (
 from superell.localfield import (
     INFINITE,
     LocalField,
+    LocalFieldElement,
     galois_group,
     ramification_filtration,
     roots_integral,
@@ -118,6 +121,79 @@ class TestArithmetic:
         t = L.teichmueller(r)
         assert t.pow_int(L.residue_field.q - 1).eq_approx(L.one())
         assert t.residue() == r
+
+
+class TestUnitResidue:
+    """``unit_residue`` against the residue of x * pi^-v, by division."""
+
+    FIELDS = (
+        lambda: LocalField(5, 1, [-5, 1], 30),        # Q_5
+        lambda: LocalField(5, 1, [-15, 1], 30),       # e = 1, pi = 15
+        lambda: LocalField(3, 3, [-3, 1], 30),        # unramified, f = 3
+        lambda: LocalField(3, 1, [3, 3, 0, 1], 30),   # e = 3, pi^3 = -3 - 3 pi
+        lambda: LocalField(5, 2, [10, 5, 1], 30),     # e = 2, f = 2
+        field_example1,                               # e = 4, f = 2
+        field_example2,                               # flattened, p = 2
+    )
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_matches_division(self, make):
+        K = make()
+        rng = random.Random(K.degree * K.p)
+        piinv = K.pi().invert()
+        signs = set()
+        for _ in range(40):
+            coords = [tuple(rng.randrange(K.U.pN) * K.p ** rng.randrange(3)
+                            for _ in range(K.f)) for _ in range(K.e)]
+            x = K.element_from_coords(coords, shift=rng.randrange(-2, 3))
+            if x.is_zero_to_precision():
+                continue
+            v = x.valuation()
+            signs.add((v > 0) - (v < 0))
+            assert x.unit_residue() == (x * piinv.pow_int(v)).residue()
+        assert signs == {-1, 0, 1}
+
+    def test_wbar_is_nontrivial(self):
+        # p / pi = 5 / 15: residue 1/3 = 2 mod 5
+        K = LocalField(5, 1, [-15, 1], 30)
+        assert K.wbar() == K.residue_field.from_int(2)
+        assert K.from_int(5).unit_residue() == K.wbar()
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_zero_raises(self, make):
+        K = make()
+        for x in (K.zero(), K.one() - K.one()):
+            with pytest.raises(PrecisionExhausted):
+                x.unit_residue()
+
+    def test_digit_beyond_precision_raises(self):
+        # 27 known to 2 digits only: its leading digit is not known
+        K = LocalField(3, 1, [-3, 1], 30)
+        x = LocalFieldElement(K, ((27,),), 0, 2, False)
+        with pytest.raises(PrecisionExhausted):
+            x.unit_residue()
+
+    def test_pi_inverse_is_cached(self):
+        K = field_example1()
+        assert K.pi_inverse() is K.pi_inverse()
+        assert (K.pi_inverse() * K.pi()).eq_approx(K.one())
+
+
+class TestInversionCounts:
+    def test_newton_refine_inverts_once(self, inversions, monkeypatch):
+        per_call = []
+        refine = localfield._newton_refine
+
+        def counted(*args):
+            before = inversions[0]
+            out = refine(*args)
+            per_call.append(inversions[0] - before)
+            return out
+
+        monkeypatch.setattr(localfield, "_newton_refine", counted)
+        # simple residue roots, and the multiple residue root 0 of x^4 - 3
+        galois_group(field_example1())
+        assert per_call and max(per_call) <= 1
 
 
 class TestGalois:

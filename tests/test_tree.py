@@ -1,17 +1,36 @@
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 from superell.curve import SuperellipticCurve, branch_divisor
 from superell.errors import NotSplit
 from superell.fieldsearch import semistabilizing_field, splitting_field
 from superell.localfield import ramification_filtration, roots_of_qpoly
+from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
 from superell.tree import (
     INF_POINT,
+    _chart_up_to_scalar,
     build_tree,
     galois_on_tree,
     moebius_eval,
     triple_chart,
 )
+
+from oracles import moebius_eval_by_division
+
+SAMPLES = ("ex1", "ex2", "good_reduction")
+
+
+@pytest.fixture(scope="module")
+def sample_results():
+    """The pipeline results of the three ``sample_curves`` specs."""
+    curves = Path(__file__).resolve().parents[1] / "sample_curves"
+    return {name: compute_with_retry(SuperellipticCurve.from_json_dict(
+                json.loads((curves / f"{name}.json").read_text())))
+            for name in SAMPLES}
 
 
 def example1_setup():
@@ -207,3 +226,27 @@ class TestMoebius:
             assert vals[0] == L.residue_field.zero()
             assert vals[1] == L.residue_field.one()
             assert vals[2] == INF_POINT
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_leading_residues_match_division(self, sample_results, name):
+        """Every ordered triple chart, and the same chart up to a scalar,
+        at every marked point and at infinity."""
+        r = sample_results[name]
+        L, points = r.L, r.tree.points
+        for t in itertools.permutations(range(len(points)), 3):
+            chart = triple_chart(L, points, t)
+            scaled = _chart_up_to_scalar(L, points, t)
+            for x in points + [INF_POINT]:
+                expected = moebius_eval_by_division(chart, x, L)
+                assert moebius_eval(chart, x, L) == expected
+                assert moebius_eval(scaled, x, L) == expected
+
+
+class TestInversionCounts:
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_build_tree_inverts_once_per_vertex(self, sample_results, name,
+                                                inversions):
+        r = sample_results[name]
+        tree = build_tree(r.divisor, r.L)
+        assert tree.vertex_count() == r.tree.vertex_count()
+        assert inversions[0] <= tree.vertex_count()
