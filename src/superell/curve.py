@@ -133,6 +133,9 @@ class SuperellipticCurve:
                     raise ValidationError(
                         f"factor must be [poly, multiplicity], not {factor!r}")
                 entry, mult = factor
+                if mult < 1:
+                    raise ValidationError(
+                        f"factor multiplicity must be at least 1, not {mult}")
                 base = parse_poly(entry) if isinstance(entry, str) \
                     else QPoly([_coefficient(c) for c in entry])
                 f = f * base**mult
@@ -148,7 +151,7 @@ def _is_int(val):
 def _coefficient(c):
     try:
         return Fraction(c)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValidationError(f"bad coefficient {c!r}") from None
 
 

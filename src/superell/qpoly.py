@@ -244,7 +244,11 @@ def parse_poly(s):
         if m.group(6):  # unary minus
             return -parse_factor()
         if m.group(1):
-            base = QPoly.constant(Fraction(m.group(1)))
+            try:
+                base = QPoly.constant(Fraction(m.group(1)))
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"zero denominator in {m.group(1)!r}") from None
         elif m.group(2):
             base = QPoly.x()
         elif m.group(7):

@@ -1,20 +1,24 @@
 """The stably marked tree of (P^1, branch divisor) over L.
 
-Vertices are the chart classes of ordered triples of marked points: the
-class of a triple is recorded by the closed disc D(center, radius) it
-determines (radius = the largest pairwise valuation among its finite
-entries, realized at the center).  The reduction of the triple chart maps
-the marked points to P^1(F_L); two triples give the same vertex exactly
-when their discs coincide, which is cross-checked on every build against
-the partition of the marked points into chart-reduction fibers.  The
-cross-check runs on every ordered triple; a triple whose disc is already a
-vertex is evaluated on its chart up to a scalar, which is the same Moebius
-map without a division in L.  Chart values in P^1(F_L) are ratios of
-leading residues, so no evaluation divides in L either.
+Vertices are the clusters of the marked points (Dokchitser-Dokchitser-
+Maistret-Morgan, arXiv:1808.02936): the discs D(a_i, v(a_i - a_j)) cut out
+by the pairwise valuations of the finite points, kept when they have at
+least three directions.  The directions of a disc are the residue classes
+of the finite points in it, plus "outside" for the points not in it and
+for infinity.  The pairwise valuations are the only p-adic subtractions,
+and a vertex is identified by its member set, the finite points in its
+disc.
 
-Edges are the covering relations of disc inclusion; since every Galois
-element acts isometrically on discs, the action permutes vertices
-radius-preservingly, so edges are never inverted.
+The chart of a vertex sends the lexicographically first ordered triple of
+marked points in three distinct directions to (0, 1, oo).  Once per
+vertex, the partition of the marked points by direction is cross-checked
+against their partition into chart-reduction fibers.  Chart values in
+P^1(F_L) are ratios of leading residues, so no evaluation divides in L.
+
+Edges are cluster inclusion: the parent of a vertex is the smallest vertex
+whose member set strictly contains its own.  Every Galois element permutes
+the marked points isometrically, so it maps a vertex to the vertex whose
+members are the images of its members, and it never inverts an edge.
 """
 
 from __future__ import annotations
@@ -26,21 +30,23 @@ from .errors import (
     NotSplit,
     PrecisionExhausted,
 )
-from .localfield import INFINITE
+from .localfield import INFINITE, sort_key
 
 INF_POINT = "inf"  # marker for the marked point at infinity
 
 
 class Vertex:
     __slots__ = ("index", "chart", "disc_center", "disc_radius",
-                 "partition", "marked", "parent", "children")
+                 "partition", "members", "marked", "parent", "children")
 
-    def __init__(self, index, chart, disc_center, disc_radius, partition):
+    def __init__(self, index, chart, disc_center, disc_radius, partition,
+                 members):
         self.index = index
         self.chart = chart              # 2x2 matrix (tuple of 4 L-elements)
         self.disc_center = disc_center
         self.disc_radius = disc_radius  # pi-units
         self.partition = partition      # frozenset of frozensets of point ids
+        self.members = members          # frozenset: finite points in the disc
         self.marked = []
         self.parent = None
         self.children = []
@@ -85,16 +91,6 @@ def triple_chart(L, points, t):
         return (one, -a, L.zero(), d)
     u = (b - g) / (b - a)
     return (u, -(u * a), one, -g)
-
-
-def _chart_up_to_scalar(L, points, t):
-    """A matrix of the same Moebius map as ``triple_chart``, with no
-    division: for three finite points it is (b - a) times that chart."""
-    a, b, g = (points[i] for i in t)
-    if INF_POINT in (a, b, g):
-        return triple_chart(L, points, t)
-    bg, ba = b - g, b - a
-    return (bg, -(bg * a), ba, -(ba * g))
 
 
 def matrix_mul(m1, m2):
@@ -166,21 +162,22 @@ def normalize_pgl2(red):
 # tree construction
 # ---------------------------------------------------------------------------
 
-def _disc_of_triple(L, points, t):
-    """(center, radius) of the chart class of t: the largest pairwise
-    valuation among finite entries, at a point realizing it."""
-    finite = [points[i] for i in t if points[i] != INF_POINT]
-    best = None
-    center = None
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            d = finite[i] - finite[j]
-            v = d.valuation_or_none()
+OUTSIDE = -1  # direction of the points outside a disc, and of infinity
+
+
+def _pairwise_valuations(points):
+    """val[i][j] = v(a_i - a_j) for distinct finite points i, j (None when
+    either is infinity); NotSplit when two points coincide."""
+    m = len(points)
+    val = [[None] * m for _ in range(m)]
+    finite = [i for i in range(m) if points[i] != INF_POINT]
+    for x, i in enumerate(finite):
+        for j in finite[x + 1:]:
+            v = (points[i] - points[j]).valuation_or_none()
             if v in (INFINITE, None):
                 raise NotSplit("two marked points coincide (to precision)")
-            if best is None or v > best:
-                best, center = v, finite[i]
-    return center, best
+            val[i][j] = val[j][i] = v
+    return finite, val
 
 
 def _phi_partition(L, points, chart):
@@ -193,15 +190,46 @@ def _phi_partition(L, points, chart):
     return frozenset(frozenset(f) for f in fibers.values())
 
 
-def _same_disc(L, c1, r1, c2, r2):
-    if r1 != r2:
-        return False
-    v = (c1 - c2).valuation_or_none()
-    if v == INFINITE:
-        return True
-    if v is None:
-        return True
-    return v >= r1
+def _cluster_vertices(L, points, finite, val):
+    """The clusters with at least three directions, as vertices ordered by
+    radius, then by the digits of the center, then by first triple."""
+    m = len(points)
+    seen = set()
+    classes = []  # (first triple, center, radius, partition, chart, members)
+    for x, i in enumerate(finite):
+        for j in finite[x + 1:]:
+            r = val[i][j]
+            members = frozenset(k for k in finite
+                                if k == i or val[i][k] >= r)
+            if members in seen:
+                continue
+            seen.add(members)
+            # a direction is named by the smallest point in it
+            d = [next(l for l in finite if l == k or val[k][l] > r)
+                 if k in members else OUTSIDE for k in range(m)]
+            blocks = {}
+            for k, dk in enumerate(d):
+                blocks.setdefault(dk, []).append(k)
+            if len(blocks) < 3:
+                continue
+            b = next(k for k in range(m) if d[k] != d[0])
+            g = next(k for k in range(m) if d[k] not in (d[0], d[b]))
+            t = (0, b, g)
+            # the center is the first of the first pair at distance r
+            fin = [k for k in t if points[k] != INF_POINT]
+            c = next(k for y, k in enumerate(fin)
+                     if any(val[k][l] == r for l in fin[y + 1:]))
+            partition = frozenset(frozenset(f) for f in blocks.values())
+            chart = triple_chart(L, points, t)
+            if _phi_partition(L, points, chart) != partition:
+                raise NotInvariant("disc model and chart-fiber model disagree")
+            classes.append((t, points[c], r, partition, chart, members))
+    classes.sort(key=lambda c: c[0])
+    center_key = sort_key(10)  # digits of the center; a zero center last
+    classes.sort(key=lambda c: (c[2],) + center_key(c[1]))
+    return [Vertex(idx, chart, center, r, partition, members)
+            for idx, (_, center, r, partition, chart, members)
+            in enumerate(classes)]
 
 
 def build_tree(divisor, L):
@@ -212,41 +240,8 @@ def build_tree(divisor, L):
     m = len(points)
     if m < 3:
         raise NotSplit("need at least three marked points")
-    order = list(range(m))
-
-    classes = []  # (center, radius, partition, chart)
-    for i in order:
-        for j in order:
-            for k in order:
-                if len({i, j, k}) != 3:
-                    continue
-                t = (i, j, k)
-                center, radius = _disc_of_triple(L, points, t)
-                hit = None
-                for idx, (c0, r0, part0, ch0) in enumerate(classes):
-                    if _same_disc(L, c0, r0, center, radius):
-                        hit = idx
-                        break
-                if hit is None:
-                    chart = triple_chart(L, points, t)
-                    part = _phi_partition(L, points, chart)
-                    classes.append((center, radius, part, chart))
-                else:
-                    # disc/phi cross-check: same disc must mean same fibers
-                    part = _phi_partition(L, points,
-                                          _chart_up_to_scalar(L, points, t))
-                    if part != classes[hit][2]:
-                        raise NotInvariant(
-                            "disc model and chart-fiber model disagree")
-    # deterministic vertex order: radius, then digits of the center
-    def class_key(entry):
-        center, radius, part, chart = entry
-        return (radius,) + center.digits(10)
-    classes.sort(key=class_key)
-
-    vertices = []
-    for idx, (center, radius, part, chart) in enumerate(classes):
-        vertices.append(Vertex(idx, chart, center, radius, part))
+    finite, val = _pairwise_valuations(points)
+    vertices = _cluster_vertices(L, points, finite, val)
 
     # specialization: delta goes to the unique vertex isolating it
     psi = []
@@ -259,21 +254,11 @@ def build_tree(divisor, L):
         psi.append(hits[0])
         vertices[hits[0]].marked.append(j)
 
-    # edges: covering relations of disc inclusion (larger radius = smaller disc)
-    def contains(u, v):
-        # disc of u contains disc of v
-        if u.disc_radius > v.disc_radius:
-            return False
-        d = (u.disc_center - v.disc_center).valuation_or_none()
-        if d in (None, INFINITE):
-            return True
-        return d >= u.disc_radius
-
+    # edges: covering relations of cluster inclusion
     edges = []
     root = None
     for v in vertices:
-        parents = [u for u in vertices
-                   if u.index != v.index and contains(u, v)]
+        parents = [u for u in vertices if u.members > v.members]
         if not parents:
             if root is not None:
                 raise NotInvariant("disconnected disc family")
@@ -321,6 +306,7 @@ class TreeGaloisAction:
         self.tree = tree
         L = tree.L
         n_pts = len(tree.points)
+        by_members = {v.members: v.index for v in tree.vertices}
         self.point_perm = []
         self.vertex_perm = []
         for g in range(G.order()):
@@ -342,14 +328,11 @@ class TreeGaloisAction:
             self.point_perm.append(pp)
             vp = []
             for v in tree.vertices:
-                c_img = sigma.apply(v.disc_center)
-                hits = [w.index for w in tree.vertices
-                        if _same_disc(L, w.disc_center, w.disc_radius,
-                                      c_img, v.disc_radius)]
-                if len(hits) != 1:
+                hit = by_members.get(frozenset(pp[j] for j in v.members))
+                if hit is None:
                     raise PrecisionExhausted(
                         "cannot identify Galois image of a vertex")
-                vp.append(hits[0])
+                vp.append(hit)
             self.vertex_perm.append(vp)
         # graph automorphism check
         edge_set = set(tree.edges)
@@ -359,7 +342,8 @@ class TreeGaloisAction:
                 ia, ib = vp[a], vp[b]
                 if (ia, ib) not in edge_set and (ib, ia) not in edge_set:
                     raise NotInvariant("Galois image of an edge is not an edge")
-                # radii are preserved, so a parent can never swap with a child
+                # member-set sizes are preserved, so a parent can never
+                # swap with a child
                 if (ia, ib) not in edge_set:
                     raise NotInvariant("edge inverted under Galois")
         self.stabilizer = []

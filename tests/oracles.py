@@ -17,12 +17,26 @@ vectorized ``count_kummer_points``.
 ``moebius_eval_by_division`` is the value of a Moebius chart in P^1(F_L)
 computed as residue(num / den), with a p-adic division: the reference for
 ``tree.moebius_eval``, which reads the value off leading residues.
+
+``build_tree_by_triples`` builds the stably marked tree from the chart
+classes of all ordered triples of marked points, each class recorded by
+the disc it determines and compared with the known discs by p-adic
+subtraction; edges are disc inclusion.  Every repeated triple is
+cross-checked against the partition of its chart-reduction fibers, on the
+chart up to a scalar.  It is the reference for ``tree.build_tree``, which
+reads the vertices off the pairwise valuations.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from superell.errors import PrecisionExhausted
+from superell.errors import (
+    NoRationalFixedPoint,
+    NotInvariant,
+    NotSplit,
+    PrecisionExhausted,
+)
 from superell.finitefield import (
     INF,
     FqPoly,
@@ -31,8 +45,16 @@ from superell.finitefield import (
     fq_make,
     kummer_solutions,
 )
-from superell.localfield import INFINITE
-from superell.tree import INF_POINT
+from superell.localfield import INFINITE, sort_key
+from superell.tree import (
+    INF_POINT,
+    MarkedTree,
+    Vertex,
+    _phi_partition,
+    matrix_mul,
+    moebius_eval,
+    triple_chart,
+)
 
 _MAX_DEPTH = 80
 
@@ -327,3 +349,108 @@ def moebius_eval_by_division(m, x, L):
     if vn < vd:
         return INF_POINT
     return (num / den).residue()
+
+
+def _chart_up_to_scalar(L, points, t):
+    """A matrix of the same Moebius map as ``triple_chart``, with no
+    division: for three finite points it is (b - a) times that chart."""
+    a, b, g = (points[i] for i in t)
+    if INF_POINT in (a, b, g):
+        return triple_chart(L, points, t)
+    bg, ba = b - g, b - a
+    return (bg, -(bg * a), ba, -(ba * g))
+
+
+def _disc_of_triple(points, t):
+    """(center, radius) of the chart class of t: the largest pairwise
+    valuation among finite entries, at a point realizing it."""
+    finite = [points[i] for i in t if points[i] != INF_POINT]
+    best = None
+    center = None
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            v = (finite[i] - finite[j]).valuation_or_none()
+            if v in (INFINITE, None):
+                raise NotSplit("two marked points coincide (to precision)")
+            if best is None or v > best:
+                best, center = v, finite[i]
+    return center, best
+
+
+def _in_disc(x, center, radius):
+    v = (x - center).valuation_or_none()
+    return v in (INFINITE, None) or v >= radius
+
+
+def _same_disc(c1, r1, c2, r2):
+    return r1 == r2 and _in_disc(c1, c2, r2)
+
+
+def build_tree_by_triples(divisor, L):
+    """``tree.build_tree`` by a scan of all ordered triples; the members of
+    a vertex are the finite points in its disc."""
+    points = [bp.value if not bp.is_infinity else INF_POINT
+              for bp in divisor.points]
+    m = len(points)
+    if m < 3:
+        raise NotSplit("need at least three marked points")
+    classes = []  # (center, radius, partition, chart)
+    for t in itertools.permutations(range(m), 3):
+        center, radius = _disc_of_triple(points, t)
+        hit = next((idx for idx, (c0, r0, _, _) in enumerate(classes)
+                    if _same_disc(c0, r0, center, radius)), None)
+        if hit is None:
+            chart = triple_chart(L, points, t)
+            classes.append((center, radius,
+                            _phi_partition(L, points, chart), chart))
+        elif _phi_partition(L, points, _chart_up_to_scalar(L, points, t)) \
+                != classes[hit][2]:
+            raise NotInvariant("disc model and chart-fiber model disagree")
+    classes.sort(key=lambda c: (c[1],) + sort_key(10)(c[0]))
+    vertices = [
+        Vertex(idx, chart, center, radius, part,
+               frozenset(j for j in range(m) if points[j] != INF_POINT
+                         and _in_disc(points[j], center, radius)))
+        for idx, (center, radius, part, chart) in enumerate(classes)]
+
+    psi = []
+    for j in range(m):
+        hits = [v.index for v in vertices if frozenset([j]) in v.partition]
+        if len(hits) != 1:
+            raise NotInvariant(
+                f"marked point {j} isolated on {len(hits)} vertices")
+        psi.append(hits[0])
+        vertices[hits[0]].marked.append(j)
+
+    # edges: covering relations of disc inclusion
+    edges = []
+    root = None
+    for v in vertices:
+        parents = [u for u in vertices if u.index != v.index
+                   and u.disc_radius <= v.disc_radius
+                   and _in_disc(v.disc_center, u.disc_center, u.disc_radius)]
+        if not parents:
+            if root is not None:
+                raise NotInvariant("disconnected disc family")
+            root = v.index
+            continue
+        best = max(parents, key=lambda u: u.disc_radius)
+        v.parent = best.index
+        vertices[best.index].children.append(v.index)
+        edges.append((best.index, v.index))
+    if root is None:
+        raise NotInvariant("no maximal disc")
+    if len(edges) != len(vertices) - 1:
+        raise NotInvariant("edge relation is not a tree")
+    for v in vertices:
+        deg = len(v.children) + (0 if v.parent is None else 1)
+        if len(v.marked) + deg < 3:
+            raise NotInvariant(f"vertex {v.index} has valence < 3")
+    for v in vertices:
+        p1 = moebius_eval(v.chart, INF_POINT, L)
+        if p1 != INF_POINT:
+            lift = L.from_residue(p1)
+            v.chart = matrix_mul((L.zero(), L.one(), L.one(), -lift), v.chart)
+            if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
+                raise NoRationalFixedPoint("chart normalization failed")
+    return MarkedTree(L, points, vertices, psi, root, sorted(edges))

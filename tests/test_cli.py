@@ -91,6 +91,10 @@ class TestCli:
         {"n": 3, "f": [1, 0, -1, 0, 1], "p": 7.9},
         {"n": 3, "f": [["x^2+1", 1], 3], "p": 7},
         {"n": 3, "f": [1, None, 1], "p": 7},
+        {"n": 2, "f": ["1/0", 1], "p": 3},
+        {"n": 2, "f": [["1/0", 1]], "p": 3},
+        {"n": 2, "f": [["x^3+1", -1]], "p": 3},
+        {"n": 2, "f": [["x^5+1", 1], ["x-2", 0]], "p": 3},
     ])
     def test_malformed_spec_exit_code(self, tmp_path, spec):
         proc = run_cli(tmp_path, spec)
@@ -153,6 +157,7 @@ class TestCli:
         {"p": 3, "precision": "x"},
         {"p": 3, "eisenstein": [[]]},
         {"p": 5, "eisenstein": [[-5, 0, 0, 0, 1]]},
+        {"p": 3, "precision": 5},
     ])
     def test_field_tower_bad_field_types(self, tmp_path, tower):
         proc = run_tower(tmp_path, tower, "--json")

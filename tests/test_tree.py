@@ -4,22 +4,34 @@ from pathlib import Path
 
 import pytest
 
-from superell.curve import SuperellipticCurve, branch_divisor
-from superell.errors import NotSplit
+from superell.curve import (
+    BranchDivisor,
+    BranchPoint,
+    SuperellipticCurve,
+    branch_divisor,
+)
+from superell.errors import NotInvariant, NotSplit
 from superell.fieldsearch import semistabilizing_field, splitting_field
-from superell.localfield import ramification_filtration, roots_of_qpoly
+from superell.localfield import (
+    LocalField,
+    ramification_filtration,
+    roots_of_qpoly,
+)
 from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
 from superell.tree import (
     INF_POINT,
-    _chart_up_to_scalar,
     build_tree,
     galois_on_tree,
     moebius_eval,
     triple_chart,
 )
 
-from oracles import moebius_eval_by_division
+from oracles import (
+    _chart_up_to_scalar,
+    build_tree_by_triples,
+    moebius_eval_by_division,
+)
 
 SAMPLES = ("ex1", "ex2", "good_reduction")
 
@@ -250,3 +262,122 @@ class TestInversionCounts:
         tree = build_tree(r.divisor, r.L)
         assert tree.vertex_count() == r.tree.vertex_count()
         assert inversions[0] <= tree.vertex_count()
+
+
+def integer_divisor(p, ints, infinity=None):
+    """Q_p and the divisor of the integer points ``ints``; infinity is
+    marked first (``"first"``), last (``"last"``) or not at all."""
+    L = LocalField(p, 1, [-p, 1], 30)
+    pts = [BranchPoint(L.from_int(a), 1) for a in ints]
+    inf = BranchPoint(None, 1, is_infinity=True)
+    if infinity == "first":
+        pts.insert(0, inf)
+    elif infinity == "last":
+        pts.append(inf)
+    return BranchDivisor(pts, infinity is not None), L
+
+
+# (p, integer points, where infinity is marked)
+HAND_BUILT = {
+    # clusters {0,125} < {0,25,125} < {0,5,25,125} < all, nested 3 deep
+    "q5_nested_inf_last": (5, [0, 1, 2, 5, 25, 125], "last"),
+    "q5_nested_unmarked": (5, [125, 0, 2, 25, 1, 5], None),
+    # a root with the four children {1,6}, {2,7}, {3,8}, {4,9}
+    "q5_four_children_unmarked": (5, [0, 1, 6, 2, 7, 3, 8, 4, 9], None),
+    "q5_four_children_inf_first": (5, [1, 6, 2, 7, 3, 8, 4, 9], "first"),
+    # the exact zero centers {0, 7, 49}, of the radius of {1, 8}
+    "q7_inf_first": (7, [0, 7, 49, 1, 8, 3], "first"),
+    "q7_unmarked": (7, [3, 0, 7, 49, 1, 8, 15], None),
+    "q7_three_points": (7, [0, 1], "last"),
+    # {A1, A2} and {B1, B2} at radius 12, centers equal to 10 digits: the
+    # tie in (radius, center digits) goes to the first triple, (0, 1, 2)
+    "q5_tied_centers": (5, [1 + 5**11, 1 + 2 * 5**11, 1 + 2 * 5**11 + 5**12,
+                            1 + 5**11 + 5**12, 0], "last"),
+}
+
+
+def element_key(x):
+    """The representation of an L-element (or INF_POINT)."""
+    if x == INF_POINT:
+        return x
+    return (x.vec, x.shift, x.prec, x.exact_zero)
+
+
+def tree_key(tree):
+    return {
+        "edges": tree.edges, "psi": tree.psi, "root": tree.root,
+        "vertices": [
+            (v.index, v.disc_radius, element_key(v.disc_center),
+             tuple(element_key(x) for x in v.chart), v.partition,
+             v.members, v.marked, v.parent, v.children)
+            for v in tree.vertices],
+    }
+
+
+class TestClusterBuilder:
+    """``build_tree`` against the ordered-triple oracle."""
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_samples_match_triple_scan(self, sample_results, name):
+        r = sample_results[name]
+        assert tree_key(build_tree(r.divisor, r.L)) == \
+            tree_key(build_tree_by_triples(r.divisor, r.L))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_match_triple_scan(self, name):
+        div, L = integer_divisor(*HAND_BUILT[name])
+        tree = build_tree(div, L)
+        assert tree_key(tree) == tree_key(build_tree_by_triples(div, L))
+
+    def test_hand_built_shapes(self):
+        tree = build_tree(*integer_divisor(*HAND_BUILT["q5_nested_inf_last"]))
+        assert sorted(len(v.members) for v in tree.vertices) == [2, 3, 4, 6]
+        depth = max(len(list(ancestors(tree, v.index)))
+                    for v in tree.vertices)
+        assert depth == 3
+        for name in ("q5_four_children_unmarked",
+                     "q5_four_children_inf_first"):
+            tree = build_tree(*integer_divisor(*HAND_BUILT[name]))
+            assert len(tree.vertices[tree.root].children) == 4
+
+    def test_disconnected_configuration_raises_alike(self):
+        """n = 4, p = 5, f = (x^2-5)(x-1)(x-6): the discs D(sqrt5, 1/2)
+        and D(1, 1) meet only at an unmarked Gauss point."""
+        curve = SuperellipticCurve(4, parse_poly("(x^2-5)*(x-1)*(x-6)"), 5)
+        L, _ = splitting_field(curve.f, 5)
+        div = branch_divisor(curve, L)
+        messages = []
+        for builder in (build_tree, build_tree_by_triples):
+            with pytest.raises(NotInvariant) as exc:
+                builder(div, L)
+            messages.append(str(exc.value))
+        assert messages == ["disconnected disc family"] * 2
+
+    def test_zero_center_beside_same_radius(self):
+        """Over Q_7(7^(1/3)), the vertex of {0, 7} is centered at the exact
+        zero and has the radius of the vertex of {1, 8}; the shifted copy
+        x -> x + 2 has no zero point and the same outcome."""
+        outcomes = []
+        for f in ([["(x-1)*(x-8)*x", 1], ["x-7", 2]],
+                  [["(x+1)*(x-6)*(x+2)", 1], ["x-5", 2]]):
+            r = compute_with_retry(SuperellipticCurve.from_json_dict(
+                {"n": 3, "p": 7, "f": f}))
+            report = r.to_json_dict()
+            outcomes.append([report[k] for k in ("P1", "epsilon", "delta")])
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_moebius_calls_per_vertex(self, sample_results, name,
+                                      moebius_calls):
+        """One chart-fiber partition per vertex and two normalization
+        evaluations: at most V (m + 2) calls."""
+        r = sample_results[name]
+        tree = build_tree(r.divisor, r.L)
+        m = len(tree.points)
+        assert moebius_calls[0] <= tree.vertex_count() * (m + 2)
+
+
+def ancestors(tree, v):
+    while tree.vertices[v].parent is not None:
+        v = tree.vertices[v].parent
+        yield v
