@@ -142,11 +142,22 @@ def _print_text(result):
           f"{cond.delta} = {cond.conductor}")
 
 
+def _fail(args, error, message, exit_code, text):
+    """Report an abort: the JSON diagnostic under ``--json``, else ``text``
+    on stderr.  Returns the exit code."""
+    if args.json:
+        print(json.dumps({"error": error, "message": message,
+                          "exit_code": exit_code}, sort_keys=True))
+    else:
+        print(text, file=sys.stderr)
+    return exit_code
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     if args.precision < 8:
-        print("error: precision must be at least 8", file=sys.stderr)
-        return 2
+        return _fail(args, "ValidationError", "precision must be at least 8",
+                     2, "error: precision must be at least 8")
     config = SearchConfig(precision=args.precision,
                           max_cyclotomic=args.max_cyclotomic,
                           max_degree=args.max_degree)
@@ -161,16 +172,12 @@ def main(argv=None):
         result = compute_with_retry(curve, config, explicit_field=explicit,
                                     trace=trace)
     except SuperellError as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc),
-                "exit_code": exc.exit_code}
-        if args.json:
-            print(json.dumps(diag, sort_keys=True))
-        else:
-            print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        name = type(exc).__name__
+        return _fail(args, name, str(exc), exc.exit_code,
+                     f"error [{name}]: {exc}")
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error reading input: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, type(exc).__name__, str(exc), 2,
+                     f"error reading input: {exc}")
     if args.json:
         print(json.dumps(result.to_json_dict(), sort_keys=True,
                          separators=(",", ":")))

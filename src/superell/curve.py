@@ -118,6 +118,9 @@ class SuperellipticCurve:
         """
         if not isinstance(data, dict):
             raise ValidationError("curve spec must be a JSON object")
+        for key in ("n", "f", "p"):
+            if key not in data:
+                raise ValidationError(f"curve spec has no {key!r}")
         n, p, fspec = data["n"], data["p"], data["f"]
         for key, val in (("n", n), ("p", p)):
             if not _is_int(val):
@@ -136,7 +139,7 @@ class SuperellipticCurve:
                 if mult < 1:
                     raise ValidationError(
                         f"factor multiplicity must be at least 1, not {mult}")
-                base = parse_poly(entry) if isinstance(entry, str) \
+                base = _parse_factor(entry) if isinstance(entry, str) \
                     else QPoly([_coefficient(c) for c in entry])
                 f = f * base**mult
         else:
@@ -146,6 +149,13 @@ class SuperellipticCurve:
 
 def _is_int(val):
     return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _parse_factor(s):
+    try:
+        return parse_poly(s)
+    except ValueError as exc:
+        raise ValidationError(f"bad polynomial {s!r}: {exc}") from None
 
 
 def _coefficient(c):

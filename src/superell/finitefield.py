@@ -1,9 +1,32 @@
 """Exact arithmetic in GF(p^k), polynomial algebra, and Kummer-curve counting.
 
-Fields are represented as GF(p)[a]/(modulus) with elements stored as tuples
-of k residues (coefficient of a^j at index j).  When no modulus is supplied
+Fields are represented as GF(p)[a]/(modulus).  When no modulus is supplied
 the lexicographically smallest monic irreducible polynomial is chosen, so
 field construction is deterministic.
+
+An element is its canonical index i = c_0 + c_1 p + ... + c_{k-1} p^(k-1),
+where c_j is the coefficient of a^j; ``coeffs`` gives the digit tuple and
+``index()`` the number, which is also the sort order.  Arithmetic on
+indices comes in three kinds:
+
+* k = 1: plain integers mod p;
+* q <= 2^17: three ``array('i')`` tables per field, built on first use from
+  the canonical generator g (the element of order q - 1 with the smallest
+  index): exp[e] = g^e, log[i] (-1 at zero) and the Zech logarithms
+  zech[e] = log(1 + g^e) (-1 where that sum vanishes; Huber, IEEE Trans. IT
+  36, 1990).  A product, inverse, power or Frobenius is one lookup, a sum
+  is exp[la + zech[lb - la]] (exponents mod q - 1), and -x adds (q - 1)/2
+  to the log for odd p.  The tables take 12 bytes per element, 1.4 MB for
+  GF(7^6) = 117,649, the largest residue field the tree and descent meet.
+  The bound covers that field and no more: an F_{q^i} of point counting
+  with at most 2^17 elements carries all three tables, although counting
+  reads only log, while a larger one gets none.  Tables are built with
+  numpy, by baby-step/giant-step digit-array products written block by
+  block into the table buffers;
+* q > 2^17: schoolbook products of the base-p digits of the indices.
+
+``FqPoly`` keeps its coefficients as a tuple of indices, and its loops call
+the field's scalar operations on ints without creating elements.
 
 On top of the field arithmetic this module provides
 
@@ -23,16 +46,17 @@ Bulk work runs on numpy digit arrays, (k, N) int64 arrays holding N
 elements as columns of base-p digits.  ``count_kummer_points`` evaluates
 num and den of h at all of F_{q^i}, a fixed chunk of points at a time, and
 decides n-th-power residuosity of the ordinary points by comparing discrete
-logs.  The logs come from one int32 table per field (index -> log, -1 at
-zero), built by baby-step/giant-step on first use and kept on the field:
-4 bytes per element, so at most about 4 MB for a field within
-``DEFAULT_POINT_BUDGET``.  numpy is imported inside the functions that use
-it, so importing the package does not load it.
+logs, read from the field's log table through a numpy view (a field above
+2^17 keeps a numpy log table alone: 4 bytes per element, at most about
+4 MB within ``DEFAULT_POINT_BUDGET``).  numpy is imported inside the
+functions that use it, so importing the package does not load it; the
+first table fill or point count does.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -58,6 +82,9 @@ INF = "inf"  # marker for the point at infinity of P^1
 
 #: points of F_{q^i} evaluated per numpy pass in ``count_kummer_points``
 _KUMMER_CHUNK = 8192
+
+#: fields with at most this many elements keep exp/log/Zech tables
+_TABLE_MAX = 1 << 17
 
 
 def is_prime(n):
@@ -202,7 +229,12 @@ def _default_modulus(p, k):
 # ---------------------------------------------------------------------------
 
 class FqField:
-    """The finite field GF(p^k) presented as GF(p)[a]/(modulus)."""
+    """The finite field GF(p^k) presented as GF(p)[a]/(modulus).
+
+    Scalar arithmetic works on canonical indices (see the module docstring);
+    ``_mul``, ``_add``, ``_neg``, ``_inv`` and ``_pow`` take and return
+    indices, and the exp/log/Zech tables are built by their first call.
+    """
 
     def __init__(self, p, k, modulus):
         if not is_prime(p):
@@ -218,9 +250,10 @@ class FqField:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._zero = FqElement(self, (0,) * k)
-        self._one = FqElement(self, (1,) + (0,) * (k - 1))
-        self._log = None
+        self._zero = FqElement(self, 0)
+        self._one = FqElement(self, 1)
+        self._t = None  # (exp, log, zech) once built
+        self._log_np = None  # numpy log table of a field above _TABLE_MAX
         self._gen = None
         self._embeddings = {}
 
@@ -242,40 +275,33 @@ class FqField:
 
     def gen(self):
         """The residue class of a (only interesting for k > 1)."""
-        if self.k == 1:
-            return self._one
-        return FqElement(self, (0, 1) + (0,) * (self.k - 2))
+        return self._one if self.k == 1 else FqElement(self, self.p)
 
     def element(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.k:
             raise ValueError("coefficient vector has wrong length")
-        return FqElement(self, coeffs)
+        return FqElement(self, self._from_digits(coeffs))
 
     def from_int(self, n):
-        return FqElement(self, (n % self.p,) + (0,) * (self.k - 1))
+        return FqElement(self, n % self.p)
 
     def from_index(self, idx):
         """Element number ``idx`` in the canonical enumeration (base-p digits)."""
-        coeffs, m = [], idx % self.q
-        for _ in range(self.k):
-            coeffs.append(m % self.p)
-            m //= self.p
-        return FqElement(self, tuple(coeffs))
+        return FqElement(self, idx % self.q)
 
     def elements(self):
         for idx in range(self.q):
-            yield self.from_index(idx)
+            yield FqElement(self, idx)
 
     def multiplicative_generator(self):
+        """The element of order q - 1 with the smallest index."""
         if self._gen is None:
             fac = _factorize_int(self.q - 1) if self.q > 2 else {}
             for idx in range(1, self.q):
-                u = self.from_index(idx)
-                if u.is_zero():
-                    continue
-                if all((u ** ((self.q - 1) // ell)) != self._one for ell in fac):
-                    self._gen = u
+                if all(self._digit_pow(idx, (self.q - 1) // ell) != 1
+                       for ell in fac):
+                    self._gen = FqElement(self, idx)
                     break
         return self._gen
 
@@ -294,38 +320,175 @@ class FqField:
 
     def dlog(self, u):
         """Discrete log of u with respect to the canonical generator."""
-        e = int(self._log_table()[u.index()])
+        t = self._tables()
+        e = t[1][u.i] if t is not None else int(self._log_table()[u.i])
         if e < 0:
             raise KeyError(f"discrete log of zero in {self!r}")
         return e
 
-    def _log_table(self):
-        """int32 array of length q: index -> discrete log, -1 at zero.
+    # -- canonical indices: the base-p digits of element number i are its
+    # coefficients of a^0, ..., a^(k-1) (the order of ``from_index``).
 
-        Baby-step/giant-step: about sqrt(q) scalar multiplies give the baby
-        block g^0, ..., g^(m-1); every giant step multiplies the whole block
-        by g^m as one digit-array product and files the next m logs.
-        """
-        if self._log is None:
+    def _to_digits(self, i):
+        p, out = self.p, []
+        for _ in range(self.k):
+            i, d = divmod(i, p)
+            out.append(d)
+        return tuple(out)
+
+    def _from_digits(self, digits):
+        n = 0
+        for c in reversed(digits):
+            n = n * self.p + c
+        return n
+
+    def _digit_mul(self, a, b):
+        """Product of two indices: schoolbook on their digits, then
+        reduction by the modulus from the top down."""
+        p, k = self.p, self.k
+        if k == 1:
+            return a * b % p
+        res = [0] * (2 * k - 1)
+        for i, x in enumerate(self._to_digits(a)):
+            if x:
+                for j, y in enumerate(self._to_digits(b)):
+                    res[i + j] += x * y
+        mod = self.modulus
+        for i in range(2 * k - 2, k - 1, -1):
+            c = res[i] % p
+            if c:
+                for j in range(k):
+                    res[i - k + j] -= c * mod[j]
+        return self._from_digits([c % p for c in res[:k]])
+
+    def _digit_pow(self, a, e):
+        """a^e for e >= 0 by square-and-multiply on ``_digit_mul``."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self._digit_mul(result, a)
+            a = self._digit_mul(a, a)
+            e >>= 1
+        return result
+
+    def _tables(self):
+        """(exp, log, zech) as ``array('i')`` tables, or None for a field
+        above ``_TABLE_MAX``.  exp[e] is the index of g^e, log[i] the log of
+        element i (-1 at zero) and zech[e] the log of 1 + g^e (-1 where that
+        sum is zero), for the canonical generator g and 0 <= e < q - 1.
+        The buffers are filled block by block through numpy views."""
+        if self._t is None and self.q <= _TABLE_MAX:
             import numpy as np
-            n = self.q - 1
-            m = isqrt(n - 1) + 1  # ceil(sqrt(n))
-            g = self.multiplicative_generator()
-            baby, acc = [], self._one
-            for _ in range(m):
-                baby.append(acc.coeffs)
-                acc = acc * g
-            block = np.array(baby, dtype=np.int64).T
-            giant = np.array(acc.coeffs, dtype=np.int64)[:, None]
-            exps = np.arange(m, dtype=np.int32)
-            table = np.full(self.q, -1, dtype=np.int32)
+            n, p = self.q - 1, self.p
+            exp, zech = array("i", [0]) * n, array("i", [0]) * n
+            log = array("i", [-1]) * self.q
+            ev, lv, zv = (np.frombuffer(t, dtype=np.intc)
+                          for t in (exp, log, zech))
+            for start, idx in self._power_blocks():
+                ev[start:start + len(idx)] = idx
+                lv[idx] = np.arange(start, start + len(idx), dtype=np.intc)
+            # 1 + x changes only the lowest digit of x
+            m = isqrt(n - 1) + 1
             for start in range(0, n, m):
-                cnt = min(m, n - start)
-                table[self._indices(block[:, :cnt])] = exps[:cnt] + start
-                if start + m < n:
-                    block = self._mul_digits(block, giant)
-            self._log = table
-        return self._log
+                x = ev[start:start + m]
+                zv[start:start + m] = lv[x - x % p + (x + 1) % p]
+            self._t = (exp, log, zech)
+        return self._t
+
+    def _power_blocks(self):
+        """Yield (e, idx) with idx[c] the index of g^(e + c), for blocks of
+        m = ceil(sqrt(q - 1)) exponents.  Baby-step/giant-step: m scalar
+        multiplies give the block g^0, ..., g^(m-1), and every giant step
+        multiplies the whole block by g^m as one digit-array product."""
+        import numpy as np
+        n = self.q - 1
+        m = isqrt(n - 1) + 1
+        g = self.multiplicative_generator().i
+        baby, acc = [], 1
+        for _ in range(m):
+            baby.append(self._to_digits(acc))
+            acc = self._digit_mul(acc, g)
+        block = np.array(baby, dtype=np.int64).T
+        giant = np.array(self._to_digits(acc), dtype=np.int64)[:, None]
+        for start in range(0, n, m):
+            yield start, self._indices(block[:, :min(m, n - start)])
+            if start + m < n:
+                block = self._mul_digits(block, giant)
+
+    def _log_table(self):
+        """numpy int32 array of length q: index -> discrete log, -1 at zero.
+
+        A view of the ``_tables`` log buffer; a field above ``_TABLE_MAX``
+        (an F_{q^i} of point counting) gets a log table of its own.
+        """
+        import numpy as np
+        t = self._tables()
+        if t is not None:
+            return np.frombuffer(t[1], dtype=np.intc)
+        if self._log_np is None:
+            table = np.full(self.q, -1, dtype=np.intc)
+            for start, idx in self._power_blocks():
+                table[idx] = np.arange(start, start + len(idx), dtype=np.intc)
+            self._log_np = table
+        return self._log_np
+
+    # -- scalar arithmetic on indices: plain ``% p`` in a prime field,
+    # table lookups up to _TABLE_MAX, digit arithmetic above it.
+
+    def _mul(self, a, b):
+        if not (a and b):
+            return 0
+        if self.k == 1:
+            return a * b % self.p
+        t = self._t or self._tables()
+        if t is None:
+            return self._digit_mul(a, b)
+        log = t[1]
+        return t[0][(log[a] + log[b]) % (self.q - 1)]
+
+    def _add(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        t = self._t or self._tables()
+        if t is None:
+            return self._from_digits([(x + y) % self.p for x, y in
+                                      zip(self._to_digits(a),
+                                          self._to_digits(b))])
+        exp, log, zech = t
+        la, n = log[a], self.q - 1
+        z = zech[(log[b] - la) % n]
+        return 0 if z < 0 else exp[(la + z) % n]
+
+    def _neg(self, a):
+        if not a or self.p == 2:
+            return a
+        if self.k == 1:
+            return self.p - a
+        t = self._t or self._tables()
+        if t is None:
+            return self._from_digits([-x % self.p for x in self._to_digits(a)])
+        n = self.q - 1
+        return t[0][(t[1][a] + n // 2) % n]
+
+    def _pow(self, a, e):
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if e else 1
+        n = self.q - 1
+        if self.k == 1:
+            return pow(a, e % n, self.p)
+        t = self._t or self._tables()
+        if t is None:
+            return self._digit_pow(a, e % n)
+        return t[0][t[1][a] * e % n]
+
+    def _inv(self, a):
+        return self._pow(a, -1)
 
     # Digit arrays: (k, N) int64 arrays whose column c holds the base-p
     # digits of one element, row j the coefficient of a^j (the order of
@@ -394,113 +557,86 @@ class FqField:
             fn = lambda x: x  # noqa: E731
             self._embeddings[key] = fn
             return fn
-        mod_poly = FqPoly(big, [big.from_int(c) for c in self.modulus])
+        mod_poly = FqPoly.from_ints(big, self.modulus)
         roots = mod_poly.roots()
         if len(roots) != self.k:
             raise ValueError("modulus does not split in the bigger field")
-        img = roots[0]
-        powers = [big.one()]
+        img = roots[0].i
+        powers = [1]
         for _ in range(self.k - 1):
-            powers.append(powers[-1] * img)
+            powers.append(big._mul(powers[-1], img))
 
         def fn(x, _powers=powers, _big=big):
-            acc = _big.zero()
+            acc = 0
             for c, pw in zip(x.coeffs, _powers):
                 if c:
-                    acc = acc + pw * _big.from_int(c)
-            return acc
+                    acc = _big._add(acc, _big._mul(pw, c))
+            return FqElement(_big, acc)
 
         self._embeddings[key] = fn
         return fn
 
 
 class FqElement:
-    """Element of an FqField; immutable tuple of residues mod p."""
+    """Element of an FqField, stored as its canonical index ``i``."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "i")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, i):
         self.field = field
-        self.coeffs = coeffs
+        self.i = i
+
+    @property
+    def coeffs(self):
+        """The residues mod p of the coefficients of a^0, ..., a^(k-1)."""
+        return self.field._to_digits(self.i)
 
     def __repr__(self):
         if self.field.k == 1:
-            return str(self.coeffs[0])
+            return str(self.i)
         return f"({', '.join(map(str, self.coeffs))})"
 
     def __eq__(self, other):
-        return (isinstance(other, FqElement) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FqElement) and self.i == other.i
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coeffs))
+        return hash(self.i)
 
     def index(self):
         """Position in the canonical enumeration; also the sort key."""
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
+        return self.i
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.i == 0
 
     def __add__(self, other):
-        p = self.field.p
-        return FqElement(self.field, tuple((a + b) % p for a, b in
-                                           zip(self.coeffs, other.coeffs)))
+        return FqElement(self.field, self.field._add(self.i, other.i))
 
     def __sub__(self, other):
-        p = self.field.p
-        return FqElement(self.field, tuple((a - b) % p for a, b in
-                                           zip(self.coeffs, other.coeffs)))
+        F = self.field
+        return FqElement(F, F._add(self.i, F._neg(other.i)))
 
     def __neg__(self):
-        p = self.field.p
-        return FqElement(self.field, tuple(-a % p for a in self.coeffs))
+        return FqElement(self.field, self.field._neg(self.i))
 
     def __mul__(self, other):
-        F = self.field
-        p, k = F.p, F.k
-        if k == 1:
-            return FqElement(F, (self.coeffs[0] * other.coeffs[0] % p,))
-        res = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    res[i + j] = (res[i + j] + a * b) % p
-        mod = F.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(k):
-                    res[i - k + j] = (res[i - k + j] - c * mod[j]) % p
-        return FqElement(F, tuple(res[:k]))
+        return FqElement(self.field, self.field._mul(self.i, other.i))
 
     def __pow__(self, e):
-        F = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        result, base = F.one(), self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.field, self.field._pow(self.i, e))
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.q - 2)
+        return FqElement(self.field, self.field._inv(self.i))
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        F = self.field
+        return FqElement(F, F._mul(self.i, F._inv(other.i)))
 
     def frobenius(self, j=1):
         """x -> x^(p^j)."""
-        return self ** (self.field.p**j)
+        F = self.field
+        return FqElement(F, F._pow(self.i, F.p**j))
 
 
 @lru_cache(maxsize=None)
@@ -520,31 +656,98 @@ def fq_make(p, k=1, modulus=None):
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+#
+# Coefficient lists of canonical indices, low to high, combined by the
+# field's scalar operations on indices.
+
+def _trim(c):
+    """c without its high zero coefficients, as a tuple (the zero
+    polynomial is (0,))."""
+    n = len(c)
+    while n > 1 and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n]) if n else (0,)
+
+
+def _mul_ints(F, a, b):
+    """Product of two coefficient lists."""
+    mul, add = F._mul, F._add
+    res = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                res[i + j] = add(res[i + j], mul(x, y))
+    return res
+
+
+def _divmod_ints(F, a, b, inv_lead):
+    """(quotient, remainder) of coefficient lists a by b, where b has a
+    nonzero leading coefficient whose inverse is ``inv_lead``."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [0], list(a)
+    mul, add, neg = F._mul, F._add, F._neg
+    r, quo = list(a), [0] * (len(a) - db)
+    for off in range(len(a) - 1 - db, -1, -1):
+        x = r[off + db]
+        if x:
+            quo[off] = c = mul(x, inv_lead)
+            m = neg(c)
+            for j in range(db):
+                r[off + j] = add(r[off + j], mul(m, b[j]))
+    return quo, r[:db]
+
+
+def _scale_ints(F, a, c):
+    """Coefficient list a times the scalar index c."""
+    mul = F._mul
+    return [mul(x, c) for x in a]
+
+
+def _add_ints(F, a, b):
+    """Sum of two coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    add = F._add
+    return [add(x, y) for x, y in zip(a, b)] + list(a[len(b):])
+
 
 class FqPoly:
-    """Dense univariate polynomial over an FqField (coeffs low-to-high)."""
+    """Dense univariate polynomial over an FqField (coeffs low-to-high).
 
-    __slots__ = ("field", "coeffs")
+    The coefficients are kept as canonical indices; ``coeffs`` returns them
+    as ``FqElement``s.
+    """
+
+    __slots__ = ("field", "_c")
 
     def __init__(self, field, coeffs):
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = [field.zero()]
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self._c = _trim([c.i for c in coeffs])
+
+    @classmethod
+    def _make(cls, field, ints):
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly._c = _trim(ints)
+        return poly
+
+    @property
+    def coeffs(self):
+        F = self.field
+        return tuple(FqElement(F, c) for c in self._c)
 
     @classmethod
     def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(c) for c in ints])
+        return cls._make(field, [c % field.p for c in ints])
 
     @classmethod
     def x(cls, field):
-        return cls(field, [field.zero(), field.one()])
+        return cls._make(field, (0, 1))
 
     @classmethod
     def constant(cls, c):
-        return cls(c.field, [c])
+        return cls._make(c.field, (c.i,))
 
     def __repr__(self):
         terms = []
@@ -558,56 +761,47 @@ class FqPoly:
     def degree(self):
         if self.is_zero():
             return -1
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_zero()
+        return self._c == (0,)
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
+        return self._c == (1,)
+
+    def _lead(self):
+        return FqElement(self.field, self._c[-1])
 
     def key(self):
         """Canonical sort key: (degree, coefficient indices high-to-low)."""
-        return (self.degree(), tuple(c.index() for c in reversed(self.coeffs)))
+        return (self.degree(), self._c[::-1])
 
     def __eq__(self, other):
-        return (isinstance(other, FqPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FqPoly) and self._c == other._c
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._c))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return FqPoly(self.field, [x + y for x, y in zip(a, b)])
+        F = self.field
+        return FqPoly._make(F, _add_ints(F, self._c, other._c))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return FqPoly(self.field, [x - y for x, y in zip(a, b)])
+        return self + (-other)
 
     def __neg__(self):
-        return FqPoly(self.field, [-c for c in self.coeffs])
+        neg = self.field._neg
+        return FqPoly._make(self.field, [neg(c) for c in self._c])
 
     def __mul__(self, other):
+        F = self.field
         if isinstance(other, FqElement):
-            return FqPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, [self.field.zero()])
-        res = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    res[i + j] = res[i + j] + a * b
-        return FqPoly(self.field, res)
+            return FqPoly._make(F, _scale_ints(F, self._c, other.i))
+        return FqPoly._make(F, _mul_ints(F, self._c, other._c))
 
     def __pow__(self, e):
-        result = FqPoly(self.field, [self.field.one()])
+        result = FqPoly._make(self.field, (1,))
         base = self
         while e:
             if e & 1:
@@ -619,23 +813,9 @@ class FqPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero()] * max(1, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        inv_lead = other.coeffs[-1].inverse()
-        do = other.degree()
-        while len(r) - 1 >= do and not all(c.is_zero() for c in r):
-            c = r[-1] * inv_lead
-            if not c.is_zero():
-                off = len(r) - 1 - do
-                q[off] = c
-                for j, b in enumerate(other.coeffs):
-                    r[off + j] = r[off + j] - c * b
-            r.pop()
-            while len(r) > 1 and r[-1].is_zero():
-                r.pop()
-            if not r:
-                r = [self.field.zero()]
-        return FqPoly(self.field, q), FqPoly(self.field, r)
+        F = self.field
+        quo, rem = _divmod_ints(F, self._c, other._c, F._inv(other._c[-1]))
+        return FqPoly._make(F, quo), FqPoly._make(F, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -646,48 +826,57 @@ class FqPoly:
     def monic(self):
         if self.is_zero():
             return self
-        return self * self.coeffs[-1].inverse()
+        F = self.field
+        return FqPoly._make(F, _scale_ints(F, self._c, F._inv(self._c[-1])))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        F = self.field
+        a, b = self._c, other._c
+        while b != (0,):
+            a, b = b, _trim(_divmod_ints(F, a, b, F._inv(b[-1]))[1])
+        return FqPoly._make(F, a).monic()
 
     def derivative(self):
         F = self.field
-        cs = [F.from_int(i) * c for i, c in enumerate(self.coeffs)][1:]
-        return FqPoly(F, cs or [F.zero()])
+        mul, p = F._mul, F.p
+        return FqPoly._make(F, [mul(i % p, c)
+                                for i, c in enumerate(self._c)][1:])
 
     def evaluate(self, x):
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        F = self.field
+        mul, add, acc = F._mul, F._add, 0
+        for c in reversed(self._c):
+            acc = add(mul(acc, x.i), c)
+        return FqElement(F, acc)
 
     def compose(self, other):
-        acc = FqPoly(self.field, [self.field.zero()])
-        for c in reversed(self.coeffs):
-            acc = acc * other + FqPoly.constant(c)
-        return acc
+        F = self.field
+        acc = [0]
+        for c in reversed(self._c):
+            acc = _trim(_add_ints(F, _mul_ints(F, acc, other._c), (c,)))
+        return FqPoly._make(F, acc)
 
     def shift(self, c):
         """self(x + c)."""
-        return self.compose(FqPoly(self.field, [c, self.field.one()]))
+        return self.compose(FqPoly._make(self.field, (c.i, 1)))
 
     def map_coeffs(self, fn, new_field=None):
         F = new_field if new_field is not None else self.field
         return FqPoly(F, [fn(c) for c in self.coeffs])
 
     def powmod(self, e, mod):
-        result = FqPoly(self.field, [self.field.one()])
-        base = self % mod
+        F = self.field
+        m = mod._c
+        inv = F._inv(m[-1])
+        result = [1]
+        base = _trim(_divmod_ints(F, self._c, m, inv)[1])
         while e:
             if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
+                result = _trim(_divmod_ints(F, _mul_ints(F, result, base),
+                                            m, inv)[1])
+            base = _trim(_divmod_ints(F, _mul_ints(F, base, base), m, inv)[1])
             e >>= 1
-        return result
+        return FqPoly._make(F, result)
 
     def roots(self):
         """Roots in the base field, sorted by canonical element order."""
@@ -699,8 +888,8 @@ class FqPoly:
         out = []
         for fac, _ in factor_poly(F, g):
             if fac.degree() == 1:
-                out.append(-fac.coeffs[0])
-        return sorted(out, key=lambda r: r.index())
+                out.append(F._neg(fac._c[0]))
+        return [FqElement(F, r) for r in sorted(out)]
 
     def squarefree_decomposition(self):
         """Yields (squarefree factor, multiplicity), classical char-p algorithm."""
@@ -713,11 +902,7 @@ class FqPoly:
             d = f.derivative()
             if d.is_zero():
                 # f is a p-th power: take p-th root of coefficients
-                root_cs = []
-                for i in range(0, f.degree() + 1, p):
-                    c = f.coeffs[i] if i < len(f.coeffs) else F.zero()
-                    root_cs.append(c ** (F.q // p))
-                f = FqPoly(F, root_cs)
+                f = FqPoly._make(F, [F._pow(c, F.q // p) for c in f._c[::p]])
                 e *= p
                 continue
             g = f.gcd(d)
@@ -736,7 +921,7 @@ class FqPoly:
 
 
 def _cz_seed(F, g):
-    data = (F.p, F.modulus, tuple(c.coeffs for c in g.coeffs))
+    data = (F.p, F.modulus, tuple(F._to_digits(c) for c in g._c))
     return hash(data) & 0x7FFFFFFF
 
 
@@ -745,8 +930,9 @@ def _equal_degree_split(F, g, d, rng):
     if g.degree() == d:
         return [g]
     q, n = F.q, g.degree()
+    one = FqPoly._make(F, (1,))
     while True:
-        r = FqPoly(F, [F.from_index(rng.randrange(q)) for _ in range(n)])
+        r = FqPoly._make(F, [rng.randrange(q) for _ in range(n)])
         if r.degree() < 1:
             continue
         if F.p == 2:
@@ -758,7 +944,7 @@ def _equal_degree_split(F, g, d, rng):
                 acc = (acc + t) % g
             h = g.gcd(acc)
         else:
-            h = g.gcd(r.powmod((q**d - 1) // 2, g) - FqPoly(F, [F.one()]))
+            h = g.gcd(r.powmod((q**d - 1) // 2, g) - one)
         if 0 < h.degree() < g.degree():
             return (_equal_degree_split(F, h.monic(), d, rng)
                     + _equal_degree_split(F, (g // h).monic(), d, rng))
@@ -816,7 +1002,7 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree() > 0:
             num, den = num // g, den // g
-        lead = den.coeffs[-1]
+        lead = den._lead()
         if lead != num.field.one():
             inv = lead.inverse()
             num, den = num * inv, den * inv
@@ -883,14 +1069,15 @@ class RationalFunction:
         for _ in range(n):
             pow_on.append(pow_on[-1] * on)
             pow_od.append(pow_od[-1] * od)
+        nc, dc = self.num._c, self.den._c
         for i in range(n + 1):
-            ci = self.num.coeffs[i] if i < len(self.num.coeffs) else F.zero()
-            di = self.den.coeffs[i] if i < len(self.den.coeffs) else F.zero()
+            ci = nc[i] if i < len(nc) else 0
+            di = dc[i] if i < len(dc) else 0
             term = pow_on[i] * pow_od[n - i]
-            if not ci.is_zero():
-                num_h = num_h + term * ci
-            if not di.is_zero():
-                den_h = den_h + term * di
+            if ci:
+                num_h = num_h + term * FqElement(F, ci)
+            if di:
+                den_h = den_h + term * FqElement(F, di)
         return RationalFunction(num_h, den_h)
 
     def ord_at(self, pt):
@@ -914,7 +1101,7 @@ class RationalFunction:
     def unit_value_at(self, pt):
         """Value of self * t^(-ord) at pt, t the local parameter (x-pt or 1/x)."""
         if pt == INF:
-            return self.num.coeffs[-1] / self.den.coeffs[-1]
+            return self.num._lead() / self.den._lead()
         lin = FqPoly(self.field, [-pt, self.field.one()])
         num, den = self.num, self.den
         while num.evaluate(pt).is_zero():
@@ -931,7 +1118,7 @@ class RationalFunction:
                 return self.field.zero()
             if o < 0:
                 return INF
-            return self.num.coeffs[-1] / self.den.coeffs[-1]
+            return self.num._lead() / self.den._lead()
         dv = self.den.evaluate(pt)
         nv = self.num.evaluate(pt)
         if dv.is_zero():
@@ -953,7 +1140,7 @@ class RationalFunction:
         return sorted(out.items(), key=lambda kv: kv[0].key())
 
     def leading_unit(self):
-        return self.num.coeffs[-1]
+        return self.num._lead()
 
 
 # ---------------------------------------------------------------------------

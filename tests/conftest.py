@@ -1,6 +1,7 @@
 import pytest
 
 from superell import tree
+from superell.finitefield import FqElement, FqField
 from superell.localfield import LocalFieldElement
 
 
@@ -32,3 +33,22 @@ def moebius_calls(monkeypatch):
 
     monkeypatch.setattr(tree, "moebius_eval", counted)
     return count
+
+
+@pytest.fixture
+def fq_calls(monkeypatch):
+    """Counts of the ``FqElement.__mul__`` and ``FqField._inv`` calls made
+    while the test runs, by method name.  Every inversion in the module,
+    ``FqElement.inverse`` and the leading-coefficient inversions of
+    ``FqPoly``, goes through ``FqField._inv``."""
+    counts = {}
+    for cls, name in ((FqElement, "__mul__"), (FqField, "_inv")):
+        method = getattr(cls, name)
+        counts[name] = 0
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts

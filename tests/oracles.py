@@ -7,8 +7,14 @@ a Newton polygon / rational Puiseux recursion, and every branch whose
 residue field stays the base field contributes one point.  It shares no
 code with the gcd-based counting rule of the package.
 
-``count_affine_brute`` is plain exhaustive enumeration of affine solutions,
-used for good-reduction cross-checks where the affine model is smooth.
+``DigitField`` is GF(p^k) on tuples of base-p digits: schoolbook
+multiplication modulo the field's modulus, Fermat inversion and digit-wise
+addition.  It reads only p, k and the modulus of a package field, and is the
+reference for the package's table arithmetic.
+
+``count_affine_brute`` is plain exhaustive enumeration of affine solutions
+in ``DigitField`` arithmetic, used for good-reduction cross-checks where the
+affine model is smooth.
 
 ``count_kummer_points_scalar`` is the package's counting rule evaluated one
 point at a time with ``FqElement`` arithmetic: the reference for the
@@ -277,18 +283,76 @@ def count_points_by_places(nbar, h, i=1):
     return total
 
 
+class DigitField:
+    """GF(p^k) = GF(p)[a]/(modulus) on digit tuples (coefficient of a^j at
+    index j, the order of ``FqElement.coeffs``)."""
+
+    def __init__(self, F):
+        self.p, self.k, self.q = F.p, F.k, F.q
+        self.modulus = tuple(F.modulus)
+
+    def from_index(self, idx):
+        out = []
+        for _ in range(self.k):
+            idx, d = divmod(idx, self.p)
+            out.append(d)
+        return tuple(out)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        res = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                res[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            c = res[i] % p
+            for j in range(k):
+                res[i - k + j] -= c * self.modulus[j]
+        return tuple(c % p for c in res[:k])
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inverse(a), -e)
+        result, base = self.from_index(1), a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def inverse(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.q - 2)
+
+
 def count_affine_brute(n, fbar):
-    """#{(x, y) in F^2 : y^n = fbar(x)} by exhaustive enumeration
-    (one pass building the table of n-th powers, one pass over x)."""
-    F = fbar.field
+    """#{(x, y) in F^2 : y^n = fbar(x)} by exhaustive enumeration in
+    ``DigitField`` arithmetic (one pass building the table of n-th powers,
+    one pass over x)."""
+    R = DigitField(fbar.field)
     table = {}
-    for iy in range(F.q):
-        y = F.from_index(iy)
-        v = (y**n).coeffs
+    for iy in range(R.q):
+        v = R.pow(R.from_index(iy), n)
         table[v] = table.get(v, 0) + 1
+    coeffs = [c.coeffs for c in fbar.coeffs]
     total = 0
-    for ix in range(F.q):
-        total += table.get(fbar.evaluate(F.from_index(ix)).coeffs, 0)
+    for ix in range(R.q):
+        x = R.from_index(ix)
+        acc = R.from_index(0)
+        for c in reversed(coeffs):
+            acc = R.add(R.mul(acc, x), c)
+        total += table.get(acc, 0)
     return total
 
 

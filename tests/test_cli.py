@@ -101,6 +101,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("spec, args", [
+        ({"f": [1, 2], "p": 3}, ()),
+        ({"n": 2, "f": [1, 0, 1]}, ()),
+        ({"n": 2, "p": 3, "f": [["1/0", 1]]}, ()),
+        (EX2, ("--precision", "3")),
+    ])
+    def test_json_input_errors_are_json(self, tmp_path, spec, args):
+        proc = run_cli(tmp_path, spec, "--json", *args)
+        assert proc.returncode == 2
+        diag = json.loads(proc.stdout)
+        assert set(diag) == {"error", "exit_code", "message"}
+        assert (diag["error"], diag["exit_code"]) == ("ValidationError", 2)
+        assert diag["message"] and proc.stderr == ""
+
     def test_no_assert_statements(self):
         """Every internal check raises a typed error, so it also holds
         under python -O; the report is the same there."""

@@ -26,7 +26,11 @@ from superell.finitefield import (
     zeta_numerator,
 )
 
-from oracles import count_kummer_points_scalar, count_points_by_places
+from oracles import (
+    DigitField,
+    count_kummer_points_scalar,
+    count_points_by_places,
+)
 
 
 def poly(F, *ints):
@@ -133,6 +137,144 @@ class TestLogTable:
                         assert r is None
 
 
+class TestTableArithmetic:
+    """Scalar arithmetic, on exp/log/Zech tables, in a prime field and by
+    digits above the table bound, against the digit-tuple reference."""
+
+    SMALL = ((2, 4), (3, 3), (5, 2), (7, 2))
+
+    @staticmethod
+    def check_element(F, R, a):
+        x, xd = F.from_index(a), R.from_index(a)
+        assert x.coeffs == xd and x.index() == a
+        assert (-x).coeffs == R.neg(xd)
+        for j in range(1, F.k + 1):
+            assert x.frobenius(j).coeffs == R.pow(xd, F.p**j)
+        exps = (0, 1, 2, 5, F.q - 1, F.q + 3)
+        if a:
+            exps += (-1, -2, -(F.q + 1))
+            assert x.inverse().coeffs == R.inverse(xd)
+            g = F.multiplicative_generator()
+            assert R.pow(g.coeffs, F.dlog(x)) == xd
+        for e in exps:
+            assert (x**e).coeffs == R.pow(xd, e), e
+
+    @staticmethod
+    def check_pair(F, R, a, b, inv_b):
+        x, y = F.from_index(a), F.from_index(b)
+        xd, yd = R.from_index(a), R.from_index(b)
+        assert (x + y).coeffs == R.add(xd, yd)
+        assert (x - y).coeffs == R.sub(xd, yd)
+        assert (x * y).coeffs == R.mul(xd, yd)
+        if b:
+            assert (x / y).coeffs == R.mul(xd, inv_b)
+
+    @pytest.mark.parametrize("p, k", SMALL + ((13, 1),))
+    def test_every_pair(self, p, k):
+        F = fq_make(p, k)
+        R = DigitField(F)
+        inv = [None] + [R.inverse(R.from_index(b)) for b in range(1, F.q)]
+        for a in range(F.q):
+            self.check_element(F, R, a)
+            for b in range(F.q):
+                self.check_pair(F, R, a, b, inv[b])
+
+    @pytest.mark.parametrize("p, k", SMALL)
+    def test_generator_is_smallest_of_full_order(self, p, k):
+        F = fq_make(p, k)
+        R = DigitField(F)
+        ell = [d for d in range(2, F.q) if (F.q - 1) % d == 0
+               and all(d % e for e in range(2, d))]
+        first = next(a for a in range(1, F.q) if all(
+            R.pow(R.from_index(a), (F.q - 1) // d) != R.from_index(1)
+            for d in ell))
+        assert F.multiplicative_generator().index() == first
+
+    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5)))
+    def test_random_pairs(self, p, k):
+        # 7^6 builds its tables with numpy; 11^5 is above the table bound
+        F = fq_make(p, k)
+        R = DigitField(F)
+        rng = random.Random(p * 100 + k)
+        special = [0, 1, (-F.one()).index()]
+        elems = special + [rng.randrange(F.q) for _ in range(60)]
+        for a in elems:
+            self.check_element(F, R, a)
+        pairs = [(a, b) for a in special for b in special]
+        pairs += [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
+        for a, b in pairs:
+            inv_b = R.inverse(R.from_index(b)) if b else None
+            self.check_pair(F, R, a, b, inv_b)
+
+    @pytest.mark.parametrize("p, k", SMALL + ((7, 6), (11, 5), (13, 1)))
+    def test_sums_that_vanish(self, p, k):
+        # the Zech entry -1: g^((q-1)/2) + 1 = 0 for odd p, 1 + 1 = 0 for p = 2
+        F = fq_make(p, k)
+        one = F.one()
+        if p == 2:
+            assert (one + one).is_zero()
+        else:
+            minus_one = F.multiplicative_generator() ** ((F.q - 1) // 2)
+            assert minus_one == -one and (minus_one + one).is_zero()
+            assert minus_one.coeffs == DigitField(F).neg(one.coeffs)
+
+
+class TestTableGuards:
+    def test_lookups_make_no_multiplies(self, fq_calls):
+        F = fq_make(7, 6)
+        F._tables()
+        rng = random.Random(5)
+        for _ in range(50):
+            x = F.from_index(rng.randrange(1, F.q))
+            x.inverse()
+            x ** rng.randrange(-F.q, F.q)
+            x.frobenius(rng.randrange(1, 6))
+            F.dlog(x)
+        assert fq_calls["__mul__"] == 0
+
+    def test_divisions_invert_once(self, fq_calls):
+        # one inversion per divmod and per powmod, one per remainder step of
+        # gcd plus the final monic (the parent inverted in every step of
+        # powmod)
+        F = fq_make(7, 6)
+        rng = random.Random(6)
+
+        def rand_poly(deg):
+            return FqPoly(F, [F.from_index(rng.randrange(1, F.q))
+                              for _ in range(deg + 1)])
+
+        for deg_a, deg_b in ((12, 5), (3, 5), (9, 9), (7, 0)):
+            a, b = rand_poly(deg_a), rand_poly(deg_b)
+            fq_calls["_inv"] = 0
+            q, r = a.divmod(b)
+            assert fq_calls["_inv"] == 1
+            assert q * b + r == a and r.degree() < max(b.degree(), 1)
+        a, m = rand_poly(4), rand_poly(6)
+        fq_calls["_inv"] = 0
+        a.powmod(F.q**3, m)
+        assert fq_calls["_inv"] == 1
+        a, b = rand_poly(9), rand_poly(6)
+        x, y, steps = a, b, 0
+        while not y.is_zero():
+            x, y, steps = y, x % y, steps + 1
+        expected = x.monic()
+        fq_calls["_inv"] = 0
+        assert a.gcd(b) == expected
+        assert fq_calls["_inv"] == steps + 1
+    def test_table_bytes(self):
+        F = fq_make(7, 6)
+        tables = F._tables()
+        assert sum(t.itemsize * len(t) for t in tables) <= 12 * F.q
+        assert np.shares_memory(F._log_table(),
+                                np.frombuffer(tables[1], dtype=np.intc))
+
+    def test_no_table_above_bound(self):
+        F = fq_make(11, 5)
+        x, y = F.from_index(12345), F.from_index(67890)
+        x * y + x / y
+        assert F._tables() is None and F._t is None
+
+
 class TestFactorization:
     def test_x2_plus_1_over_f9(self):
         # -1 is a square in GF(9); verified by exhaustive root search
@@ -172,6 +314,28 @@ class TestFactorization:
                 for fac, e in factor_poly(F, g):
                     prod = prod * fac**e
                 assert prod == g.monic()
+
+    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5)))
+    def test_polynomials_on_both_sides_of_table_bound(self, p, k):
+        # GF(7^6) has tables, GF(11^5) is above the table bound
+        F = fq_make(p, k)
+        rng = random.Random(p + k)
+        roots = sorted({rng.randrange(F.q) for _ in range(4)})
+        f = FqPoly(F, [F.one()])
+        for r in roots:
+            f = f * FqPoly(F, [-F.from_index(r), F.one()])
+        assert [r.index() for r in f.roots()] == roots
+        for _ in range(5):
+            a = FqPoly(F, [F.from_index(rng.randrange(F.q))
+                           for _ in range(rng.randrange(1, 9))])
+            b = FqPoly(F, [F.from_index(rng.randrange(F.q))
+                           for _ in range(rng.randrange(1, 6))] + [F.one()])
+            q, r = a.divmod(b)
+            assert q * b + r == a and r.degree() < b.degree()
+            x = F.from_index(rng.randrange(F.q))
+            assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+            assert a.compose(b).evaluate(x) == a.evaluate(b.evaluate(x))
+            assert (a * b).gcd(b) == b.monic()
 
     def test_determinism(self):
         F = fq_make(7)
