@@ -18,8 +18,16 @@ from .fieldsearch import SearchConfig, build_tower, splits_in
 from .pipeline import compute_with_retry
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ``ValidationError`` where argparse would print its usage and
+    exit, so that ``main`` reports a bad option like any other input."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="superell",
         description="Local L-factor and conductor exponent of a "
                     "superelliptic curve y^n = f(x) over Q at a prime p "
@@ -154,7 +162,16 @@ def _fail(args, error, message, exit_code, text):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+    except ValidationError as exc:
+        # parsing stopped before it read --json (which may be abbreviated)
+        words = sys.argv[1:] if argv is None else argv
+        args = argparse.Namespace(json=any(
+            w.startswith("--j") and "--json".startswith(w) for w in words))
+        return _fail(args, "ValidationError", str(exc), 2,
+                     f"{parser.format_usage()}{parser.prog}: error: {exc}")
     if args.precision < 8:
         return _fail(args, "ValidationError", "precision must be at least 8",
                      2, "error: precision must be at least 8")

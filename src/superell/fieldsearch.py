@@ -40,20 +40,22 @@ from .localfield import (
 from .qpoly import QPoly
 
 
-class SearchConfig:
-    """Bounds of the catalog: max cyclotomic p-part, max unramified degree,
-    max total degree, working precision."""
+#: catalog bound on the unramified degree f0
+MAX_UNRAMIFIED = 8
 
-    def __init__(self, precision=50, max_cyclotomic=64, max_unramified=8,
-                 max_degree=64):
+
+class SearchConfig:
+    """Bounds of the catalog: max cyclotomic p-part, max total degree,
+    working precision."""
+
+    def __init__(self, precision=50, max_cyclotomic=64, max_degree=64):
         self.precision = precision
         self.max_cyclotomic = max_cyclotomic
-        self.max_unramified = max_unramified
         self.max_degree = max_degree
 
     def scaled(self, factor):
         return SearchConfig(self.precision * factor, self.max_cyclotomic,
-                            self.max_unramified, self.max_degree)
+                            self.max_degree)
 
 
 class _SkipCandidate(Exception):
@@ -218,7 +220,7 @@ def flatten_extension(L1, g_coeffs, z_exponents, label=None):
         z_pows.append(t2_mul(z_pows[-1], z))
 
     # flatten T2 coordinates to vectors over the 1-step unramified field
-    K_U = _qp_unramified(L1.p, L1.f, L1.N)
+    K_U = _qp_unramified(L1.p, L1.f, L1.N, L1.U.modulus)
 
     def flat(vecT2):
         out = []
@@ -234,13 +236,10 @@ def flatten_extension(L1, g_coeffs, z_exponents, label=None):
     xs = _solve_linear(K_U, cols, rhs)
     E_flat = [_as_u_tuple(K_U, -x) for x in xs] + [K_U.U.one]
     try:
-        return LocalField(L1.p, L1.f, E_flat, L1.N, label=label)
+        return LocalField(L1.p, L1.f, E_flat, L1.N,
+                          unramified_modulus=L1.U.modulus, label=label)
     except NotEisenstein as exc:
         raise _SkipCandidate(str(exc))
-
-
-def _neg_mod(x, pN):
-    return tuple(-a % pN for a in x)
 
 
 def adjoin_radical(L1, d, c_elt, label=None):
@@ -251,19 +250,10 @@ def adjoin_radical(L1, d, c_elt, label=None):
     w = c_elt.valuation()  # pi_L1-units
     if w == INFINITE:
         raise _SkipCandidate("radical of zero")
+    g = [-c_elt] + [L1.zero()] * (d - 1) + [L1.one()]
     if e1 == 1 and w == 1:
         # already Eisenstein over U: y^d - c
-        cvec = c_elt
-        if cvec.shift != 0:
-            pj = L1.p**cvec.shift
-            if cvec.shift < 0:
-                raise _SkipCandidate("non-integral radical")
-            vecs = tuple(tuple(a * pj % L1.U.pN for a in cc)
-                         for cc in cvec.vec)
-        else:
-            vecs = cvec.vec
-        E = [_neg_mod(vecs[0], L1.U.pN)] + [L1.U.zero] * (d - 1) + [L1.U.one]
-        return LocalField(L1.p, L1.f, E, L1.N, label=label)
+        return adjoin_eisenstein(L1, g, label=label)
     # z = pi^A y^B / p^k with A*d + B*e1 = 1 + k*e1*d  (only for w = e1)
     if w != e1:
         raise _SkipCandidate("unsupported radical valuation")
@@ -275,7 +265,6 @@ def adjoin_radical(L1, d, c_elt, label=None):
     if V % (e1 * d) != 1 % (e1 * d):
         raise NotDivisible(f"{V} - 1 is not divisible by e*d = {e1 * d}")
     k = (V - 1) // (e1 * d)
-    g = [-c_elt] + [L1.zero()] * (d - 1) + [L1.one()]
     return flatten_extension(L1, g, (A, B, k), label=label)
 
 
@@ -292,11 +281,12 @@ def adjoin_eisenstein(L1, g_coeffs, label=None):
     if v0 != 1:
         raise NotEisenstein("constant term must be a uniformizer")
     if L1.e == 1:
-        K_U = _qp_unramified(L1.p, L1.f, L1.N)
+        K_U = _qp_unramified(L1.p, L1.f, L1.N, L1.U.modulus)
         E = [_as_u_tuple(K_U, LocalFieldElement(K_U, (c.vec[0],), c.shift,
                                                 c.prec, c.exact_zero))
              for c in g_coeffs]
-        return LocalField(L1.p, L1.f, E, L1.N, label=label)
+        return LocalField(L1.p, L1.f, E, L1.N,
+                          unramified_modulus=L1.U.modulus, label=label)
     return flatten_extension(L1, list(g_coeffs), (0, 1, 0), label=label)
 
 
@@ -377,7 +367,7 @@ def catalog_entries(p, config):
     s_max = 0
     while p ** (s_max + 1) <= config.max_cyclotomic:
         s_max += 1
-    for f0 in range(1, config.max_unramified + 1):
+    for f0 in range(1, MAX_UNRAMIFIED + 1):
         q0 = p**f0
         for s in range(0, s_max + 1):
             phi = 1 if s == 0 else (p ** (s - 1)) * (p - 1)

@@ -125,83 +125,21 @@ def _factorize_int(n):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) polynomial helpers used only for modulus selection
+# modulus selection: Rabin's test through FqPoly over GF(p)
 # ---------------------------------------------------------------------------
 
-def _gfp_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce modulo the monic polynomial ``mod``
-    dm = len(mod) - 1
-    for i in range(len(res) - 1, dm - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(dm):
-                res[i - dm + j] = (res[i - dm + j] - c * mod[j]) % p
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _gfp_powmod_x(e, mod, p):
-    """x^e mod (mod) over GF(p)."""
-    result = [1]
-    base = [0, 1] if len(mod) > 2 else _gfp_mulmod([0, 1], [1], mod, p)
-    while e:
-        if e & 1:
-            result = _gfp_mulmod(result, base, mod, p)
-        base = _gfp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _gfp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b != [0] and b:
-        # remainder of a by b
-        b_lead_inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and not (len(r) == 1 and r[0] == 0):
-            c = r[-1] * b_lead_inv % p
-            if c:
-                off = len(r) - len(b)
-                for j in range(len(b)):
-                    r[off + j] = (r[off + j] - c * b[j]) % p
-            r.pop()
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            if not r:
-                r = [0]
-        a, b = b, r
-        while len(b) > 1 and b[-1] == 0:
-            b.pop()
-    return a
-
-
-def _gfp_is_irreducible(g, p):
-    """Rabin irreducibility test for monic g over GF(p)."""
-    k = len(g) - 1
-    if k < 1:
+def _is_irreducible(modulus, p):
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic modulus g of
+    degree k >= 2 over GF(p): x^(p^k) = x mod g, and gcd(g, x^(p^(k/l)) - x)
+    = 1 for every prime l dividing k."""
+    F = fq_make(p)
+    g = FqPoly.from_ints(F, modulus)
+    k = g.degree()
+    x = FqPoly.x(F)
+    if x.powmod(p**k, g) != x:
         return False
-    xqk = _gfp_powmod_x(p**k, g, p)
-    if xqk != [0, 1]:
-        return False
-    for ell in _factorize_int(k):
-        h = _gfp_powmod_x(p ** (k // ell), g, p)
-        # gcd(h - x, g) must be 1
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        if diff == [0]:
-            return False
-        if len(_gfp_gcd(g, diff, p)) > 1:
-            return False
-    return True
+    return all(g.gcd(x.powmod(p ** (k // ell), g) - x).is_one()
+               for ell in _factorize_int(k))
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +157,7 @@ def _default_modulus(p, k):
             coeffs.append(m % p)
             m //= p
         g = coeffs + [1]
-        if _gfp_is_irreducible(g, p):
+        if _is_irreducible(g, p):
             return tuple(g)
     raise ReducibleModulus(f"no irreducible of degree {k} over GF({p})")
 
@@ -244,7 +182,7 @@ class FqField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree k")
-        if k > 1 and not _gfp_is_irreducible(list(modulus), p):
+        if k > 1 and not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {modulus} reducible over GF({p})")
         self.p = p
         self.k = k
@@ -1109,24 +1047,6 @@ class RationalFunction:
         while den.evaluate(pt).is_zero():
             den = den // lin
         return num.evaluate(pt) / den.evaluate(pt)
-
-    def evaluate(self, pt):
-        """Value at pt in P^1; returns FqElement or INF."""
-        if pt == INF:
-            o = self.den.degree() - self.num.degree()
-            if o > 0:
-                return self.field.zero()
-            if o < 0:
-                return INF
-            return self.num._lead() / self.den._lead()
-        dv = self.den.evaluate(pt)
-        nv = self.num.evaluate(pt)
-        if dv.is_zero():
-            if nv.is_zero():
-                return self.unit_value_at(pt) if self.ord_at(pt) == 0 else (
-                    self.field.zero() if self.ord_at(pt) > 0 else INF)
-            return INF
-        return nv / dv
 
     def factored(self):
         """[(irreducible, exponent)] over num and den (den with negative exps)."""

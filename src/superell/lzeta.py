@@ -23,44 +23,17 @@ from .errors import (
 )
 from .finitefield import zeta_numerator
 from .descent import quotient_genus_by_wild_subgroup
+from .qpoly import QPoly
 
-# polynomials in T are plain integer coefficient lists, low to high
-
-
-def poly_mul_z(a, b):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] += x * y
-    return res
+# polynomials in T are multiplied and divided as QPoly; P1 and its factors
+# leave the module as plain integer coefficient lists, low to high
 
 
-def poly_divexact_z(a, b):
-    """Exact division of integer polynomials; NonIntegralFactor otherwise."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[len(b) - 1 + k]
-        if c % b[-1]:
-            raise NonIntegralFactor("graph factor assembly is not integral")
-        q = c // b[-1]
-        out[k] = q
-        for j in range(len(b)):
-            a[j + k] -= q * b[j]
-    if any(a):
+def _integer_coeffs(poly):
+    """The coefficients of a QPoly as ints; NonIntegralFactor otherwise."""
+    if any(c.denominator != 1 for c in poly.coeffs):
         raise NonIntegralFactor("graph factor assembly is not integral")
-    return out
-
-
-def substitute_power(poly, d):
-    """P(T) -> P(T^d)."""
-    if d == 1:
-        return list(poly)
-    out = [0] * ((len(poly) - 1) * d + 1)
-    for i, c in enumerate(poly):
-        out[i * d] = c
-    return out
+    return [int(c) for c in poly.coeffs]
 
 
 def graph_h1_charpoly(component_orbit_sizes, node_orbit_data):
@@ -71,14 +44,16 @@ def graph_h1_charpoly(component_orbit_sizes, node_orbit_data):
     orbits of (1 - T^d); a node orbit of size r contributes (1 - T^r) for
     trivial epsilon and (1 + T^r) for the order-2 character.
     """
-    num = [1, -1]  # (1 - T)
+    num = QPoly([1, -1])  # (1 - T)
     for size, eps in node_orbit_data:
-        factor = [1] + [0] * (size - 1) + ([-1] if eps == 1 else [1])
-        num = poly_mul_z(num, factor)
-    den = [1]
+        num = num * QPoly([1] + [0] * (size - 1) + [-1 if eps == 1 else 1])
+    den = QPoly([1])
     for d in component_orbit_sizes:
-        den = poly_mul_z(den, [1] + [0] * (d - 1) + [-1])
-    return poly_divexact_z(num, den)
+        den = den * QPoly([1] + [0] * (d - 1) + [-1])
+    quo, rem = num.divmod(den)
+    if not rem.is_zero():
+        raise NonIntegralFactor("graph factor assembly is not integral")
+    return _integer_coeffs(quo)
 
 
 def component_l_factor(piece, budget=None):
@@ -88,7 +63,11 @@ def component_l_factor(piece, budget=None):
     kwargs = {} if budget is None else {"budget": budget}
     P = zeta_numerator(piece["n_geo"], piece["equation"], piece["genus"],
                        **kwargs)
-    return substitute_power(P, piece["d_j"])
+    # P(T) -> P(T^d)
+    d = piece["d_j"]
+    out = [0] * ((len(P) - 1) * d + 1)
+    out[::d] = P
+    return out
 
 
 class LFactorResult:
@@ -107,13 +86,14 @@ def local_l_factor(inertial, budget=None):
     graph = graph_h1_charpoly(inertial.component_orbit_sizes(),
                               inertial.node_orbit_data())
     comp_factors = []
-    p1 = list(graph)
+    p1 = QPoly(graph)
     for comp in inertial.components:
         for piece in comp.geometric_pieces:
             # one zeta factor per Frobenius orbit of geometric components
             pf = component_l_factor(piece, budget)
             comp_factors.append(pf)
-            p1 = poly_mul_z(p1, pf)
+            p1 = p1 * QPoly(pf)
+    p1 = _integer_coeffs(p1)
     result = LFactorResult(p1, graph, comp_factors)
     if result.degree() != inertial.dim_h1:
         raise DegreeMismatch(

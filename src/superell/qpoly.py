@@ -162,9 +162,6 @@ class QPoly:
             out = out * g
         return out
 
-    def leading(self):
-        return self.coeffs[-1]
-
     def content_clear(self):
         """Scale by a positive rational making all coefficients integers
         with gcd 1; returns (integer-coefficient QPoly, scalar applied)."""

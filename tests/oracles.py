@@ -12,6 +12,11 @@ multiplication modulo the field's modulus, Fermat inversion and digit-wise
 addition.  It reads only p, k and the modulus of a package field, and is the
 reference for the package's table arithmetic.
 
+``is_irreducible_by_trial_division`` decides irreducibility of a monic
+polynomial over GF(p) by dividing it by every monic polynomial of degree at
+most half its own, on plain int lists: the reference for the package's
+Rabin test on ``FqPoly``.
+
 ``count_affine_brute`` is plain exhaustive enumeration of affine solutions
 in ``DigitField`` arithmetic, used for good-reduction cross-checks where the
 affine model is smooth.
@@ -334,6 +339,34 @@ class DigitField:
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
+
+
+def monic_polys(p, k):
+    """Every monic polynomial of degree k over GF(p) as an int list, low to
+    high, the lower coefficients running through base-p digits in order."""
+    for idx in range(p**k):
+        coeffs = []
+        for _ in range(k):
+            idx, d = divmod(idx, p)
+            coeffs.append(d)
+        yield coeffs + [1]
+
+
+def _divides(b, a, p):
+    """Does the monic int list b divide the int list a over GF(p)?"""
+    r, db = list(a), len(b) - 1
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top] % p
+        for j in range(db + 1):
+            r[top - db + j] -= c * b[j]
+    return all(c % p == 0 for c in r)
+
+
+def is_irreducible_by_trial_division(g, p):
+    """Is the monic int list g of degree >= 1 irreducible over GF(p)?"""
+    k = len(g) - 1
+    return not any(_divides(b, g, p) for d in range(1, k // 2 + 1)
+                   for b in monic_polys(p, d))
 
 
 def count_affine_brute(n, fbar):

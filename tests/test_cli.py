@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -106,6 +108,7 @@ class TestCli:
         ({"n": 2, "f": [1, 0, 1]}, ()),
         ({"n": 2, "p": 3, "f": [["1/0", 1]]}, ()),
         (EX2, ("--precision", "3")),
+        (EX2, ("--precision", "abc")),
     ])
     def test_json_input_errors_are_json(self, tmp_path, spec, args):
         proc = run_cli(tmp_path, spec, "--json", *args)
@@ -114,6 +117,13 @@ class TestCli:
         assert set(diag) == {"error", "exit_code", "message"}
         assert (diag["error"], diag["exit_code"]) == ("ValidationError", 2)
         assert diag["message"] and proc.stderr == ""
+
+    def test_bad_option_text_is_argparse_usage(self, tmp_path):
+        proc = run_cli(tmp_path, EX2, "--precision", "abc")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: superell ")
+        assert proc.stderr.endswith("superell: error: argument --precision: "
+                                    "invalid int value: 'abc'\n")
 
     def test_no_assert_statements(self):
         """Every internal check raises a typed error, so it also holds
@@ -202,3 +212,20 @@ class TestCli:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(EX2))
         assert main([str(path), "--precision", "4"]) == 2
+
+
+def test_perfbench_spans_resolve():
+    """Every function and method that the benchmark's traced runs wrap
+    (perfbench/spans.py, loaded by path) exists under its listed name."""
+    path = REPO / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    table = spans.SPANS + spans.GENERATOR_SPANS + spans.COUNTED_METHODS
+    assert table
+    for modname, attr, _ in table:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{modname}.{attr} is gone"
+        assert callable(obj), f"{modname}.{attr} is not callable"

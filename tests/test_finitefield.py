@@ -14,6 +14,7 @@ from superell.errors import (
 )
 from superell.finitefield import (
     INF,
+    FqField,
     FqPoly,
     RationalFunction,
     count_kummer_points,
@@ -30,6 +31,8 @@ from oracles import (
     DigitField,
     count_kummer_points_scalar,
     count_points_by_places,
+    is_irreducible_by_trial_division,
+    monic_polys,
 )
 
 
@@ -60,6 +63,27 @@ class TestFieldConstruction:
     def test_reducible_modulus(self):
         with pytest.raises(ReducibleModulus):
             fq_make(2, 2, modulus=(0, 0, 1))  # x^2 = x*x
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_default_modulus_is_first_irreducible(self, p):
+        # fq_make searches the monic polynomials in the order of monic_polys
+        for k in range(2, 5):
+            modulus = list(fq_make(p, k).modulus)
+            for g in monic_polys(p, k):
+                if g == modulus:
+                    break
+                assert not is_irreducible_by_trial_division(g, p), g
+            assert is_irreducible_by_trial_division(modulus, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_reducible_moduli_rejected(self, p):
+        for k in (2, 3):
+            for g in monic_polys(p, k):
+                if is_irreducible_by_trial_division(g, p):
+                    assert FqField(p, k, g).q == p**k
+                else:
+                    with pytest.raises(ReducibleModulus):
+                        FqField(p, k, g)
 
     def test_field_axioms_sampled(self):
         rng = random.Random(7)

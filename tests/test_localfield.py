@@ -57,6 +57,19 @@ class TestTower:
         assert L2.e == 4 and L2.degree == 4
         assert L2.pi().as_vp1() == Fraction(1, 4)
 
+    @pytest.mark.parametrize("steps", [
+        [[-3, 0, 0, 0, 1]],
+        # the second step is flattened by flatten_extension
+        [[-3, 0, 1], [[0, 1], 0, 1]],
+    ], ids=["one_step", "two_steps"])
+    def test_tower_keeps_unramified_modulus(self, steps):
+        # step coefficients are read in the basis of x^2 + x + 2, which is
+        # irreducible over GF(3) and not the default x^2 + 1
+        L = build_tower(3, 2, steps, 40, unramified_modulus=[2, 1, 1])
+        assert L.U.modulus == (2, 1, 1)
+        assert L.residue_field.modulus == (2, 1, 1)
+        assert (L.e, L.f) == (4, 2)
+
     def test_not_eisenstein(self):
         with pytest.raises(NotEisenstein):
             build_tower(3, 1, [[-1, 0, 1]], 40)  # x^2 - 1

@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
 from superell.curve import SuperellipticCurve
 from superell.errors import NonIntegralFactor
+from superell.finitefield import FqPoly, fq_make
 from superell.lzeta import (
+    component_l_factor,
     graph_h1_charpoly,
-    poly_mul_z,
-    substitute_power,
+    local_l_factor,
 )
 from superell.pipeline import compute_with_retry, verify_point_counts
 from superell.qpoly import parse_poly
@@ -37,13 +40,33 @@ class TestGraphCharpoly:
             graph_h1_charpoly([2], [])  # (1 - T)/(1 - T^2) is not a polynomial
 
 
-class TestHelpers:
-    def test_substitute_power(self):
-        assert substitute_power([1, 2, 3], 2) == [1, 0, 2, 0, 3]
-        assert substitute_power([1, -1], 1) == [1, -1]
+def elliptic_piece(d_j):
+    """z^2 = w^3 + w + 1 over GF(5): 9 points, so P(T) = 1 + 3T + 5T^2."""
+    h = FqPoly.from_ints(fq_make(5), [1, 1, 0, 1])
+    return {"genus": 1, "n_geo": 2, "equation": h, "d_j": d_j}
 
-    def test_poly_mul(self):
-        assert poly_mul_z([1, 1], [1, 3]) == [1, 4, 3]
+
+class TestAssembly:
+    def test_component_factor_substitutes_t_power(self):
+        assert component_l_factor(elliptic_piece(1)) == [1, 3, 5]
+        assert component_l_factor(elliptic_piece(2)) == [1, 0, 3, 0, 5]
+        assert component_l_factor({"genus": 0, "d_j": 2}) == [1]
+
+    def test_local_factor_is_the_product(self):
+        # two fixed components, a rational one and the elliptic one, and a
+        # node orbit of size 2: (1 + T)(1 + 3T + 5T^2)
+        pieces = [{"genus": 0, "d_j": 1}, elliptic_piece(1)]
+        inertial = SimpleNamespace(
+            components=[SimpleNamespace(geometric_pieces=[pc])
+                        for pc in pieces],
+            component_orbit_sizes=lambda: [1, 1],
+            node_orbit_data=lambda: [(2, 1)],
+            dim_h1=3)
+        r = local_l_factor(inertial)
+        assert r.graph_factor == [1, 1]
+        assert r.component_factors == [[1], [1, 3, 5]]
+        assert r.p1 == [1, 4, 8, 5]
+        assert all(type(c) is int for c in r.p1 + r.graph_factor)
 
 
 class TestEndToEnd:
