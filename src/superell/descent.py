@@ -584,7 +584,7 @@ class InertialCurve:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        G, filt = ctx.G, ctx.filt
+        G = ctx.G
         tree = ctx.tree
         # inertia orbits of vertices
         all_v = [v.index for v in tree.vertices]

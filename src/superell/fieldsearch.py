@@ -34,6 +34,7 @@ from .localfield import (
     LocalFieldElement,
     coeff_transport,
     galois_group,
+    poly_mul,
     roots_integral,
     roots_of_qpoly,
 )
@@ -187,13 +188,7 @@ def flatten_extension(L1, g_coeffs, z_exponents, label=None):
     zero1 = L1.zero()
 
     def t2_mul(u, v):
-        res = [zero1 for _ in range(2 * d - 1)]
-        for i, a in enumerate(u):
-            if a.is_zero_to_precision():
-                continue
-            for j, b in enumerate(v):
-                if not b.is_zero_to_precision():
-                    res[i + j] = res[i + j] + a * b
+        res = poly_mul(u, v, L1)
         # reduce by monic g
         for top in range(2 * d - 2, d - 1, -1):
             c = res[top]
@@ -270,7 +265,6 @@ def adjoin_radical(L1, d, c_elt, label=None):
 
 def adjoin_eisenstein(L1, g_coeffs, label=None):
     """L1[y]/(g) for g Eisenstein over L1, flattened (z = y)."""
-    d = len(g_coeffs) - 1
     for c in g_coeffs[:-1]:
         v = c.valuation_or_none()
         if v in (None,):

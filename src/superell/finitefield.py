@@ -1296,7 +1296,6 @@ def normalize_kummer_equation(nbar, h):
         h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("cannot normalize zero")
-    F = h.field
     out = FqPoly.constant(h.leading_unit())
     for f, e in h.factored():
         r = e % nbar

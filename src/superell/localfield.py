@@ -29,6 +29,17 @@ inversion:
   along, refining it by z <- z(2 - f'(x) z) at each step (Caruso,
   "Computations with p-adic numbers", arXiv:1701.06794, section 2).
 
+Polynomials over L are coefficient lists, low to high, with one set of
+helpers: ``poly_mul`` (skipping exact zeros only, so that an inexact zero
+keeps its error term), ``poly_eval`` (Horner), ``poly_shift_scale`` (a
+Taylor shift by synthetic division) and ``gauss_reduce``, which returns the
+Gauss valuation m of a list and the residues of its entries over pi^m from
+leading residues.  The root search, the chart substitution of the
+reduction and the chart comparisons of the tree all reduce through
+``gauss_reduce``, so they share one rule for a coefficient that is zero to
+working precision: it reduces to 0 when known one digit past pi^m, and
+raises PrecisionExhausted otherwise.
+
 Valuations are integers in the v(pi_L) = 1 normalization unless stated;
 ``as_vp1`` converts to the v(p) = 1 scale (divide by e).
 """
@@ -36,7 +47,6 @@ Valuations are integers in the v(pi_L) = 1 normalization unless stated;
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     NegativeValuation,
@@ -267,10 +277,8 @@ class LocalField:
 
     def teichmueller(self, r):
         """Teichmueller lift: the root of x^(q-1) = 1 reducing to r != 0."""
-        q = self.residue_field.q
         x = self.from_residue(r)
-        # Newton iteration for x^(q-1) - 1 restricted to the unit sphere:
-        # x <- x - (x^q - x)/(q x^(q-1) - 1); simpler: x <- x^(p^f) repeatedly
+        # x <- x^q converges to the root of x^q = x that reduces to r
         for _ in range(self.N + 2):
             x = x.pow_int(self.p**self.f)
         return x
@@ -509,7 +517,6 @@ class LocalFieldElement:
         x = self
         if x.shift < 0:
             # v >= 0 forces divisibility; absorb completely
-            pk = K.p ** (-x.shift)
             vec = tuple(K.U.div_p(c, -x.shift) for c in x.vec)
             x = LocalFieldElement(K, vec, 0, x.prec + x.shift, False)
         elif x.shift > 0:
@@ -600,61 +607,66 @@ def poly_derivative(coeffs, K):
     return out or [K.zero()]
 
 
-def poly_shift_scale(coeffs, K, center, pi_power):
-    """g(center + pi^j * s) as a polynomial in s."""
-    n = len(coeffs) - 1
-    pij = K.pi().pow_int(pi_power)
-    out = [K.zero() for _ in range(n + 1)]
-    cpow = [K.one()]
-    for _ in range(n):
-        cpow.append(cpow[-1] * center)
-    pipow = [K.one()]
-    for _ in range(n):
-        pipow.append(pipow[-1] * pij)
-    for i, ci in enumerate(coeffs):
-        if ci.exact_zero:
+def poly_mul(u, v, K):
+    """Product of two coefficient lists over K, low to high.  Only exact
+    zeros are skipped: a factor that is zero to working precision still
+    carries its error term into the product."""
+    res = [K.zero() for _ in range(len(u) + len(v) - 1)]
+    for i, x in enumerate(u):
+        if x.exact_zero:
             continue
-        for j in range(i + 1):
-            coef = ci * cpow[i - j] * pipow[j] * K.from_int(comb(i, j))
-            out[j] = out[j] + coef
+        for j, y in enumerate(v):
+            if not y.exact_zero:
+                res[i + j] = res[i + j] + x * y
+    return res
+
+
+def poly_shift_scale(coeffs, K, center, pi_power):
+    """g(center + pi^j * s) as a polynomial in s: the Taylor shift by
+    ``center`` is n rounds of synthetic division, then coefficient i is
+    multiplied by pi^(j i)."""
+    out = list(coeffs)
+    n = len(out) - 1
+    if not center.exact_zero:
+        for k in range(n):
+            for i in range(n - 1, k - 1, -1):
+                if not out[i + 1].exact_zero:
+                    out[i] = out[i] + center * out[i + 1]
+    pij = K.pi().pow_int(pi_power)
+    scale = K.one()
+    for i in range(1, n + 1):
+        scale = scale * pij
+        if not out[i].exact_zero:
+            out[i] = out[i] * scale
     return out
 
 
-def _poly_strip(coeffs, K):
-    """Divide the polynomial by pi^m, m the minimal coefficient valuation.
+def gauss_reduce(coeffs, K):
+    """(m, residues) of a list of elements of K: m is the least known
+    valuation (pi-units), and residues[i] is the residue of
+    coeffs[i] / pi^m, read off leading residues without a division.
 
-    Coefficients that are zero to their working precision are tolerated as
-    long as that precision safely exceeds m.
+    A coefficient that is zero to working precision reduces to 0 when its
+    precision reaches one digit past pi^m, and raises PrecisionExhausted
+    otherwise; so does a list in which no valuation is known.
     """
-    vals = []
-    for c in coeffs:
-        v = c.valuation_or_none()
-        if v not in (None, INFINITE):
-            vals.append(v)
-    if not vals:
-        raise PrecisionExhausted("zero polynomial in root search")
-    m = min(vals)
-    for c in coeffs:
-        if c.valuation_or_none() is None \
-                and K.e * (c.prec + c.shift) < m + K.e:
+    vals = [c.valuation_or_none() for c in coeffs]
+    known = [v for v in vals if v is not None and v != INFINITE]
+    if not known:
+        raise PrecisionExhausted("Gauss reduction of a list that is zero "
+                                 "to working precision")
+    m = min(known)
+    zero = K.residue_field.zero()
+    out = []
+    for c, v in zip(coeffs, vals):
+        if v == m:
+            out.append(c.unit_residue())
+            continue
+        if v is None and K.e * (c.prec + c.shift) < m + K.e:
             raise PrecisionExhausted("coefficient known to too few digits "
-                                     "to normalize the polynomial")
-    if m == 0:
-        return coeffs
-    piinv_m = K.pi_inverse().pow_int(m)
-    return [c * piinv_m for c in coeffs]
-
-
-def _residue_or_zero(c):
-    """Residue of a coefficient, mapping zero-to-precision values to 0."""
-    v = c.valuation_or_none()
-    if v == INFINITE:
-        return c.K.residue_field.zero()
-    if v is None:
-        if c.K.e * (c.prec + c.shift) >= 1:
-            return c.K.residue_field.zero()
-        raise PrecisionExhausted("coefficient too fuzzy for a residue")
-    return c.residue()
+                                     "for the Gauss reduction")
+        out.append(zero)
+    return m, out
 
 
 def _newton_refine(coeffs, K, x, dcoeffs):
@@ -679,19 +691,21 @@ def _newton_refine(coeffs, K, x, dcoeffs):
 def roots_integral(coeffs, K, depth=0):
     """All roots in O_L of a separable polynomial with integral coefficients.
 
-    Digit-refinement: residue roots of the stripped reduction are either
+    Digit-refinement: residue roots of the Gauss reduction are either
     lifted by Newton (simple) or explored one pi-digit deeper (multiple).
-    Deterministic output order (valuation, then digit-lexicographic),
-    sorted once, at depth 0.
+    The roots come in the order of the residue roots; callers that need
+    the canonical order sort by ``sort_key``.
     """
     if depth > 6 * K.N:
         raise PrecisionExhausted("root search recursion exceeded the "
                                  "precision budget")
-    coeffs = _poly_strip(coeffs, K)
-    Fbar = K.residue_field
-    red = FqPoly(Fbar, [_residue_or_zero(c) for c in coeffs])
+    m, residues = gauss_reduce(coeffs, K)
+    red = FqPoly(K.residue_field, residues)
     if red.degree() < 1:
         return []
+    if m:
+        piinv_m = K.pi_inverse().pow_int(m)
+        coeffs = [c * piinv_m for c in coeffs]
     dred = red.derivative()
     dcoeffs = poly_derivative(coeffs, K)
     out = []
@@ -704,7 +718,7 @@ def roots_integral(coeffs, K, depth=0):
         pi = K.pi()
         for s in roots_integral(shifted, K, depth + 1):
             out.append(lift + pi * s)
-    return sorted(out, key=sort_key()) if depth == 0 else out
+    return out
 
 
 def roots_of_qpoly(K, qp):
@@ -857,7 +871,8 @@ def galois_group(L, base="Qp"):
     K = L
     # roots of the unramified modulus inside U (they are Hensel-liftable)
     mcoeffs = [K.from_int(c) for c in K.U.modulus]
-    a_roots = roots_integral(mcoeffs, K) if K.f > 1 else [K.gen_unramified()]
+    a_roots = (sorted(roots_integral(mcoeffs, K), key=sort_key())
+               if K.f > 1 else [K.gen_unramified()])
     if len(a_roots) != K.f:
         raise NotGalois(f"unramified modulus has {len(a_roots)} roots, "
                         f"expected {K.f}")
@@ -866,8 +881,7 @@ def galois_group(L, base="Qp"):
         # sigma|U determined by a -> a_img; transport E's coefficients
         sigmaU = coeff_transport(K, a_img, K.f)
         E_sigma = [sigmaU(c) for c in K.E]
-        pi_roots = roots_integral(E_sigma, K)
-        for pi_img in pi_roots:
+        for pi_img in sorted(roots_integral(E_sigma, K), key=sort_key()):
             autos.append(Automorphism(K, a_img, pi_img))
     if len(autos) != K.degree:
         raise NotGalois(f"found {len(autos)} automorphisms, "

@@ -3,7 +3,10 @@
 For each vertex v of the marked tree, substituting the inverse chart into f
 and taking the Gauss valuation gives N_v = eta_v(f) (stored in pi-units,
 where divisibility by n is the semistability criterion) and the reduced
-equation fbar_v.  The vertex scaling is the deterministic pi^(N_v/n); any
+equation fbar_v.  The substitution runs Horner's rule in the numerator of
+the chart alongside the powers of its denominator, O(m^2) products for
+deg f = m, and ``localfield.gauss_reduce`` reads N_v and fbar_v off both
+sides.  The vertex scaling is the deterministic pi^(N_v/n); any
 unit change of that scaling twists fbar_v by an n-th-power-compatible unit
 and is checked (in the tests) to leave all derived data unchanged.
 
@@ -18,86 +21,42 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    AdmissibilityViolation,
-    GenusMismatch,
-    NotDivisible,
-    PrecisionExhausted,
-)
+from .errors import AdmissibilityViolation, GenusMismatch, NotDivisible
 from .finitefield import (
-    INF as FINF,
+    INF,
     FqPoly,
     RationalFunction,
     fq_make,
     kummer_genus,
     power_class,
 )
-from .localfield import INFINITE
-from .tree import INF_POINT
-
-
-def _chart_inverse_substitution(curve, L, chart):
-    """f((d x - b)/(-c x + a)) as (numerator, denominator) polys over L."""
-    a, b, c, d = chart
-    m = curve.f.degree()
-    P1 = [-b, d]        # d*x - b
-    P2 = [a, -c]        # -c*x + a
-
-    def poly_mul(u, v):
-        res = [L.zero() for _ in range(len(u) + len(v) - 1)]
-        for i, x in enumerate(u):
-            if not x.exact_zero:
-                for j, y in enumerate(v):
-                    res[i + j] = res[i + j] + x * y
-        return res
-
-    pow1 = [[L.one()]]
-    pow2 = [[L.one()]]
-    for _ in range(m):
-        pow1.append(poly_mul(pow1[-1], P1))
-        pow2.append(poly_mul(pow2[-1], P2))
-    num = [L.zero() for _ in range(m + 1)]
-    for i, q in enumerate(curve.f.coeffs):
-        if q == 0:
-            continue
-        qi = L.from_fraction(q)
-        term = poly_mul(pow1[i], pow2[m - i])
-        for j, x in enumerate(term):
-            num[j] = num[j] + x * qi
-    den = pow2[m]
-    return num, den
-
-
-def _gauss_data(L, poly):
-    """(min coefficient valuation, reduced polynomial over F_L)."""
-    vals = []
-    for c in poly:
-        v = c.valuation_or_none()
-        if v not in (None, INFINITE):
-            vals.append(v)
-    if not vals:
-        raise PrecisionExhausted("Gauss valuation of a fuzzy polynomial")
-    mu = min(vals)
-    piinv = L.pi_inverse().pow_int(mu) if mu else None
-    red = []
-    for c in poly:
-        x = c * piinv if piinv is not None else c
-        v = x.valuation_or_none()
-        if v in (None, INFINITE):
-            red.append(L.residue_field.zero())
-        else:
-            red.append(x.residue() if v == 0 else L.residue_field.zero())
-    return mu, FqPoly(L.residue_field, red)
+from .localfield import gauss_reduce, poly_mul
 
 
 def gauss_valuation_f(curve, L, chart):
-    """N_v (pi-units) and fbar_v for the chart of one vertex."""
-    num, den = _chart_inverse_substitution(curve, L, chart)
-    mu_n, red_n = _gauss_data(L, num)
-    mu_d, red_d = _gauss_data(L, den)
-    N_v = mu_n - mu_d
-    fbar = RationalFunction(red_n, red_d)
-    return N_v, fbar
+    """N_v (pi-units) and fbar_v for the chart of one vertex.
+
+    With the chart (a, b, c, d), f((d x - b)/(-c x + a)) is num / den with
+    num = sum_i q_i (d x - b)^i (-c x + a)^(m - i) and den = (-c x + a)^m,
+    m = deg f.  Horner's rule in (d x - b) builds num alongside the powers
+    of (-c x + a), the last of which is den."""
+    a, b, c, d = chart
+    P1, P2 = [-b, d], [a, -c]
+    q = curve.f.coeffs
+    m = len(q) - 1
+    num, den = [L.from_fraction(q[m])], [L.one()]
+    for i in range(m - 1, -1, -1):
+        num = poly_mul(num, P1, L)
+        den = poly_mul(den, P2, L)
+        if q[i]:
+            qi = L.from_fraction(q[i])
+            num = [x if y.exact_zero else x + qi * y
+                   for x, y in zip(num, den)]
+    mu_n, red_n = gauss_reduce(num, L)
+    mu_d, red_d = gauss_reduce(den, L)
+    fbar = RationalFunction(FqPoly(L.residue_field, red_n),
+                            FqPoly(L.residue_field, red_d))
+    return mu_n - mu_d, fbar
 
 
 class VertexReduction:
@@ -226,13 +185,13 @@ def reduce_special_fiber(curve, L, tree):
     edge_nodes = []
     for (pu, cv) in tree.edges:
         pos = tree.direction_of_vertex(pu, cv)
-        if pos == INF_POINT:
+        if pos == INF:
             raise AdmissibilityViolation("child direction at infinity")
         fb_parent = reductions[pu].fbar
         fb_child = reductions[cv].fbar
         a_parent = fb_parent.ord_at(pos)
-        a_child = fb_child.ord_at(FINF)
-        u0 = fb_child.unit_value_at(FINF)
+        a_child = fb_child.ord_at(INF)
+        u0 = fb_child.unit_value_at(INF)
         edge_nodes.append(EdgeNodes(pu, cv, pos, a_parent, a_child, n, u0,
                                     L.residue_field))
     fiber = SpecialFiber(curve, L, tree, reductions, edge_nodes)

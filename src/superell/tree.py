@@ -30,9 +30,8 @@ from .errors import (
     NotSplit,
     PrecisionExhausted,
 )
-from .localfield import INFINITE, sort_key
-
-INF_POINT = "inf"  # marker for the marked point at infinity
+from .finitefield import INF as INF_POINT  # the marked point at infinity
+from .localfield import INFINITE, gauss_reduce, sort_key
 
 
 class Vertex:
@@ -121,28 +120,10 @@ def moebius_eval(m, x, L):
 
 
 def _scale_matrix_integral(m, L):
-    """Scale a matrix over L so the minimum entry valuation is 0, then
-    reduce; raises MatrixNotIntegral if the reduction is singular."""
-    vals = []
-    for x in m:
-        v = x.valuation_or_none()
-        if v not in (None, INFINITE):
-            vals.append(v)
-    if not vals:
-        raise MatrixNotIntegral("matrix is zero to precision")
-    mu = min(vals)
-    piinv = L.pi_inverse().pow_int(mu) if mu > 0 else \
-        L.pi().pow_int(-mu) if mu < 0 else L.one()
-    scaled = tuple(x * piinv for x in m)
-    red = []
-    for x in scaled:
-        v = x.valuation_or_none()
-        if v is None:
-            red.append(L.residue_field.zero())
-        elif v == INFINITE:
-            red.append(L.residue_field.zero())
-        else:
-            red.append(x.residue())
+    """Gauss reduction of a matrix over L: its entries divided by pi^mu,
+    mu the least entry valuation, then reduced; raises MatrixNotIntegral
+    if the reduction is singular."""
+    _, red = gauss_reduce(m, L)
     det = red[0] * red[3] - red[1] * red[2]
     if det.is_zero():
         raise MatrixNotIntegral("reduced chart-comparison matrix is singular")

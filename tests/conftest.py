@@ -1,8 +1,23 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from superell import tree
+from superell.curve import SuperellipticCurve
 from superell.finitefield import FqElement, FqField
 from superell.localfield import LocalFieldElement
+from superell.pipeline import compute_with_retry
+
+SAMPLE_CURVES = Path(__file__).resolve().parents[1] / "sample_curves"
+
+
+@pytest.fixture(scope="session")
+def sample_results():
+    """The pipeline results of the three ``sample_curves`` specs, by name."""
+    return {name: compute_with_retry(SuperellipticCurve.from_json_dict(
+                json.loads((SAMPLE_CURVES / f"{name}.json").read_text())))
+            for name in ("ex1", "ex2", "good_reduction")}
 
 
 @pytest.fixture

@@ -29,6 +29,15 @@ vectorized ``count_kummer_points``.
 computed as residue(num / den), with a p-adic division: the reference for
 ``tree.moebius_eval``, which reads the value off leading residues.
 
+``gauss_reduce_by_division`` takes the least coefficient valuation mu
+and the residues after multiplying by pi^-mu;
+``gauss_valuation_by_expansion`` expands every term of f on a chart,
+O(m^3) products, and reduces both sides that way; and
+``taylor_shift_by_binomials`` shifts a polynomial over L by the binomial
+expansion.  They are the references for ``localfield.gauss_reduce``, the
+Horner chart substitution of ``reduction.gauss_valuation_f`` and the
+synthetic-division ``localfield.poly_shift_scale``.
+
 ``build_tree_by_triples`` builds the stably marked tree from the chart
 classes of all ordered triples of marked points, each class recorded by
 the disc it determines and compared with the known discs by p-adic
@@ -40,7 +49,7 @@ reads the vertices off the pairwise valuations.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from superell.errors import (
     NoRationalFixedPoint,
@@ -120,7 +129,6 @@ def _t_power(F, e):
 
 def _subst_linear(G, a, y0):
     """G(t^a * (y0 + z')) as a polynomial in z', content-stripped."""
-    from math import comb
     F = G[0].field
     n = len(G) - 1
     out = [FqPoly(F, [F.zero()]) for _ in range(n + 1)]
@@ -137,7 +145,6 @@ def _subst_linear(G, a, y0):
 
 def _subst_duval(G, a, b, y0, u, w):
     """G(z = y0^w tau^a (1 + z'), t = y0^u tau^b) with u*b - w*a = 1."""
-    from math import comb
     F = G[0].field
     n = len(G) - 1
     out = [FqPoly(F, [F.zero()]) for _ in range(n + 1)]
@@ -446,6 +453,69 @@ def moebius_eval_by_division(m, x, L):
     if vn < vd:
         return INF_POINT
     return (num / den).residue()
+
+
+def gauss_reduce_by_division(L, poly):
+    """(mu, residues): mu the least known coefficient valuation, and the
+    residues of the coefficients after multiplying by pi^-mu; coefficients
+    that are zero to working precision reduce to 0.  The reference for
+    ``localfield.gauss_reduce``, which reads leading residues instead."""
+    vals = [c.valuation_or_none() for c in poly]
+    known = [v for v in vals if v not in (None, INFINITE)]
+    if not known:
+        raise PrecisionExhausted("Gauss valuation of a fuzzy polynomial")
+    mu = min(known)
+    scale = L.pi_inverse().pow_int(mu) if mu else L.one()
+    red = []
+    for c in poly:
+        x = c * scale
+        red.append(x.residue() if x.valuation_or_none() == 0
+                   else L.residue_field.zero())
+    return mu, red
+
+
+def gauss_valuation_by_expansion(f, L, chart):
+    """``reduction.gauss_valuation_f`` for the polynomial f (a QPoly):
+    every (d x - b)^i (-c x + a)^(m-i) is expanded and scaled by its own
+    coefficient, O(m^3) products, and both sides are reduced by
+    ``gauss_reduce_by_division``."""
+    a, b, c, d = chart
+    m = f.degree()
+
+    def mul(u, v):
+        res = [L.zero() for _ in range(len(u) + len(v) - 1)]
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                res[i + j] = res[i + j] + x * y
+        return res
+
+    pow1, pow2 = [[L.one()]], [[L.one()]]
+    for _ in range(m):
+        pow1.append(mul(pow1[-1], [-b, d]))
+        pow2.append(mul(pow2[-1], [a, -c]))
+    num = [L.zero() for _ in range(m + 1)]
+    for i, q in enumerate(f.coeffs):
+        if q:
+            qi = L.from_fraction(q)
+            for j, x in enumerate(mul(pow1[i], pow2[m - i])):
+                num[j] = num[j] + x * qi
+    mu_n, red_n = gauss_reduce_by_division(L, num)
+    mu_d, red_d = gauss_reduce_by_division(L, pow2[m])
+    F = L.residue_field
+    return mu_n - mu_d, RationalFunction(FqPoly(F, red_n), FqPoly(F, red_d))
+
+
+def taylor_shift_by_binomials(coeffs, K, center, pi_power):
+    """``localfield.poly_shift_scale``, g(center + pi^j s), by expanding
+    every (center + pi^j s)^i with binomial coefficients."""
+    n = len(coeffs) - 1
+    pij = K.pi().pow_int(pi_power)
+    out = [K.zero() for _ in range(n + 1)]
+    for i, ci in enumerate(coeffs):
+        for j in range(i + 1):
+            out[j] = out[j] + (ci * center.pow_int(i - j) * pij.pow_int(j)
+                               * K.from_int(comb(i, j)))
+    return out
 
 
 def _chart_up_to_scalar(L, points, t):

@@ -135,6 +135,32 @@ class TestCli:
             assert not lines, f"assert statements in {path.name}: {lines}"
         assert sample_report_sha256("ex2", "-O") == REPORT_SHA256["ex2"]
 
+    def test_no_unused_imports(self):
+        """Every name a module of the package imports is used in it, or
+        re-exported through ``__all__``."""
+        for path in sorted((REPO / "src" / "superell").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        imported[name] = node.lineno
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets):
+                    used |= {elt.value for elt in node.value.elts}
+            unused = sorted(f"{name} (line {line})"
+                            for name, line in imported.items()
+                            if name not in used)
+            assert not unused, f"unused imports in {path.name}: {unused}"
+
     def test_trace_goes_to_stderr(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--trace")
         assert proc.returncode == 0
@@ -229,3 +255,36 @@ def test_perfbench_spans_resolve():
             obj = getattr(obj, part, None)
             assert obj is not None, f"{modname}.{attr} is gone"
         assert callable(obj), f"{modname}.{attr} is not callable"
+
+
+def _load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py loaded by path, registered under its own name
+    for the rest of the test (``reference`` imports ``workloads``)."""
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_padic_tree_pass0_reports_pinned(monkeypatch):
+    """The ``--json`` reports of pass 0 of the benchmark's ``padic_tree``
+    workload at the default seed have the sha256 pinned in
+    perfbench/references.json."""
+    from superell import SuperellipticCurve, compute_with_retry
+    from superell.errors import SuperellError
+    workloads = _load_perfbench("workloads", monkeypatch)
+    reference = _load_perfbench("reference", monkeypatch)
+    pinned = reference.load()["reports"]
+    _, passes = workloads.build("padic_tree", reference.DEFAULT_SEED)
+    assert passes[0]
+    for case in passes[0]:
+        try:
+            result = compute_with_retry(
+                SuperellipticCurve.from_json_dict(case.spec))
+            text = reference.canonical(result.to_json_dict())
+        except SuperellError as exc:
+            text = reference.error_report(exc)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == pinned[case.key], f"{case.shape}: report drift"

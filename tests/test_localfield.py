@@ -28,6 +28,8 @@ from superell.localfield import (
 )
 from superell.qpoly import parse_poly
 
+from oracles import gauss_reduce_by_division, taylor_shift_by_binomials
+
 
 def field_example1(prec=40):
     # Q_3(i, 3^(1/4))
@@ -190,6 +192,81 @@ class TestUnitResidue:
         K = field_example1()
         assert K.pi_inverse() is K.pi_inverse()
         assert (K.pi_inverse() * K.pi()).eq_approx(K.one())
+
+
+def _random_element(K, rng, shift=0):
+    coords = [tuple(rng.randrange(K.U.pN) * K.p ** rng.randrange(3)
+                    for _ in range(K.f)) for _ in range(K.e)]
+    return K.element_from_coords(coords, shift=shift)
+
+
+def _fuzzy(K, prec):
+    """Zero to working precision, known to ``prec`` digits."""
+    return LocalFieldElement(K, K.zero().vec, 0, prec, False)
+
+
+class TestGaussReduce:
+    FIELDS = TestUnitResidue.FIELDS
+
+    @pytest.mark.parametrize("make", FIELDS)
+    def test_matches_division(self, make):
+        """Against the residues of c * pi^-m, with exact zeros and a least
+        valuation below, at and above 0."""
+        K = make()
+        rng = random.Random(K.degree * K.p + 1)
+        mins = set()
+        for _ in range(15):
+            shift = rng.randrange(-2, 3)
+            coeffs = [_random_element(K, rng, shift)
+                      for _ in range(rng.randrange(1, 6))]
+            coeffs.insert(rng.randrange(len(coeffs) + 1), K.zero())
+            m, residues = localfield.gauss_reduce(coeffs, K)
+            assert (m, residues) == gauss_reduce_by_division(K, coeffs)
+            mins.add((m > 0) - (m < 0))
+        assert mins == {-1, 0, 1}
+
+    def test_least_valuation_below_zero(self):
+        K = field_example1()
+        unit = K.gen_unramified() + K.one()
+        coeffs = [K.from_fraction(Fraction(1, 9)) * unit, K.from_int(1),
+                  K.pi()]
+        m, residues = localfield.gauss_reduce(coeffs, K)
+        assert m == -2 * K.e
+        assert residues[0] == (coeffs[0] * K.pi().pow_int(-m)).residue()
+        assert not residues[0].is_zero()
+        assert residues[1].is_zero() and residues[2].is_zero()
+
+    def test_fuzzy_coefficient(self):
+        # m = v(9) = 2e: a zero known to N digits reduces to 0, one known
+        # to 2 digits does not reach pi^(m+1) and raises
+        K = field_example1()
+        m, residues = localfield.gauss_reduce([_fuzzy(K, K.N),
+                                               K.from_int(9)], K)
+        assert m == 2 * K.e and residues[0].is_zero()
+        with pytest.raises(PrecisionExhausted):
+            localfield.gauss_reduce([_fuzzy(K, 2), K.from_int(9)], K)
+
+    def test_all_fuzzy_raises(self):
+        K = field_example1()
+        for coeffs in ([_fuzzy(K, K.N)], [_fuzzy(K, 3), K.zero()]):
+            with pytest.raises(PrecisionExhausted):
+                localfield.gauss_reduce(coeffs, K)
+
+
+class TestTaylorShift:
+    @pytest.mark.parametrize("make", TestUnitResidue.FIELDS)
+    def test_matches_binomials(self, make):
+        K = make()
+        rng = random.Random(K.degree * K.p + 2)
+        for trial in range(6):
+            coeffs = [K.from_int(rng.randrange(-60, 61)) * K.pi().pow_int(
+                rng.randrange(3)) for _ in range(rng.randrange(2, 8))]
+            center = K.zero() if trial == 0 else _random_element(K, rng)
+            j = rng.randrange(3)
+            got = localfield.poly_shift_scale(coeffs, K, center, j)
+            ref = taylor_shift_by_binomials(coeffs, K, center, j)
+            assert len(got) == len(ref)
+            assert all(x.eq_approx(y) for x, y in zip(got, ref))
 
 
 class TestInversionCounts:

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from superell.curve import SuperellipticCurve, branch_divisor
 from superell.fieldsearch import (
     construct_candidate,
@@ -9,7 +11,7 @@ from superell.fieldsearch import (
 )
 from superell.finitefield import INF as FINF
 from superell.localfield import ramification_filtration
-from superell.qpoly import parse_poly
+from superell.qpoly import QPoly, parse_poly
 from superell.reduction import (
     gauss_valuation_f,
     raw_gauss_values,
@@ -17,6 +19,8 @@ from superell.reduction import (
     semistable_check,
 )
 from superell.tree import build_tree, galois_on_tree, matrix_mul
+
+from oracles import gauss_valuation_by_expansion
 
 
 def setup_example(n, fs, p):
@@ -141,3 +145,23 @@ class TestSpecialFiber:
                 assert pc.n_v == r.n_v
                 assert kummer_genus(pc.n_v, pc.witness) == r.component_genus
                 assert twisted.ord_at(FINF) == r.fbar.ord_at(FINF)
+
+
+class TestHornerSubstitution:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "good_reduction"])
+    def test_vertex_charts_match_expansion(self, sample_results, name):
+        """On every vertex chart of a sample, the Horner substitution gives
+        the N_v and fbar_v of the term-by-term expansion, for f and for
+        random integral polynomials."""
+        r = sample_results[name]
+        rng = random.Random(name)
+        curves = [r.curve]
+        for deg in (1, 3, 6):
+            coeffs = [rng.randrange(-40, 41) for _ in range(deg)]
+            coeffs.append(rng.choice([1, -1, r.L.p, 7 * r.L.p ** 2]))
+            curves.append(SuperellipticCurve(r.curve.n, QPoly(coeffs),
+                                             r.L.p))
+        for v in r.tree.vertices:
+            for curve in curves:
+                assert gauss_valuation_f(curve, r.L, v.chart) \
+                    == gauss_valuation_by_expansion(curve.f, r.L, v.chart)

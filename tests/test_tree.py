@@ -1,6 +1,5 @@
 import itertools
-import json
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +9,16 @@ from superell.curve import (
     SuperellipticCurve,
     branch_divisor,
 )
-from superell.errors import NotInvariant, NotSplit
+from superell.errors import (
+    MatrixNotIntegral,
+    NotInvariant,
+    NotSplit,
+    PrecisionExhausted,
+)
 from superell.fieldsearch import semistabilizing_field, splitting_field
 from superell.localfield import (
     LocalField,
+    LocalFieldElement,
     ramification_filtration,
     roots_of_qpoly,
 )
@@ -21,6 +26,7 @@ from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
 from superell.tree import (
     INF_POINT,
+    _scale_matrix_integral,
     build_tree,
     galois_on_tree,
     moebius_eval,
@@ -34,15 +40,6 @@ from oracles import (
 )
 
 SAMPLES = ("ex1", "ex2", "good_reduction")
-
-
-@pytest.fixture(scope="module")
-def sample_results():
-    """The pipeline results of the three ``sample_curves`` specs."""
-    curves = Path(__file__).resolve().parents[1] / "sample_curves"
-    return {name: compute_with_retry(SuperellipticCurve.from_json_dict(
-                json.loads((curves / f"{name}.json").read_text())))
-            for name in SAMPLES}
 
 
 def example1_setup():
@@ -111,7 +108,6 @@ class TestBuildTreeExample1:
     def test_disc_radii(self):
         curve, L, G, filt, div = example1_setup()
         tree = build_tree(div, L)
-        from fractions import Fraction
         radii = sorted(Fraction(v.disc_radius, L.e) for v in tree.vertices)
         assert radii == [Fraction(1, 2), 1, 1]
 
@@ -252,6 +248,30 @@ class TestMoebius:
                 expected = moebius_eval_by_division(chart, x, L)
                 assert moebius_eval(chart, x, L) == expected
                 assert moebius_eval(scaled, x, L) == expected
+
+
+class TestScaleMatrix:
+    """The Gauss reduction of a chart-comparison matrix."""
+
+    def test_least_valuation_below_zero(self):
+        L = LocalField(3, 1, [-3, 1], 20)
+        third = L.from_fraction(Fraction(1, 3))
+        m = (third, L.from_int(2), L.zero(), third * L.from_int(4))
+        F = L.residue_field
+        assert _scale_matrix_integral(m, L) == (
+            F.one(), F.zero(), F.zero(), F.one())
+
+    def test_singular_reduction_raises(self):
+        L = LocalField(3, 1, [-3, 1], 20)
+        one = L.one()
+        with pytest.raises(MatrixNotIntegral):
+            _scale_matrix_integral((one, one, one, one + L.pi()), L)
+
+    def test_zero_to_precision_raises_precision_exhausted(self):
+        L = LocalField(3, 1, [-3, 1], 20)
+        fuzzy = LocalFieldElement(L, L.zero().vec, 0, 5, False)
+        with pytest.raises(PrecisionExhausted):
+            _scale_matrix_integral((fuzzy,) * 4, L)
 
 
 class TestInversionCounts:
