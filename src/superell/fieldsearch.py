@@ -133,8 +133,8 @@ def _solve_linear(K, cols, rhs):
         if best is None:
             raise _SkipCandidate("singular system while flattening")
         used.add(best)
-        pivots.append((best, col))
         inv = A[best][col].invert()
+        pivots.append((best, col, inv))
         for r in range(n):
             if r == best:
                 continue
@@ -144,8 +144,8 @@ def _solve_linear(K, cols, rhs):
             for c in range(col, m + 1):
                 A[r][c] = A[r][c] - factor * A[best][c]
     xs = [None] * m
-    for r, col in pivots:
-        xs[col] = A[r][m] * A[r][col].invert()
+    for r, col, inv in pivots:
+        xs[col] = A[r][m] * inv
     # consistency: rows without pivots must have zero rhs
     for r in range(n):
         if r not in used and not A[r][m].is_zero_to_precision():

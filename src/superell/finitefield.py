@@ -191,7 +191,7 @@ class FqField:
         self._zero = FqElement(self, 0)
         self._one = FqElement(self, 1)
         self._t = None  # (exp, log, zech) once built
-        self._log_np = None  # numpy log table of a field above _TABLE_MAX
+        self._log_np = None  # numpy log table while _t is not built
         self._gen = None
         self._embeddings = {}
 
@@ -331,6 +331,7 @@ class FqField:
                 x = ev[start:start + m]
                 zv[start:start + m] = lv[x - x % p + (x + 1) % p]
             self._t = (exp, log, zech)
+            self._log_np = None
         return self._t
 
     def _power_blocks(self):
@@ -356,13 +357,13 @@ class FqField:
     def _log_table(self):
         """numpy int32 array of length q: index -> discrete log, -1 at zero.
 
-        A view of the ``_tables`` log buffer; a field above ``_TABLE_MAX``
-        (an F_{q^i} of point counting) gets a log table of its own.
+        A view of the ``_tables`` log buffer when those are built; else a
+        log table of its own, without exp and Zech, which point counting
+        never reads.
         """
         import numpy as np
-        t = self._tables()
-        if t is not None:
-            return np.frombuffer(t[1], dtype=np.intc)
+        if self._t is not None:
+            return np.frombuffer(self._t[1], dtype=np.intc)
         if self._log_np is None:
             table = np.full(self.q, -1, dtype=np.intc)
             for start, idx in self._power_blocks():

@@ -40,6 +40,16 @@ reduction and the chart comparisons of the tree all reduce through
 working precision: it reduces to 0 when known one digit past pi^m, and
 raises PrecisionExhausted otherwise.
 
+Gal(L/Q_p) is built from generators (Holt-Eick-O'Brien, *Handbook of
+Computational Group Theory*, 2005, ch. 4).  An automorphism is named by
+the coordinate key of its images of a and pi (``KeyedImages``): their
+coordinates mod p^k, at the least depth k < N - _MARGIN at which the |G|
+pairs of images have distinct keys.  Then e k exceeds every pairwise
+closeness, so a composed pair whose key is found is closer to that
+automorphism than to any other.  Only generators are applied, each the
+least element not yet reached, with 2|G| ``apply`` calls; every other row
+of the table is composed from them, row(g o t) = row(g) o row(t).
+
 Valuations are integers in the v(pi_L) = 1 normalization unless stated;
 ``as_vp1`` converts to the v(p) = 1 scale (divide by e).
 """
@@ -540,7 +550,7 @@ class LocalFieldElement:
         if k >= self.prec:
             raise PrecisionExhausted("no digits left for the unit residue")
         unit = K.U.residue(K.U.div_p(self.vec[i], k))
-        return unit * K.wbar() ** (k + self.shift)
+        return unit * K.wbar() ** (k + self.shift) if k + self.shift else unit
 
     def is_zero_to_precision(self):
         return self.exact_zero or self.K._vec_val(self.vec) is None
@@ -751,7 +761,7 @@ def roots_of_qpoly(K, qp):
 class Automorphism:
     """Field automorphism of L/Q_p given by images of the two generators."""
 
-    __slots__ = ("K", "a_img", "pi_img", "basis_img", "res_power", "index")
+    __slots__ = ("K", "a_img", "pi_img", "basis_img", "res_power")
 
     def __init__(self, K, a_img, pi_img):
         self.K = K
@@ -780,7 +790,6 @@ class Automorphism:
         else:
             raise NotGalois("residue image of the unramified generator is "
                             "not a conjugate")
-        self.index = None
 
     def apply(self, x):
         K = self.K
@@ -799,36 +808,84 @@ class Automorphism:
         """Induced map on the residue field (and its extensions)."""
         return r.frobenius(self.res_power)
 
-    def is_identity(self):
-        K = self.K
-        return (self.a_img.eq_approx(K.gen_unramified())
-                and self.pi_img.eq_approx(K.pi()))
+
+class KeyedImages:
+    """Tuples of elements of L found by their coordinate keys.
+
+    The key of x at depth d is the tuple of its coordinates at shift
+    ``base``, reduced mod p^(d - base); equal keys at depth d mean
+    v(x - y) >= e d.  The depth is the least d < ``limit`` at which the
+    given tuples have pairwise distinct keys, so every pairwise closeness
+    is below e d: a tuple whose key hits is closer to its hit than to
+    any other, by the ultrametric inequality.  A miss, an element known to
+    fewer than d digits and a depth that reaches ``limit`` raise
+    PrecisionExhausted.
+    """
+
+    def __init__(self, tuples, limit, what, base=0):
+        self.base, self.what = base, what
+        for depth in range(base + 1, limit):
+            self.depth, self.index = depth, {}
+            for i, xs in enumerate(tuples):
+                self.index.setdefault(self.key(xs), i)
+            if len(self.index) == len(tuples):
+                return
+        raise PrecisionExhausted(f"cannot separate {what}")
+
+    def key(self, xs):
+        out = []
+        for x in xs:
+            if x.prec + x.shift < self.depth:
+                raise PrecisionExhausted(f"too few digits of {self.what}")
+            K, j = x.K, x.shift - self.base
+            vec = x.vec if j >= 0 else [K.U.div_p(c, -j) for c in x.vec]
+            m, pj = K.p ** (self.depth - self.base), K.p ** max(j, 0)
+            out.extend(a * pj % m for c in vec for a in c)
+        return tuple(out)
+
+    def find(self, xs):
+        hit = self.index.get(self.key(xs))
+        if hit is None:
+            raise PrecisionExhausted(f"cannot separate {self.what}")
+        return hit
 
 
 class GaloisGroupData:
     """Gal(L/Q_p): automorphism list, multiplication table, inertia,
-    Frobenius coset representative."""
+    Frobenius coset representative.
 
-    def __init__(self, K, autos, table, inertia, frobenius_index):
+    ``generators`` lists the elements whose table rows were computed by
+    applying them; ``words`` maps every other element y != 1 to a pair
+    (g, x) with autos[y] = autos[g] o autos[x], g a generator and x
+    reached before y, so an action known on the generators extends to
+    the group (``extend``)."""
+
+    def __init__(self, K, autos, rows, words, identity_index, inertia,
+                 frobenius_index):
         self.K = K
         self.autos = autos
-        self.table = table          # table[i][j] = index of autos[i] o autos[j]
+        self.generators = list(rows)
+        self.words = words
+        self.identity_index = identity_index
+        self.table = self.extend(rows, len(autos))  # [i][j]: i o j
         self.inertia = inertia      # sorted list of indices
         self.frobenius_index = frobenius_index
-        self.identity_index = next(i for i, s in enumerate(autos)
-                                   if s.is_identity())
+
+    def extend(self, perms, size):
+        """The permutation of every element, given those of the generators
+        (``perms``, by generator): the one of g o x is perms[g] o that of
+        x."""
+        out = [None] * self.order()
+        out[self.identity_index] = list(range(size))
+        for y, (g, x) in self.words.items():
+            out[y] = [perms[g][j] for j in out[x]]
+        return out
 
     def order(self):
         return len(self.autos)
 
     def compose(self, i, j):
         return self.table[i][j]
-
-    def inverse(self, i):
-        for j in range(len(self.autos)):
-            if self.table[i][j] == self.identity_index:
-                return j
-        raise NotGalois("no inverse found: composition table broken")
 
     def element_order(self, i):
         j, n = i, 1
@@ -838,31 +895,9 @@ class GaloisGroupData:
         return n
 
 
-def _closeness(x, y):
-    v = (x - y).valuation_or_none()
-    if v is None or v == INFINITE:
-        return 10**9
-    return v
-
-
-def _match_pair(a, pi, a_imgs, pi_imgs):
-    """Index of the automorphism whose generator images are closest to
-    (a, pi); requires a clear winner."""
-    best, best_v, second = None, -1, -1
-    for i in range(len(a_imgs)):
-        v = min(_closeness(a, a_imgs[i]), _closeness(pi, pi_imgs[i]))
-        if v > best_v:
-            second = best_v
-            best, best_v = i, v
-        elif v > second:
-            second = v
-    if best_v <= second:
-        raise PrecisionExhausted("cannot separate Galois images")
-    return best
-
-
 def galois_group(L, base="Qp"):
-    """Enumerate Gal(L/Q_p) by sending the generators to conjugate roots.
+    """Enumerate Gal(L/Q_p) by sending the generators to conjugate roots,
+    and build its table from generators.
 
     Raises NotGalois when fewer than [L:Q_p] automorphisms exist.
     """
@@ -886,25 +921,29 @@ def galois_group(L, base="Qp"):
     if len(autos) != K.degree:
         raise NotGalois(f"found {len(autos)} automorphisms, "
                         f"need {K.degree}: L/Q_p is not Galois")
-    for i, s in enumerate(autos):
-        s.index = i
-    a_imgs = [s.a_img for s in autos]
-    pi_imgs = [s.pi_img for s in autos]
-    # composition table via images of the generators
-    table = []
-    for i, s in enumerate(autos):
-        row = []
-        for j, t in enumerate(autos):
-            a_ij = s.apply(t.a_img)
-            pi_ij = s.apply(t.pi_img)
-            row.append(_match_pair(a_ij, pi_ij, a_imgs, pi_imgs))
-        table.append(row)
+    keyed = KeyedImages([(s.a_img, s.pi_img) for s in autos],
+                        K.N - _MARGIN, "Galois images")
+    ident = keyed.find((K.gen_unramified(), K.pi()))
+    # a generator: the least element not reached by those before it
+    rows, words, reached = {}, {}, [ident]
+    while len(reached) < K.degree:
+        g = min(set(range(K.degree)).difference(reached))
+        s = autos[g]
+        rows[g] = [keyed.find((s.apply(t.a_img), s.apply(t.pi_img)))
+                   for t in autos]
+        if len(set(rows[g])) != K.degree or rows[g][ident] != g:
+            raise NotGalois("a generator does not permute the automorphisms")
+        for x in reached:
+            for h, row in rows.items():
+                if row[x] not in words and row[x] != ident:
+                    words[row[x]] = (h, x)
+                    reached.append(row[x])
     inertia = sorted(i for i, s in enumerate(autos) if s.res_power == 0)
     if len(inertia) != K.e:
         raise NotGalois(f"inertia has order {len(inertia)}, expected {K.e}")
     frob_target = 1 % K.f
     frob = min(i for i, s in enumerate(autos) if s.res_power == frob_target)
-    return GaloisGroupData(K, autos, table, inertia, frob)
+    return GaloisGroupData(K, autos, rows, words, ident, inertia, frob)
 
 
 def coeff_transport(K, a_img, f):

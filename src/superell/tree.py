@@ -31,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .finitefield import INF as INF_POINT  # the marked point at infinity
-from .localfield import INFINITE, gauss_reduce, sort_key
+from .localfield import INFINITE, KeyedImages, gauss_reduce, sort_key
 
 
 class Vertex:
@@ -279,42 +279,40 @@ def build_tree(divisor, L):
 
 class TreeGaloisAction:
     """Vertex/point permutations for every Galois element, stabilizers,
-    and reduced chart-comparison matrices."""
+    and reduced chart-comparison matrices.
+
+    Only the generators of G are applied to the branch points.  An image
+    is found by its coordinate key (``localfield.KeyedImages``) at the
+    least depth k <= N//2 that separates the finite points, and the hit is
+    confirmed by one subtraction, so exactly one point lies within half
+    precision of the image.  The permutation of any other element is
+    composed along the words of G: pp[g o t] = pp[g] o pp[t]."""
 
     def __init__(self, G, filt, tree):
         self.G = G
         self.filt = filt
         self.tree = tree
-        L = tree.L
-        n_pts = len(tree.points)
+        L, points = tree.L, tree.points
+        finite = [j for j, x in enumerate(points) if x != INF_POINT]
+        what = "Galois image of a branch point"
+        keyed = KeyedImages([(points[j],) for j in finite], L.N // 2 + 1,
+                            what, min([0] + [points[j].shift for j in finite]))
+        gen_pp = {}
+        for g in G.generators:
+            pp = gen_pp[g] = list(range(len(points)))
+            for j in finite:
+                img = G.autos[g].apply(points[j])
+                pp[j] = finite[keyed.find((img,))]
+                if not _big(points[pp[j]] - img, L):
+                    raise PrecisionExhausted(f"cannot identify {what}")
+        self.point_perm = G.extend(gen_pp, len(points))
         by_members = {v.members: v.index for v in tree.vertices}
-        self.point_perm = []
-        self.vertex_perm = []
-        for g in range(G.order()):
-            sigma = G.autos[g]
-            pp = []
-            for j in range(n_pts):
-                x = tree.points[j]
-                if x == INF_POINT:
-                    pp.append(j)
-                    continue
-                img = sigma.apply(x)
-                matches = [jj for jj in range(n_pts)
-                           if tree.points[jj] != INF_POINT
-                           and _big(tree.points[jj] - img, L)]
-                if len(matches) != 1:
-                    raise PrecisionExhausted(
-                        "cannot identify Galois image of a branch point")
-                pp.append(matches[0])
-            self.point_perm.append(pp)
-            vp = []
-            for v in tree.vertices:
-                hit = by_members.get(frozenset(pp[j] for j in v.members))
-                if hit is None:
-                    raise PrecisionExhausted(
-                        "cannot identify Galois image of a vertex")
-                vp.append(hit)
-            self.vertex_perm.append(vp)
+        self.vertex_perm = [
+            [by_members.get(frozenset(pp[j] for j in v.members))
+             for v in tree.vertices] for pp in self.point_perm]
+        if any(None in vp for vp in self.vertex_perm):
+            raise PrecisionExhausted(
+                "cannot identify Galois image of a vertex")
         # graph automorphism check
         edge_set = set(tree.edges)
         for g in range(G.order()):
@@ -426,9 +424,7 @@ class TreeGaloisAction:
 
 def _big(x, L):
     v = x.valuation_or_none()
-    if v in (None, INFINITE):
-        return True
-    return v >= L.e * (L.N // 2)
+    return v in (None, INFINITE) or v >= L.e * (L.N // 2)
 
 
 def galois_on_tree(G, filt, tree):

@@ -1,15 +1,21 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from superell import tree
 from superell.curve import SuperellipticCurve
+from superell.errors import SuperellError
 from superell.finitefield import FqElement, FqField
 from superell.localfield import LocalFieldElement
 from superell.pipeline import compute_with_retry
 
-SAMPLE_CURVES = Path(__file__).resolve().parents[1] / "sample_curves"
+REPO = Path(__file__).resolve().parents[1]
+SAMPLE_CURVES = REPO / "sample_curves"
+DEG40_SPEC = {"n": 5, "f": [-12, -12, 1, 4, 1], "p": 3}  # [L:Q_3] = 40
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +24,46 @@ def sample_results():
     return {name: compute_with_retry(SuperellipticCurve.from_json_dict(
                 json.loads((SAMPLE_CURVES / f"{name}.json").read_text())))
             for name in ("ex1", "ex2", "good_reduction")}
+
+
+@pytest.fixture(scope="session")
+def deg40_result():
+    """The pipeline result of the ``cold_cli`` curve whose field L has
+    degree 40 (e = 10, f = 4)."""
+    return compute_with_retry(SuperellipticCurve.from_json_dict(DEG40_SPEC))
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """perfbench/workloads.py and reference.py, loaded by path (each is
+    registered under its own name while loading, since ``reference``
+    imports ``workloads``)."""
+    modules = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("workloads", "reference"):
+            spec = importlib.util.spec_from_file_location(
+                name, REPO / "perfbench" / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            mp.setitem(sys.modules, name, modules[name])
+            spec.loader.exec_module(modules[name])
+    return SimpleNamespace(**modules)
+
+
+@pytest.fixture(scope="session")
+def padic_tree_pass0(perfbench):
+    """(case, outcome) for pass 0 of the benchmark's ``padic_tree``
+    workload at its default seed: the outcome is the pipeline result, or
+    the typed error the pipeline raised."""
+    _, passes = perfbench.workloads.build(
+        "padic_tree", perfbench.reference.DEFAULT_SEED)
+    out = []
+    for case in passes[0]:
+        try:
+            out.append((case, compute_with_retry(
+                SuperellipticCurve.from_json_dict(case.spec))))
+        except SuperellError as exc:
+            out.append((case, exc))
+    return out
 
 
 @pytest.fixture

@@ -38,6 +38,16 @@ expansion.  They are the references for ``localfield.gauss_reduce``, the
 Horner chart substitution of ``reduction.gauss_valuation_f`` and the
 synthetic-division ``localfield.poly_shift_scale``.
 
+``galois_table_by_scan`` fills the composition table of Gal(L/Q_p) by
+applying every automorphism to the generator images of every other, 2|G|^2
+``apply`` calls, and matching each composed pair by a scan of p-adic
+subtractions against all |G| candidates, with a clear winner required.
+``tree_action_by_scan`` applies every element to every branch point and
+keeps the one point within half precision of the image.  They are the
+references for ``localfield.galois_group`` and ``tree.TreeGaloisAction``,
+which apply only generators, look images up by coordinate keys and
+compose permutations for the rest.
+
 ``build_tree_by_triples`` builds the stably marked tree from the chart
 classes of all ordered triples of marked points, each class recorded by
 the disc it determines and compared with the known discs by p-adic
@@ -70,6 +80,7 @@ from superell.tree import (
     INF_POINT,
     MarkedTree,
     Vertex,
+    _big,
     _phi_partition,
     matrix_mul,
     moebius_eval,
@@ -621,3 +632,69 @@ def build_tree_by_triples(divisor, L):
             if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
                 raise NoRationalFixedPoint("chart normalization failed")
     return MarkedTree(L, points, vertices, psi, root, sorted(edges))
+
+
+def _closeness(x, y):
+    v = (x - y).valuation_or_none()
+    if v is None or v == INFINITE:
+        return 10**9
+    return v
+
+
+def _match_pair(a, pi, a_imgs, pi_imgs):
+    """Index of the automorphism whose generator images are closest to
+    (a, pi); requires a clear winner."""
+    best, best_v, second = None, -1, -1
+    for i in range(len(a_imgs)):
+        v = min(_closeness(a, a_imgs[i]), _closeness(pi, pi_imgs[i]))
+        if v > best_v:
+            second = best_v
+            best, best_v = i, v
+        elif v > second:
+            second = v
+    if best_v <= second:
+        raise PrecisionExhausted("cannot separate Galois images")
+    return best
+
+
+def galois_table_by_scan(autos):
+    """(table, inertia, frobenius_index, identity_index) of the group with
+    automorphism list ``autos``: table[i][j] is the index of
+    autos[i] o autos[j], found by a scan for every pair."""
+    K = autos[0].K
+    a_imgs = [s.a_img for s in autos]
+    pi_imgs = [s.pi_img for s in autos]
+    table = [[_match_pair(s.apply(t.a_img), s.apply(t.pi_img), a_imgs,
+                          pi_imgs) for t in autos] for s in autos]
+    inertia = sorted(i for i, s in enumerate(autos) if s.res_power == 0)
+    frob = min(i for i, s in enumerate(autos) if s.res_power == 1 % K.f)
+    identity = next(i for i, s in enumerate(autos)
+                    if s.a_img.eq_approx(K.gen_unramified())
+                    and s.pi_img.eq_approx(K.pi()))
+    return table, inertia, frob, identity
+
+
+def tree_action_by_scan(G, tree):
+    """(point_perm, vertex_perm) of every element of G on the marked tree:
+    each element applied to each finite point, whose image must lie within
+    half precision of exactly one point; a vertex goes to the vertex of
+    the image of its member set."""
+    points = tree.points
+    by_members = {v.members: v.index for v in tree.vertices}
+    point_perm, vertex_perm = [], []
+    for sigma in G.autos:
+        pp = []
+        for j, x in enumerate(points):
+            if x == INF_POINT:
+                pp.append(j)
+                continue
+            img = sigma.apply(x)
+            hits = [i for i, y in enumerate(points)
+                    if y != INF_POINT and _big(y - img, tree.L)]
+            if len(hits) != 1:
+                raise PrecisionExhausted("cannot identify a point image")
+            pp.append(hits[0])
+        point_perm.append(pp)
+        vertex_perm.append([by_members[frozenset(pp[j] for j in v.members)]
+                            for v in tree.vertices])
+    return point_perm, vertex_perm

@@ -257,34 +257,31 @@ def test_perfbench_spans_resolve():
         assert callable(obj), f"{modname}.{attr} is not callable"
 
 
-def _load_perfbench(name, monkeypatch):
-    """perfbench/<name>.py loaded by path, registered under its own name
-    for the rest of the test (``reference`` imports ``workloads``)."""
-    spec = importlib.util.spec_from_file_location(
-        name, REPO / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_padic_tree_pass0_reports_pinned(monkeypatch):
+def test_padic_tree_pass0_reports_pinned(perfbench, padic_tree_pass0):
     """The ``--json`` reports of pass 0 of the benchmark's ``padic_tree``
     workload at the default seed have the sha256 pinned in
     perfbench/references.json."""
-    from superell import SuperellipticCurve, compute_with_retry
-    from superell.errors import SuperellError
-    workloads = _load_perfbench("workloads", monkeypatch)
-    reference = _load_perfbench("reference", monkeypatch)
+    reference = perfbench.reference
     pinned = reference.load()["reports"]
-    _, passes = workloads.build("padic_tree", reference.DEFAULT_SEED)
-    assert passes[0]
-    for case in passes[0]:
-        try:
-            result = compute_with_retry(
-                SuperellipticCurve.from_json_dict(case.spec))
-            text = reference.canonical(result.to_json_dict())
-        except SuperellError as exc:
-            text = reference.error_report(exc)
+    assert padic_tree_pass0
+    for case, outcome in padic_tree_pass0:
+        if isinstance(outcome, Exception):
+            text = reference.error_report(outcome)
+        else:
+            text = reference.canonical(outcome.to_json_dict())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == pinned[case.key], f"{case.shape}: report drift"
+
+
+def test_deg40_report_pinned(perfbench):
+    """The ``--json`` report of the ``cold_cli`` curve with a degree-40
+    field, recomputed in process, has the sha256 pinned in
+    perfbench/references.json."""
+    from superell import SuperellipticCurve, compute_with_retry
+    workloads, reference = perfbench.workloads, perfbench.reference
+    spec = workloads.shape_of("cold_cli", "deg40").fixed
+    result = compute_with_retry(SuperellipticCurve.from_json_dict(spec))
+    text = reference.canonical(result.to_json_dict())
+    key = workloads.Case("cold_cli", "deg40", "0", spec).key
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        reference.load()["reports"][key]

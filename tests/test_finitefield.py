@@ -292,6 +292,18 @@ class TestTableGuards:
         assert np.shares_memory(F._log_table(),
                                 np.frombuffer(tables[1], dtype=np.intc))
 
+    def test_log_table_alone(self):
+        # a fresh field: a log read builds no exp or Zech table, and a
+        # later table fill replaces the lone log by a view of its own
+        F = FqField(5, 4, fq_make(5, 4).modulus)
+        log = F._log_table().copy()
+        assert F._t is None and F._log_np is not None
+        tables = F._tables()
+        assert F._log_np is None
+        assert np.shares_memory(F._log_table(),
+                                np.frombuffer(tables[1], dtype=np.intc))
+        assert (F._log_table() == log).all()
+
     def test_no_table_above_bound(self):
         F = fq_make(11, 5)
         x, y = F.from_index(12345), F.from_index(67890)

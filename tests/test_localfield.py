@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superell import localfield
+from superell import fieldsearch, localfield
 from superell.errors import (
     CatalogExhausted,
     NotEisenstein,
@@ -20,6 +20,8 @@ from superell.fieldsearch import (
 )
 from superell.localfield import (
     INFINITE,
+    Automorphism,
+    KeyedImages,
     LocalField,
     LocalFieldElement,
     galois_group,
@@ -28,7 +30,11 @@ from superell.localfield import (
 )
 from superell.qpoly import parse_poly
 
-from oracles import gauss_reduce_by_division, taylor_shift_by_binomials
+from oracles import (
+    galois_table_by_scan,
+    gauss_reduce_by_division,
+    taylor_shift_by_binomials,
+)
 
 
 def field_example1(prec=40):
@@ -188,6 +194,19 @@ class TestUnitResidue:
         with pytest.raises(PrecisionExhausted):
             x.unit_residue()
 
+    def test_exponent_zero_makes_no_multiply(self, fq_calls):
+        # v = e k + i with k + shift = 0: the residue needs no wbar power
+        K = field_example1()
+        x = K.pi().mul_pi_power(2) + K.from_int(3).mul_pi_power(1)
+        y = LocalFieldElement(K, K.from_int(9).vec, -2, K.N, False)
+        for z in (K.pi(), x, y, K.gen_unramified()):
+            assert z.unit_residue() == (z * K.pi_inverse().pow_int(
+                z.valuation())).residue()
+        fq_calls["__mul__"] = 0
+        for z in (K.pi(), x, y, K.gen_unramified()):
+            z.unit_residue()
+        assert fq_calls["__mul__"] == 0
+
     def test_pi_inverse_is_cached(self):
         K = field_example1()
         assert K.pi_inverse() is K.pi_inverse()
@@ -285,6 +304,18 @@ class TestInversionCounts:
         galois_group(field_example1())
         assert per_call and max(per_call) <= 1
 
+    def test_solve_linear_inverts_once_per_pivot(self, inversions):
+        K = field_example1()
+        rng = random.Random(11)
+        cols = [[_random_element(K, rng) for _ in range(4)] for _ in range(3)]
+        xs = [_random_element(K, rng) for _ in range(3)]
+        rhs = [sum((x * c[i] for x, c in zip(xs, cols)), K.zero())
+               for i in range(4)]
+        inversions[0] = 0
+        got = fieldsearch._solve_linear(K, cols, rhs)
+        assert inversions[0] == len(cols)
+        assert all(g.eq_approx(x, margin_digits=6) for g, x in zip(got, xs))
+
 
 class TestGalois:
     def test_example1_dihedral8(self):
@@ -334,6 +365,91 @@ class TestGalois:
         for i in range(n):
             row = G.table[i]
             assert sorted(row) == list(range(n))  # latin square row
+
+
+DEG40_FIELD = (3, 4, 0, 10, 0, 50)  # construct_candidate: e = 10, f = 4
+
+
+def _assert_matches_scan(G):
+    table, inertia, frob, identity = galois_table_by_scan(G.autos)
+    assert G.table == table
+    assert (G.inertia, G.frobenius_index, G.identity_index) == \
+        (inertia, frob, identity)
+
+
+class TestGaloisFromGenerators:
+    """``galois_group`` builds the table from generators and key lookups;
+    ``oracles.galois_table_by_scan`` fills it pair by pair."""
+
+    @pytest.mark.parametrize("make", (field_example1, field_example2))
+    def test_matches_scan(self, make):
+        _assert_matches_scan(galois_group(make()))
+
+    def test_deg40_matches_scan(self, deg40_result):
+        assert deg40_result.L.degree == 40
+        _assert_matches_scan(deg40_result.G)
+
+    def test_padic_tree_pass0_fields_match_scan(self, padic_tree_pass0):
+        fields = {}
+        for _, result in padic_tree_pass0:
+            fields.setdefault(result.L.label, result.G)
+        assert len(fields) > 3
+        for G in fields.values():
+            _assert_matches_scan(G)
+
+    @pytest.mark.parametrize("make", (field_example1, field_example2))
+    def test_associative(self, make):
+        t = galois_group(make()).table
+        n = len(t)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert t[t[i][j]][k] == t[i][t[j][k]]
+
+    def test_words_build_every_element(self):
+        G = galois_group(field_example2())
+        assert set(G.words) | {G.identity_index} == set(range(G.order()))
+        for y, (g, x) in G.words.items():
+            assert g in G.generators and G.compose(g, x) == y
+
+    def test_deg40_applies_generators_only(self, monkeypatch):
+        L = fieldsearch.construct_candidate(*DEG40_FIELD)
+        calls = [0]
+        apply = Automorphism.apply
+
+        def counted(self, x):
+            calls[0] += 1
+            return apply(self, x)
+
+        monkeypatch.setattr(Automorphism, "apply", counted)
+        G = galois_group(L)
+        assert G.order() == 40
+        assert 0 < calls[0] <= 2 * len(G.generators) * G.order()
+        assert len(G.generators) < 4
+
+    def test_unseparable_images_raise(self):
+        # Q_2(i) at 4 digits: sigma(pi) - pi has valuation 2 = e, so the
+        # images need keys of depth 2, which reaches N - _MARGIN
+        L = fieldsearch.construct_candidate(2, 1, 2, 1, 0, 4)
+        with pytest.raises(PrecisionExhausted,
+                           match="cannot separate Galois images"):
+            galois_group(L)
+        assert galois_group(fieldsearch.construct_candidate(
+            2, 1, 2, 1, 0, 20)).order() == 2
+
+    def test_key_lookup(self):
+        K = field_example1()
+        x, y = K.from_int(1), K.from_int(1 + 3**3)
+        keyed = KeyedImages([(x,), (y,)], K.N, "test elements")
+        assert keyed.depth == 4
+        assert keyed.find((K.from_int(1 + 3**5),)) == 0
+        with pytest.raises(PrecisionExhausted, match="cannot separate"):
+            keyed.find((K.from_int(2),))
+        fuzzy = LocalFieldElement(K, x.vec, 0, 3, False)
+        with pytest.raises(PrecisionExhausted, match="too few digits"):
+            keyed.find((fuzzy,))
+        with pytest.raises(PrecisionExhausted, match="cannot separate"):
+            KeyedImages([(x,), (y,)], 4, "test elements")
 
 
 class TestFiltration:

@@ -37,6 +37,7 @@ from oracles import (
     _chart_up_to_scalar,
     build_tree_by_triples,
     moebius_eval_by_division,
+    tree_action_by_scan,
 )
 
 SAMPLES = ("ex1", "ex2", "good_reduction")
@@ -204,6 +205,26 @@ class TestGaloisAction:
             red = act.matrix(e, v)
             a, b = act._affine_parts(red)
             assert a == L.residue_field.one() and b.is_zero()
+
+    @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction",
+                                      "deg40", "ex1_non_integral"))
+    def test_matches_scan(self, sample_results, deg40_result, name):
+        # point permutations of the generators by key lookup, the rest
+        # composed along the words of G; ex1 under x -> 3x has its branch
+        # points at valuation -1/2, keyed at a negative shift
+        if name == "ex1_non_integral":
+            result = compute_with_retry(SuperellipticCurve.from_json_dict(
+                {"n": 4, "p": 3, "f": [["9*x^2-3", 1], ["9*x^2+3", 1],
+                                       ["9*x^2-18*x-3", 1]]}))
+            assert min(x.shift for x in result.tree.points
+                       if x != INF_POINT) < 0
+        elif name == "deg40":
+            result = deg40_result
+        else:
+            result = sample_results[name]
+        act = result.inertial.ctx.act
+        assert (act.point_perm, act.vertex_perm) == \
+            tree_action_by_scan(result.G, result.tree)
 
     def test_edges_preserved(self):
         # implicitly asserted during construction; rerun both examples
