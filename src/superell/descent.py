@@ -15,10 +15,15 @@ The flow per inertia orbit of tree vertices, at a representative v:
    twist makes the equation's coefficients Frobenius-fixed, i.e. the
    component is presented over its true field of definition.
 
-Every claimed invariance is re-checked by explicitly applying group
-generators; failures raise NotInvariant/CocycleInconsistent rather than
-risking a wrong L-factor.  The same machinery restricted to subgroups of
-the wild inertia computes the quotient curves entering the Swan conductor.
+The action is ``tree.TreeGaloisAction``'s, with the y-scaling of g at v
+read off g(pi).  Checked here: wild elements act by translations fixing y
+and the equation; every rewrite resubstitutes; the tame generator scales
+u; sheets and nodes map to sheets and nodes; the descent's stabilizer,
+Hilbert-90 solutions and Frobenius-fixed coefficients hold.  ``tree``
+checks the cocycle rule on stabilizer pairs.  Failures raise
+NotInvariant/CocycleInconsistent rather than risking a wrong L-factor.
+The same machinery restricted to subgroups of the wild inertia computes
+the quotient curves entering the Swan conductor.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from math import lcm
 
 from .errors import (
     CocycleInconsistent,
-    NoRationalFixedPoint,
     NormNotOne,
     NotInvariant,
 )
@@ -123,7 +127,6 @@ class ActionContext:
         self.tree = tree
         self.act = act
         self.fiber = fiber
-        self._gamma_cache = {}
         k_lcm = 1
         for en in fiber.edge_nodes:
             k_lcm = lcm(k_lcm, en.label_field.k)
@@ -139,27 +142,11 @@ class ActionContext:
     # -- scalars -----------------------------------------------------------
 
     def gamma(self, g, v):
-        """Residue of varpi_(g v) / g(varpi_v): the y-scaling of g at v."""
-        key = (g, v)
-        if key in self._gamma_cache:
-            return self._gamma_cache[key]
+        """Residue of varpi_(g v) / g(varpi_v): the y-scaling of g at v.
+        With varpi_v = pi^k and g(pi) = pi * unit it is the residue of
+        unit^-k."""
         k = self.fiber.reductions[v].scaling_exponent
-        sigma = self.G.autos[g]
-        pik = self.L.pi().pow_int(k)
-        val = (pik / sigma.apply(pik)).residue()
-        self._gamma_cache[key] = val
-        return val
-
-    def affine(self, g, v):
-        red = self.act.matrix(g, v)
-        parts = self.act._affine_parts(red)
-        if parts is None:
-            raise NoRationalFixedPoint("non-affine chart transport")
-        return parts
-
-    def res_action(self, g, x):
-        """Semilinear residue action of g on any finite-field element."""
-        return x.frobenius(self.G.autos[g].res_power)
+        return self.G.autos[g].pi_img.unit_residue() ** -k
 
     # -- sheets (components of Ybar) ----------------------------------------
 
@@ -173,11 +160,12 @@ class ActionContext:
         red_v = self.fiber.reductions[v]
         w = self.act.vertex_perm[g][v]
         red_w = self.fiber.reductions[w]
-        a, b = self.affine(g, v)
+        a, b = self.act.affine(g, v)
         F = self.L.residue_field
         lin = FqPoly(F, [b, a])
-        num = red_v.witness.num.map_coeffs(lambda c: self.res_action(g, c))
-        den = red_v.witness.den.map_coeffs(lambda c: self.res_action(g, c))
+        sigma = self.G.autos[g]
+        num = red_v.witness.num.map_coeffs(sigma.residue_action)
+        den = red_v.witness.den.map_coeffs(sigma.residue_action)
         moved = RationalFunction(num, den).compose(
             RationalFunction(lin))
         ratio = moved / red_w.witness
@@ -185,7 +173,7 @@ class ActionContext:
             raise NotInvariant("sheet transport ratio is not constant")
         const = ratio.leading_unit()
         gam = self.gamma(g, v)
-        zeta_new = self.res_action(g, zeta) * const \
+        zeta_new = sigma.residue_action(zeta) * const \
             * (gam.inverse() ** red_v.n_v)
         if zeta_new ** red_w.d_max != F.one():
             raise NotInvariant("sheet image is not a component label")
@@ -217,7 +205,7 @@ class ActionContext:
             raise CocycleInconsistent("edge image is not an edge")
         en = self.edge_data[(pu, cv)]
         en2 = self.edge_data[e2]
-        a, _b = self.affine(g, cv)
+        a, _b = self.act.affine(g, cv)
         gam = self.gamma(g, cv)
         F = self.label_field
         embL = self.L.residue_field.embedding(F)
@@ -266,6 +254,22 @@ def orbits(elements, generators, action):
     return [groups[k] for k in sorted(groups)]
 
 
+def _frobenius_orbits(elements, G, action):
+    """The inertia orbits of `elements`, and the orbits of Frobenius on
+    those, each a list of inertia-orbit representatives (first elements)
+    in deterministic order."""
+    i_orbits = orbits(elements, G.inertia, action)
+    rep_of = {x: cls[0] for cls in i_orbits for x in cls}
+    f_orbits, seen = [], set()
+    for cls in i_orbits:
+        if cls[0] not in seen:
+            orb = orbit_of(cls[0],
+                           lambda c: rep_of[action(G.frobenius_index, c)])
+            seen.update(orb)
+            f_orbits.append(orb)
+    return i_orbits, f_orbits
+
+
 def orbit_of(start, step):
     """Orbit of `start` under iterating the single map `step`."""
     out = [start]
@@ -300,26 +304,8 @@ class InertiaQuotient:
         fpoly = red.fbar.num
 
         # wild part
-        P_v = ctx.act.wild_stabilizer(v)
-        translations = set()
-        for g in P_v:
-            a, b = ctx.affine(g, v)
-            if a != F.one():
-                raise NotInvariant("wild element acts with a multiplier")
-            if ctx.gamma(g, v) != F.one():
-                raise NotInvariant("wild element scales y nontrivially")
-            translations.add(b)
-        translations = sorted(translations, key=lambda x: x.index())
-        self.translations = translations
-        x = FqPoly.x(F)
-        u = FqPoly(F, [F.one()])
-        for b in translations:
-            u = u * (x + FqPoly.constant(b))
-        self.u_poly = u
-        for b in translations:
-            if fpoly.shift(b) != fpoly:
-                raise NotInvariant("fbar not invariant under the wild part")
-        self.g_wild = rewrite_in_subalgebra(fpoly, u)
+        self.translations, self.u_poly, self.g_wild = _translation_quotient(
+            ctx, ctx.act.wild_stabilizer(v), v, fpoly)
 
         # tame part
         sg = ctx.act.tame_generator(v)
@@ -348,18 +334,40 @@ class InertiaQuotient:
         if s is None:
             raise NotInvariant("gamma^(mu/m) is not a power of c")
         self.s = s
-        H = RationalFunction(self.g_wild, x ** (s * self.nbar))
+        H = RationalFunction(self.g_wild, FqPoly.x(F) ** (s * self.nbar))
         self.h_raw = rewrite_in_power(H, m)
         self.h_norm = normalize_kummer_equation(self.nbar, self.h_raw)
         self.flagged = (mu // m) == n
 
 
+def _translation_quotient(ctx, elements, v, poly):
+    """(translations, u, poly in u) for elements of the wild stabilizer of
+    v: each acts by x -> x + b with trivial action on y, u is the product
+    of the x + b, and poly, invariant under every b, is rewritten in u."""
+    F = ctx.L.residue_field
+    translations = set()
+    for g in elements:
+        a, b = ctx.act.affine(g, v)
+        if a != F.one() or ctx.gamma(g, v) != F.one():
+            raise NotInvariant("wild element acts beyond a translation")
+        translations.add(b)
+    translations = sorted(translations, key=lambda x: x.index())
+    x = FqPoly.x(F)
+    u = FqPoly(F, [F.one()])
+    for b in translations:
+        u = u * (x + FqPoly.constant(b))
+        if poly.shift(b) != poly:
+            raise NotInvariant("equation not invariant under the wild "
+                               "translations")
+    return translations, u, rewrite_in_subalgebra(poly, u)
+
+
 def _u_action(ctx, u_poly, g, v):
     """(c, b) with psi_g(u) = c*u + b for a vertex-stabilizing g."""
     F = ctx.L.residue_field
-    a, b = ctx.affine(g, v)
+    a, b = ctx.act.affine(g, v)
     lin = FqPoly(F, [b, a])
-    moved = u_poly.map_coeffs(lambda c: ctx.res_action(g, c)).compose(lin)
+    moved = u_poly.map_coeffs(ctx.G.autos[g].residue_action).compose(lin)
     if moved.degree() < u_poly.degree():
         raise NotInvariant("u transport dropped degree")
     lin_u = rewrite_in_subalgebra(moved, u_poly)
@@ -585,32 +593,15 @@ class InertialCurve:
     def __init__(self, ctx):
         self.ctx = ctx
         G = ctx.G
-        tree = ctx.tree
-        # inertia orbits of vertices
-        all_v = [v.index for v in tree.vertices]
-        i_orbits = orbits(all_v, G.inertia,
-                          lambda g, v: ctx.act.vertex_perm[g][v])
-        class_of = {}
-        for cls in i_orbits:
-            for v in cls:
-                class_of[v] = cls[0]
+        frob = G.frobenius_index
+        i_orbits, f_orbits = _frobenius_orbits(
+            [v.index for v in ctx.tree.vertices], G,
+            lambda g, v: ctx.act.vertex_perm[g][v])
         # inertia quotients at orbit representatives
         self.iq = {cls[0]: InertiaQuotient(ctx, cls[0]) for cls in i_orbits}
-        # Frobenius action on inertia classes
-        frob = G.frobenius_index
-
-        def frob_class(c):
-            w = ctx.act.vertex_perm[frob][c]
-            return class_of[w]
-
         self.components = []
-        seen = set()
-        for cls in i_orbits:
-            c0 = cls[0]
-            if c0 in seen:
-                continue
-            orbit_cls = orbit_of(c0, frob_class)
-            seen.update(orbit_cls)
+        for orbit_cls in f_orbits:
+            c0 = orbit_cls[0]
             d_v = len(orbit_cls)
             # stabilizing generator: rho o frob^(d_v) fixing c0's vertex
             g = G.identity_index
@@ -638,30 +629,13 @@ class InertialCurve:
             for piece in comp.geometric_pieces:
                 self.geometric_components.append(piece)
 
-        # nodes: inertia orbits, then Frobenius orbits of those
-        nodes = ctx.nodes()
-        node_i_orbits = orbits(nodes, G.inertia, ctx.node_action)
-        rep_of = {}
-        for cls in node_i_orbits:
-            for x in cls:
-                rep_of[x] = cls[0]
-
-        def frob_node_class(c):
-            return rep_of[ctx.node_action(frob, c)]
-
-        self.node_orbits = []
-        seen_nodes = set()
-        for cls in node_i_orbits:
-            c0 = cls[0]
-            if c0 in seen_nodes:
-                continue
-            orb = orbit_of(c0, frob_node_class)
-            seen_nodes.update(orb)
-            # epsilon is structurally trivial here: Galois elements preserve
-            # disc radii, so an edge can never map to itself with its
-            # endpoints (parent/child) exchanged
-            self.node_orbits.append({"size": len(orb), "epsilon": 1,
-                                     "rep": c0})
+        # nodes; epsilon is structurally trivial here: Galois elements
+        # preserve disc radii, so an edge can never map to itself with its
+        # endpoints (parent/child) exchanged
+        node_i_orbits, node_f_orbits = _frobenius_orbits(
+            ctx.nodes(), G, ctx.node_action)
+        self.node_orbits = [{"size": len(orb), "epsilon": 1, "rep": orb[0]}
+                            for orb in node_f_orbits]
         self.n_geometric_nodes = len(node_i_orbits)
         self.n_geometric_components = sum(c.geometric_count()
                                           for c in self.components)
@@ -692,7 +666,6 @@ def quotient_genus_by_wild_subgroup(ctx, subgroup):
     y), so per component the quotient is computed by rewriting the sheet
     equation in the invariant polynomial of the stabilizer's translations.
     """
-    F = ctx.L.residue_field
     sheets = ctx.all_sheets()
     sheet_orbits = orbits(sheets, subgroup,
                           lambda g, s: ctx.sheet_action(g, s[0], s[1]))
@@ -702,28 +675,9 @@ def quotient_genus_by_wild_subgroup(ctx, subgroup):
         red = ctx.fiber.reductions[v]
         stab = [g for g in subgroup
                 if ctx.sheet_action(g, v, zeta) == (v, zeta)]
-        translations = set()
-        for g in stab:
-            a, b = ctx.affine(g, v)
-            if a != F.one() or ctx.gamma(g, v) != F.one():
-                raise NotInvariant("wild subgroup element acts non-trivially "
-                                   "beyond translation")
-            translations.add(b)
-        translations = sorted(translations, key=lambda x: x.index())
-        x = FqPoly.x(F)
-        u = FqPoly(F, [F.one()])
-        for b in translations:
-            u = u * (x + FqPoly.constant(b))
         sheet_eq = normalize_kummer_equation(
             red.n_v, red.witness * RationalFunction(FqPoly.constant(zeta)))
-        if u.degree() == 1 and translations == [F.zero()]:
-            quotient_eq = sheet_eq
-        else:
-            for b in translations:
-                if sheet_eq.shift(b) != sheet_eq:
-                    raise NotInvariant("sheet equation not invariant under "
-                                       "its stabilizer translations")
-            quotient_eq = rewrite_in_subalgebra(sheet_eq, u)
+        _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
         total_genus += kummer_genus(red.n_v, quotient_eq)
     # graph quotient
     node_orbs = orbits(ctx.nodes(), subgroup, ctx.node_action)

@@ -123,20 +123,18 @@ def conductor_exponent(curve, filt, inertial):
     g = curve.genus()
     epsilon = 2 * g - inertial.dim_h1
     gamma0 = filt.gamma(0)
-    quotient_genera = {}
+    by_subgroup, genera_by_jump = {}, {}
     delta = Fraction(0)
-    if len(filt.gamma(1)) > 1:
-        ctx = inertial.ctx
-        i = 1
-        while len(filt.gamma(i)) > 1:
-            subgroup = filt.gamma(i)
-            key = tuple(subgroup)
-            if key not in quotient_genera:
-                quotient_genera[key] = quotient_genus_by_wild_subgroup(
-                    ctx, subgroup)
-            g_i = quotient_genera[key]
-            delta += Fraction(len(subgroup), len(gamma0)) * (2 * g - 2 * g_i)
-            i += 1
+    i = 1
+    while len(filt.gamma(i)) > 1:
+        subgroup = filt.gamma(i)
+        key = tuple(subgroup)
+        if key not in by_subgroup:
+            by_subgroup[key] = quotient_genus_by_wild_subgroup(
+                inertial.ctx, subgroup)
+        g_i = genera_by_jump[i] = by_subgroup[key]
+        delta += Fraction(len(subgroup), len(gamma0)) * (2 * g - 2 * g_i)
+        i += 1
     if delta.denominator != 1:
         raise NonIntegralSwan(f"Swan conductor {delta} is not an integer")
     delta = int(delta)
@@ -145,11 +143,6 @@ def conductor_exponent(curve, filt, inertial):
     wild = len(filt.gamma(1))
     bound = 2 * g * (1 + Fraction(h * wild, len(gamma0))) \
         if len(gamma0) > 1 else Fraction(2 * g)
-    genera_by_jump = {}
-    i = 1
-    while len(filt.gamma(i)) > 1:
-        genera_by_jump[i] = quotient_genera[tuple(filt.gamma(i))]
-        i += 1
     result = ConductorResult(epsilon, delta, genera_by_jump, bound)
     if result.conductor > bound:
         raise NonIntegralSwan(

@@ -19,6 +19,9 @@ Edges are cluster inclusion: the parent of a vertex is the smallest vertex
 whose member set strictly contains its own.  Every Galois element permutes
 the marked points isometrically, so it maps a vertex to the vertex whose
 members are the images of its members, and it never inverts an edge.
+Only the generators of Gal(L/Q_p) are applied, to the branch points and
+to the charts; the permutations and chart matrices of the other elements
+are composed along the words of the group.
 """
 
 from __future__ import annotations
@@ -281,12 +284,15 @@ class TreeGaloisAction:
     """Vertex/point permutations for every Galois element, stabilizers,
     and reduced chart-comparison matrices.
 
-    Only the generators of G are applied to the branch points.  An image
-    is found by its coordinate key (``localfield.KeyedImages``) at the
-    least depth k <= N//2 that separates the finite points, and the hit is
-    confirmed by one subtraction, so exactly one point lies within half
-    precision of the image.  The permutation of any other element is
-    composed along the words of G: pp[g o t] = pp[g] o pp[t]."""
+    Only the generators of G are applied: to the branch points, and to the
+    four entries of a chart.  A point image is found by its coordinate key
+    (``localfield.KeyedImages``) at the least depth k <= N//2 that
+    separates the finite points, and the hit is confirmed by one
+    subtraction, so exactly one point lies within half precision of the
+    image.  Everything for another element is composed along the words of
+    G: pp[g o t] = pp[g] o pp[t] for points and vertices, and the cocycle
+    rule M(g o t, v) = g(M(t, v)) . M(g, t(v)) in PGL_2(F_L) for chart
+    matrices, g acting on residues by its Frobenius power."""
 
     def __init__(self, G, filt, tree):
         self.G = G
@@ -297,7 +303,9 @@ class TreeGaloisAction:
         what = "Galois image of a branch point"
         keyed = KeyedImages([(points[j],) for j in finite], L.N // 2 + 1,
                             what, min([0] + [points[j].shift for j in finite]))
-        gen_pp = {}
+        by_members = {v.members: v.index for v in tree.vertices}
+        edge_set = set(tree.edges)
+        gen_pp, gen_vp = {}, {}
         for g in G.generators:
             pp = gen_pp[g] = list(range(len(points)))
             for j in finite:
@@ -305,26 +313,18 @@ class TreeGaloisAction:
                 pp[j] = finite[keyed.find((img,))]
                 if not _big(points[pp[j]] - img, L):
                     raise PrecisionExhausted(f"cannot identify {what}")
+            vp = gen_vp[g] = [by_members.get(frozenset(pp[j]
+                                                       for j in v.members))
+                              for v in tree.vertices]
+            if None in vp:
+                raise PrecisionExhausted(
+                    "cannot identify Galois image of a vertex")
+            # member-set sizes are preserved, so no edge is inverted; the
+            # composed permutations are graph automorphisms too
+            if any((vp[a], vp[b]) not in edge_set for a, b in tree.edges):
+                raise NotInvariant("Galois image of an edge is not an edge")
         self.point_perm = G.extend(gen_pp, len(points))
-        by_members = {v.members: v.index for v in tree.vertices}
-        self.vertex_perm = [
-            [by_members.get(frozenset(pp[j] for j in v.members))
-             for v in tree.vertices] for pp in self.point_perm]
-        if any(None in vp for vp in self.vertex_perm):
-            raise PrecisionExhausted(
-                "cannot identify Galois image of a vertex")
-        # graph automorphism check
-        edge_set = set(tree.edges)
-        for g in range(G.order()):
-            vp = self.vertex_perm[g]
-            for (a, b) in tree.edges:
-                ia, ib = vp[a], vp[b]
-                if (ia, ib) not in edge_set and (ib, ia) not in edge_set:
-                    raise NotInvariant("Galois image of an edge is not an edge")
-                # member-set sizes are preserved, so a parent can never
-                # swap with a child
-                if (ia, ib) not in edge_set:
-                    raise NotInvariant("edge inverted under Galois")
+        self.vertex_perm = G.extend(gen_vp, len(tree.vertices))
         self.stabilizer = []
         for v in tree.vertices:
             self.stabilizer.append(sorted(
@@ -340,21 +340,38 @@ class TreeGaloisAction:
         key = (g, v)
         if key in self._matrix_cache:
             return self._matrix_cache[key]
-        tree, G = self.tree, self.G
-        sigma = G.autos[g]
-        w = self.vertex_perm[g][v]
-        A_v = tree.vertices[v].chart
-        A_w = tree.vertices[w].chart
-        gA = tuple(sigma.apply(x) for x in A_v)
-        a, b, c, d = A_w
-        adj = (d, -b, -c, a)
-        red = _scale_matrix_integral(matrix_mul(gA, adj), tree.L)
-        red = normalize_pgl2(red)
+        G, tree = self.G, self.tree
+        F = tree.L.residue_field
+        if g == G.identity_index:
+            red = (F.one(), F.zero(), F.zero(), F.one())
+        elif g in G.generators:  # before words, which hold (g, 1) too
+            # sigma(A_v) . adj(A_{g v}), Gauss-reduced
+            sigma = G.autos[g]
+            gA = tuple(sigma.apply(x) for x in tree.vertices[v].chart)
+            a, b, c, d = tree.vertices[self.vertex_perm[g][v]].chart
+            red = normalize_pgl2(_scale_matrix_integral(
+                matrix_mul(gA, (d, -b, -c, a)), tree.L))
+        else:
+            h, x = G.words[g]
+            red = self._cocycle(h, x, v)
         self._matrix_cache[key] = red
         return red
 
-    def residue_action(self, g, r):
-        return self.G.autos[g].residue_action(r)
+    def _cocycle(self, s, t, v):
+        """M(s o t, v) = s(M(t, v)) . M(s, t(v)), normalized."""
+        sigma = self.G.autos[s]
+        sM_t = tuple(sigma.residue_action(x) for x in self.matrix(t, v))
+        return normalize_pgl2(matrix_mul(
+            sM_t, self.matrix(s, self.vertex_perm[t][v])))
+
+    def affine(self, g, v):
+        """(a, b) with M(g, v) the affine map x -> a x + b; raises
+        NoRationalFixedPoint when M(g, v) moves infinity."""
+        red = self.matrix(g, v)
+        if not red[2].is_zero():
+            raise NoRationalFixedPoint("non-affine chart transport")
+        d_inv = red[3].inverse()
+        return red[0] * d_inv, red[1] * d_inv
 
     def inertia_stabilizer(self, v):
         return sorted(set(self.stabilizer[v]) & set(self.G.inertia))
@@ -376,49 +393,30 @@ class TreeGaloisAction:
                 return g
         raise NotInvariant("inertia stabilizer has no tame generator")
 
-    def _affine_parts(self, red):
-        """(a, b) of an affine reduced matrix, or None."""
-        if not red[2].is_zero():
-            return None
-        d_inv = red[3].inverse()
-        return red[0] * d_inv, red[1] * d_inv
-
     def _normalize_tame_charts(self):
         """Move the second fixed point of the designated tame generator to
         x = 0 whenever it acts with multiplier != 1 (after this, every
         stabilizer element acts affinely and sigma-hat acts x -> a x)."""
         tree = self.tree
         L = tree.L
+        one = L.residue_field.one()
         for v in tree.vertices:
             for g in self.stabilizer[v.index]:
-                red = self.matrix(g, v.index)
-                if self._affine_parts(red) is None:
-                    raise NoRationalFixedPoint(
-                        "stabilizer element does not act affinely after "
-                        "normalization")
-            sg = self.tame_generator(v.index)
-            red = self.matrix(sg, v.index)
-            a, b = self._affine_parts(red)
-            if a != L.residue_field.one() and not b.is_zero():
-                c = b / (L.residue_field.one() - a)
+                self.affine(g, v.index)  # raises unless affine
+            a, b = self.affine(self.tame_generator(v.index), v.index)
+            if a != one and not b.is_zero():
+                c = b / (one - a)
                 mat = (L.one(), -L.from_residue(c), L.zero(), L.one())
                 v.chart = matrix_mul(mat, v.chart)
-                self._matrix_cache = {k: m for k, m in
-                                      self._matrix_cache.items()
-                                      if k[1] != v.index and
-                                      self.vertex_perm[k[0]][k[1]] != v.index}
-        # cocycle check on all stabilizer pairs
+                self._matrix_cache = {}
+        # cocycle check on all stabilizer pairs: the composed M(s o t, v)
+        # follows the word of s o t, so it tests the generators' matrices
         for v in tree.vertices:
             stab = self.stabilizer[v.index]
             for s in stab:
                 for t in stab:
-                    st = self.G.compose(s, t)
-                    lhs = self.matrix(st, v.index)
-                    B_t = self.matrix(t, v.index)
-                    B_s = self.matrix(s, v.index)
-                    sB_t = tuple(self.residue_action(s, x) for x in B_t)
-                    rhs = normalize_pgl2(matrix_mul(sB_t, B_s))
-                    if lhs != rhs:
+                    if self.matrix(self.G.compose(s, t), v.index) != \
+                            self._cocycle(s, t, v.index):
                         raise NotInvariant("cocycle rule violated")
 
 

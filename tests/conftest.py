@@ -16,6 +16,9 @@ from superell.pipeline import compute_with_retry
 REPO = Path(__file__).resolve().parents[1]
 SAMPLE_CURVES = REPO / "sample_curves"
 DEG40_SPEC = {"n": 5, "f": [-12, -12, 1, 4, 1], "p": 3}  # [L:Q_3] = 40
+# ex1 under x -> 3x: branch points at valuation -1/2
+EX1_NON_INTEGRAL_SPEC = {"n": 4, "p": 3, "f": [
+    ["9*x^2-3", 1], ["9*x^2+3", 1], ["9*x^2-18*x-3", 1]]}
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +34,28 @@ def deg40_result():
     """The pipeline result of the ``cold_cli`` curve whose field L has
     degree 40 (e = 10, f = 4)."""
     return compute_with_retry(SuperellipticCurve.from_json_dict(DEG40_SPEC))
+
+
+@pytest.fixture(scope="session")
+def ex1_non_integral_result():
+    """The pipeline result of ex1 under x -> 3x."""
+    return compute_with_retry(
+        SuperellipticCurve.from_json_dict(EX1_NON_INTEGRAL_SPEC))
+
+
+@pytest.fixture
+def results_named(request):
+    """results_named(name): the pipeline results of a sample curve, of
+    ``"deg40"``, of ``"ex1_non_integral"``, or of the curves of
+    ``"padic_tree_pass0"`` that compute, as a list."""
+    def results(name):
+        if name == "padic_tree_pass0":
+            return [r for _, r in request.getfixturevalue(name)
+                    if not isinstance(r, SuperellError)]
+        if name in ("deg40", "ex1_non_integral"):
+            return [request.getfixturevalue(f"{name}_result")]
+        return [request.getfixturevalue("sample_results")[name]]
+    return results
 
 
 @pytest.fixture(scope="session")

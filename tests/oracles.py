@@ -48,6 +48,13 @@ references for ``localfield.galois_group`` and ``tree.TreeGaloisAction``,
 which apply only generators, look images up by coordinate keys and
 compose permutations for the rest.
 
+``chart_matrix_by_application`` applies an element to the four entries of
+a vertex chart and reduces sigma(A_v) . adj(A_{g v}); ``gamma_by_division``
+takes the residue of pi^k / g(pi^k) by a p-adic division.  They are the
+references for ``TreeGaloisAction.matrix``, which applies only generators
+and composes the other matrices by the cocycle rule, and for
+``ActionContext.gamma``, which reads the y-scaling off g(pi).
+
 ``build_tree_by_triples`` builds the stably marked tree from the chart
 classes of all ordered triples of marked points, each class recorded by
 the disc it determines and compared with the known discs by p-adic
@@ -82,8 +89,10 @@ from superell.tree import (
     Vertex,
     _big,
     _phi_partition,
+    _scale_matrix_integral,
     matrix_mul,
     moebius_eval,
+    normalize_pgl2,
     triple_chart,
 )
 
@@ -632,6 +641,24 @@ def build_tree_by_triples(divisor, L):
             if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
                 raise NoRationalFixedPoint("chart normalization failed")
     return MarkedTree(L, points, vertices, psi, root, sorted(edges))
+
+
+def chart_matrix_by_application(act, g, v):
+    """M(g, v) of the tree action ``act``: the Gauss reduction of
+    sigma(A_v) . adj(A_{g v}), normalized in PGL_2(F_L)."""
+    tree = act.tree
+    sigma = act.G.autos[g]
+    gA = tuple(sigma.apply(x) for x in tree.vertices[v].chart)
+    a, b, c, d = tree.vertices[act.vertex_perm[g][v]].chart
+    return normalize_pgl2(_scale_matrix_integral(
+        matrix_mul(gA, (d, -b, -c, a)), tree.L))
+
+
+def gamma_by_division(ctx, g, v):
+    """The y-scaling of g at v: residue of pi^k / g(pi^k), with
+    varpi_v = pi^k."""
+    pik = ctx.L.pi().pow_int(ctx.fiber.reductions[v].scaling_exponent)
+    return (pik / ctx.G.autos[g].apply(pik)).residue()
 
 
 def _closeness(x, y):

@@ -125,16 +125,6 @@ class TestCli:
         assert proc.stderr.endswith("superell: error: argument --precision: "
                                     "invalid int value: 'abc'\n")
 
-    def test_no_assert_statements(self):
-        """Every internal check raises a typed error, so it also holds
-        under python -O; the report is the same there."""
-        for path in sorted((REPO / "src" / "superell").glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            lines = [node.lineno for node in ast.walk(tree)
-                     if isinstance(node, ast.Assert)]
-            assert not lines, f"assert statements in {path.name}: {lines}"
-        assert sample_report_sha256("ex2", "-O") == REPORT_SHA256["ex2"]
-
     def test_no_unused_imports(self):
         """Every name a module of the package imports is used in it, or
         re-exported through ``__all__``."""
@@ -160,6 +150,20 @@ class TestCli:
                             for name, line in imported.items()
                             if name not in used)
             assert not unused, f"unused imports in {path.name}: {unused}"
+
+    def test_no_assert_statements(self):
+        """Every internal check raises a typed error, so it also holds
+        under python -O."""
+        for path in sorted((REPO / "src" / "superell").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert)]
+            assert not lines, f"assert statements in {path.name}: {lines}"
+
+    def test_optimized_report_is_the_same(self):
+        """python -O prints the same --json bytes as plain python."""
+        assert sample_report_sha256("ex2", "-O") == \
+            sample_report_sha256("ex2") == REPORT_SHA256["ex2"]
 
     def test_trace_goes_to_stderr(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--trace")

@@ -17,6 +17,11 @@ from superell.qpoly import parse_poly
 from superell.reduction import reduce_special_fiber
 from superell.tree import build_tree, galois_on_tree
 
+from oracles import gamma_by_division
+
+ACTION_CASES = ("ex1", "ex2", "good_reduction", "deg40", "ex1_non_integral",
+                "padic_tree_pass0")
+
 
 def full_setup(n, fs, p):
     f = parse_poly(fs)
@@ -197,6 +202,25 @@ class TestNodesAndGraph:
             assert len(graph) - 1 == ic.b1_k
             total = 2 * sum(p["genus"] for p in ic.geometric_components)
             assert ic.dim_h1 == total + (len(graph) - 1)
+
+
+class TestYScalings:
+    """The y-scaling of g at v, read off g(pi)."""
+
+    @pytest.mark.parametrize("name", ACTION_CASES)
+    def test_matches_division(self, results_named, name):
+        for result in results_named(name):
+            ctx = result.inertial.ctx
+            for g in range(ctx.G.order()):
+                for v in sorted(ctx.fiber.reductions):
+                    assert ctx.gamma(g, v) == gamma_by_division(ctx, g, v)
+
+    def test_divides_nothing(self, deg40_result, inversions):
+        ctx = deg40_result.inertial.ctx
+        for g in range(ctx.G.order()):
+            for v in sorted(ctx.fiber.reductions):
+                ctx.gamma(g, v)
+        assert inversions[0] == 0
 
 
 class TestWildQuotientGenera:

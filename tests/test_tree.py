@@ -17,6 +17,7 @@ from superell.errors import (
 )
 from superell.fieldsearch import semistabilizing_field, splitting_field
 from superell.localfield import (
+    Automorphism,
     LocalField,
     LocalFieldElement,
     ramification_filtration,
@@ -36,11 +37,13 @@ from superell.tree import (
 from oracles import (
     _chart_up_to_scalar,
     build_tree_by_triples,
+    chart_matrix_by_application,
     moebius_eval_by_division,
     tree_action_by_scan,
 )
 
 SAMPLES = ("ex1", "ex2", "good_reduction")
+ACTION_CASES = SAMPLES + ("deg40", "ex1_non_integral", "padic_tree_pass0")
 
 
 def example1_setup():
@@ -171,8 +174,7 @@ class TestGaloisAction:
         c1, c2 = tree.vertices[tree.root].children
         assert perm[c1] == c2 and perm[c2] == c1
         # on the root component the action is x -> -x
-        red = act.matrix(gen4, tree.root)
-        a, b = act._affine_parts(red)
+        a, b = act.affine(gen4, tree.root)
         assert a == -L.residue_field.one()
         assert b.is_zero()
 
@@ -191,7 +193,7 @@ class TestGaloisAction:
         wild = [g for g in filt.gamma(1) if g != G.identity_index][0]
         assert act.vertex_perm[wild] == list(range(3))
         for child in tree.vertices[tree.root].children:
-            a, b = act._affine_parts(act.matrix(wild, child))
+            a, b = act.affine(wild, child)
             assert a == L.residue_field.one()
             assert not b.is_zero()
 
@@ -202,29 +204,58 @@ class TestGaloisAction:
         e = G.identity_index
         assert act.vertex_perm[e] == list(range(tree.vertex_count()))
         for v in range(tree.vertex_count()):
-            red = act.matrix(e, v)
-            a, b = act._affine_parts(red)
+            a, b = act.affine(e, v)
             assert a == L.residue_field.one() and b.is_zero()
 
     @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction",
                                       "deg40", "ex1_non_integral"))
-    def test_matches_scan(self, sample_results, deg40_result, name):
+    def test_matches_scan(self, results_named, name):
         # point permutations of the generators by key lookup, the rest
         # composed along the words of G; ex1 under x -> 3x has its branch
         # points at valuation -1/2, keyed at a negative shift
+        [result] = results_named(name)
         if name == "ex1_non_integral":
-            result = compute_with_retry(SuperellipticCurve.from_json_dict(
-                {"n": 4, "p": 3, "f": [["9*x^2-3", 1], ["9*x^2+3", 1],
-                                       ["9*x^2-18*x-3", 1]]}))
             assert min(x.shift for x in result.tree.points
                        if x != INF_POINT) < 0
-        elif name == "deg40":
-            result = deg40_result
-        else:
-            result = sample_results[name]
         act = result.inertial.ctx.act
         assert (act.point_perm, act.vertex_perm) == \
             tree_action_by_scan(result.G, result.tree)
+
+    @pytest.mark.parametrize("name", ACTION_CASES)
+    def test_matrices_match_application(self, results_named, name):
+        """Applied for the generators, composed along the words of G for
+        the other elements, and equal to direct application for every
+        (g, v)."""
+        for result in results_named(name):
+            act = result.inertial.ctx.act
+            for g in range(act.G.order()):
+                for v in range(act.tree.vertex_count()):
+                    assert act.matrix(g, v) == \
+                        chart_matrix_by_application(act, g, v)
+
+    def test_composed_matrices_apply_nothing(self, deg40_result,
+                                             monkeypatch):
+        r = deg40_result
+        act = galois_on_tree(r.G, r.filt, r.tree)
+        V = range(r.tree.vertex_count())
+        for g in r.G.generators:
+            for v in V:
+                act.matrix(g, v)
+        calls = [0]
+        apply = Automorphism.apply
+
+        def counted(self, x):
+            calls[0] += 1
+            return apply(self, x)
+
+        monkeypatch.setattr(Automorphism, "apply", counted)
+        others = [g for g in range(r.G.order())
+                  if g not in r.G.generators]
+        assert others
+        for g in others:
+            for v in V:
+                act.matrix(g, v)
+        assert calls[0] == 0
 
     def test_edges_preserved(self):
         # implicitly asserted during construction; rerun both examples
