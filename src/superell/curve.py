@@ -15,12 +15,11 @@ from math import gcd
 
 from .errors import (
     DegreeMismatch,
-    GenusMismatch,
     NonIntegralFactor,
     RootMultiplicityMismatch,
     ValidationError,
 )
-from .finitefield import is_prime
+from .finitefield import is_prime, riemann_hurwitz_genus
 from .localfield import roots_of_qpoly
 from .qpoly import QPoly, parse_poly
 
@@ -57,11 +56,6 @@ class SuperellipticCurve:
             self._sqfree = self.f.squarefree_decomposition()
         return self._sqfree
 
-    def multiplicities(self):
-        """Sorted list of (degree over Q-bar, multiplicity) of root clusters."""
-        return sorted((g.degree(), m)
-                      for g, m in self.squarefree_decomposition())
-
     def degree(self):
         return self.f.degree()
 
@@ -97,19 +91,13 @@ class SuperellipticCurve:
 
     def genus(self):
         """Genus of the smooth projective model, by Riemann-Hurwitz."""
-        n = self.n
-        two_g = 2 - 2 * n
-        total = 0
-        for g_i, m in self.squarefree_decomposition():
-            two_g += g_i.degree() * (n - gcd(n, m))
-            total += g_i.degree() * m
+        branch = [(g_i.degree(), m)
+                  for g_i, m in self.squarefree_decomposition()]
+        total = sum(deg * m for deg, m in branch)
         if total != self.degree():
             raise DegreeMismatch(f"squarefree decomposition has degree "
                                  f"{total}, f has degree {self.degree()}")
-        two_g += n - gcd(n, total)
-        if two_g % 2:
-            raise GenusMismatch("Riemann-Hurwitz parity failure")
-        return two_g // 2
+        return riemann_hurwitz_genus(self.n, branch + [(1, total)])
 
     @classmethod
     def from_json_dict(cls, data):
@@ -168,12 +156,11 @@ def _coefficient(c):
 class BranchPoint:
     """One point of the branch divisor: a root of f in L, or infinity."""
 
-    __slots__ = ("value", "multiplicity", "factor", "is_infinity")
+    __slots__ = ("value", "multiplicity", "is_infinity")
 
-    def __init__(self, value, multiplicity, factor=None, is_infinity=False):
+    def __init__(self, value, multiplicity, is_infinity=False):
         self.value = value            # LocalFieldElement, or None for infinity
         self.multiplicity = multiplicity
-        self.factor = factor          # the squarefree QPoly it is a root of
         self.is_infinity = is_infinity
 
     def __repr__(self):
@@ -183,11 +170,10 @@ class BranchPoint:
 
 
 class BranchDivisor:
-    __slots__ = ("points", "includes_infinity")
+    __slots__ = ("points",)
 
-    def __init__(self, points, includes_infinity):
+    def __init__(self, points):
         self.points = points
-        self.includes_infinity = includes_infinity
 
     def __len__(self):
         return len(self.points)
@@ -208,11 +194,10 @@ def branch_divisor(curve, L):
                 f"factor of degree {g_i.degree()} has only {len(roots)} "
                 f"roots in the given field")
         for r in roots:
-            points.append(BranchPoint(r, mult, factor=g_i))
-    inf = curve.branches_infinity()
-    if inf:
+            points.append(BranchPoint(r, mult))
+    if curve.branches_infinity():
         points.append(BranchPoint(None, None, is_infinity=True))
-    div = BranchDivisor(points, inf)
+    div = BranchDivisor(points)
     if curve.genus() >= 2 and len(div) < 3:
         raise DegreeMismatch("marked tree needs at least three points")
     return div

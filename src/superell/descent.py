@@ -13,7 +13,10 @@ The flow per inertia orbit of tree vertices, at a representative v:
    affine map; Hilbert-90 systems (solved by F_p-linear algebra, never by
    randomized search) produce an invariant coordinate, and a final unit
    twist makes the equation's coefficients Frobenius-fixed, i.e. the
-   component is presented over its true field of definition.
+   component is presented over its true field of definition.  One
+   factorization of that equation (``power_class``) gives its splitting
+   d_geo over the algebraic closure, the genus of a geometric piece and
+   the equation of every piece.
 
 The action is ``tree.TreeGaloisAction``'s, with the y-scaling of g at v
 read off g(pi).  Checked here: wild elements act by translations fixing y
@@ -39,7 +42,6 @@ from .finitefield import (
     FqPoly,
     RationalFunction,
     fq_make,
-    geometric_power_class,
     kummer_genus,
     normalize_kummer_equation,
     power_class,
@@ -166,8 +168,7 @@ class ActionContext:
         sigma = self.G.autos[g]
         num = red_v.witness.num.map_coeffs(sigma.residue_action)
         den = red_v.witness.den.map_coeffs(sigma.residue_action)
-        moved = RationalFunction(num, den).compose(
-            RationalFunction(lin))
+        moved = RationalFunction(num, den).compose(lin)
         ratio = moved / red_w.witness
         if not ratio.is_constant():
             raise NotInvariant("sheet transport ratio is not constant")
@@ -534,24 +535,22 @@ class DescendedComponent:
             power = d_v
             alpha = solve_mult_h90(F, abar, power)
             beta = solve_add_h90(F, abar, bbar, power)
-            # w = alpha w' + beta is the invariant coordinate change
+            # w = alpha w' + beta is the invariant coordinate change; it
+            # maps the factors of h to factors with the same exponents, so
+            # h2 stays in normal form
             h2 = h.compose(FqPoly(F, [beta, alpha]))
-            h2 = normalize_kummer_equation(self.nbar, h2)
             self.h_prime = _fix_coefficients(F, h2, self.nbar, power)
         else:
             self.h_prime = h
         # geometric splitting over F_L
         pcL = power_class(F, self.h_prime, self.nbar)
-        d_geo = geometric_power_class(F, RationalFunction(self.h_prime),
-                                      self.nbar)
-        if pcL.d_max != d_geo:
+        if pcL.d_max != pcL.d_geo:
             raise NotInvariant("component does not split over F_L as the "
                                "theory requires")
-        self.d_geo = d_geo
-        n_geo = self.nbar // d_geo
+        self.d_geo = pcL.d_geo
+        n_geo = pcL.n_v
         witness = pcL.witness
-        self.genus_geometric = 0 if self.flagged \
-            else kummer_genus(n_geo, witness)
+        self.genus_geometric = 0 if self.flagged else pcL.genus
         # Frobenius (p^(d_v)-power) action on the component labels
         wit_f = RationalFunction(
             witness.num.map_coeffs(lambda c: c.frobenius(d_v)),
@@ -560,7 +559,7 @@ class DescendedComponent:
         if not ratio.is_constant():
             raise NotInvariant("witness Frobenius ratio not constant")
         omega = ratio.leading_unit()
-        labels = F.roots_of_unity(d_geo)
+        labels = F.roots_of_unity(self.d_geo)
         pieces = []
         seen = set()
         for zeta0 in labels:
@@ -570,8 +569,7 @@ class DescendedComponent:
             seen.update(orb)
             ell = len(orb)
             d_j = d_v * ell
-            eq = normalize_kummer_equation(
-                n_geo, witness * RationalFunction(FqPoly.constant(zeta0)))
+            eq = pcL.sheet_equation(zeta0)
             eq = _fix_coefficients(F, eq, n_geo, d_j)
             Fj = fq_make(F.p, d_j)
             pieces.append({
@@ -675,8 +673,7 @@ def quotient_genus_by_wild_subgroup(ctx, subgroup):
         red = ctx.fiber.reductions[v]
         stab = [g for g in subgroup
                 if ctx.sheet_action(g, v, zeta) == (v, zeta)]
-        sheet_eq = normalize_kummer_equation(
-            red.n_v, red.witness * RationalFunction(FqPoly.constant(zeta)))
+        sheet_eq = red.power_class.sheet_equation(zeta)
         _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
         total_genus += kummer_genus(red.n_v, quotient_eq)
     # graph quotient

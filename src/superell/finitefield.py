@@ -35,8 +35,12 @@ On top of the field arithmetic this module provides
 * ``factor_poly``: squarefree + distinct-degree + Cantor-Zassenhaus equal
   degree splitting, derandomized by seeding the splitting PRNG from the
   input polynomial;
-* ``power_class``: the largest d | n such that a rational function is a
-  d-th power, with an explicit witness;
+* ``power_class``: the largest d | n such that a rational function h is a
+  d-th power, with an explicit witness, and, from the same factorization
+  of h, the power class d_geo over the algebraic closure, the genus of one
+  geometric component of z^n = h (``riemann_hurwitz_genus``, the one
+  Riemann-Hurwitz formula of the package) and the normal forms of its
+  sheets;
 * ``count_kummer_points`` / ``zeta_numerator``: rational point counts on the
   normalization of z^nbar = h(w) and the numerator of its zeta function;
 * ``normalize_kummer_equation``: strip nbar-th power factors and denominators
@@ -59,7 +63,7 @@ import random
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     CharacteristicDividesExponent,
@@ -227,10 +231,6 @@ class FqField:
     def from_index(self, idx):
         """Element number ``idx`` in the canonical enumeration (base-p digits)."""
         return FqElement(self, idx % self.q)
-
-    def elements(self):
-        for idx in range(self.q):
-            yield FqElement(self, idx)
 
     def multiplicative_generator(self):
         """The element of order q - 1 with the smallest index."""
@@ -472,7 +472,6 @@ class FqField:
         a = self.dlog(u)
         g = self.multiplicative_generator()
         m = self.q - 1
-        from math import gcd
         gg = gcd(d, m)
         if a % gg:
             return None
@@ -996,28 +995,24 @@ class RationalFunction:
         return RationalFunction(self.num**e, self.den**e)
 
     def compose(self, other):
-        """self(other) for a rational function ``other``."""
-        F = self.field
-        n = max(self.num.degree(), self.den.degree())
-        num_h = FqPoly(F, [F.zero()])
-        den_h = FqPoly(F, [F.zero()])
-        on, od = other.num, other.den
-        # homogenize: sum c_i * on^i * od^(n-i)
-        pow_on = [FqPoly(F, [F.one()])]
-        pow_od = [FqPoly(F, [F.one()])]
-        for _ in range(n):
-            pow_on.append(pow_on[-1] * on)
-            pow_od.append(pow_od[-1] * od)
-        nc, dc = self.num._c, self.den._c
-        for i in range(n + 1):
-            ci = nc[i] if i < len(nc) else 0
-            di = dc[i] if i < len(dc) else 0
-            term = pow_on[i] * pow_od[n - i]
-            if ci:
-                num_h = num_h + term * FqElement(F, ci)
-            if di:
-                den_h = den_h + term * FqElement(F, di)
-        return RationalFunction(num_h, den_h)
+        """self(other) for a polynomial ``other``, e.g. a linear change of
+        variable."""
+        return RationalFunction(self.num.compose(other),
+                                self.den.compose(other))
+
+    def _divide_out(self, pt):
+        """(ord at the finite point pt, num and den with every factor
+        x - pt divided out)."""
+        lin = FqPoly(self.field, [-pt, self.field.one()])
+        out = []
+        for poly in (self.num, self.den):
+            k = 0
+            while poly.evaluate(pt).is_zero():
+                poly = poly // lin
+                k += 1
+            out.append((k, poly))
+        (a, num), (b, den) = out
+        return a - b, num, den
 
     def ord_at(self, pt):
         """Order of vanishing at a point of P^1 (pt = FqElement or INF)."""
@@ -1025,28 +1020,15 @@ class RationalFunction:
             raise ZeroFunction("order of the zero function")
         if pt == INF:
             return self.den.degree() - self.num.degree()
-        a = 0
-        num = self.num
-        while num.evaluate(pt).is_zero():
-            num = num // FqPoly(self.field, [-pt, self.field.one()])
-            a += 1
-        b = 0
-        den = self.den
-        while den.evaluate(pt).is_zero():
-            den = den // FqPoly(self.field, [-pt, self.field.one()])
-            b += 1
-        return a - b
+        return self._divide_out(pt)[0]
 
     def unit_value_at(self, pt):
         """Value of self * t^(-ord) at pt, t the local parameter (x-pt or 1/x)."""
+        if self.is_zero():
+            raise ZeroFunction("unit value of the zero function")
         if pt == INF:
             return self.num._lead() / self.den._lead()
-        lin = FqPoly(self.field, [-pt, self.field.one()])
-        num, den = self.num, self.den
-        while num.evaluate(pt).is_zero():
-            num = num // lin
-        while den.evaluate(pt).is_zero():
-            den = den // lin
+        _, num, den = self._divide_out(pt)
         return num.evaluate(pt) / den.evaluate(pt)
 
     def factored(self):
@@ -1069,18 +1051,44 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 class PowerClassData:
-    """Order data of h in F(x)^* / (F(x)^*)^n."""
+    """Order data of h in F(x)^* / (F(x)^*)^n, read off one factorization.
 
-    __slots__ = ("n", "d_max", "n_v", "witness")
+    ``d_geo`` is the gcd of n and the exponents of h, its power class over
+    the algebraic closure; ``genus`` is the genus of one geometric component
+    of z^n = h; ``factors`` is h.factored()."""
 
-    def __init__(self, n, d_max, n_v, witness):
+    __slots__ = ("n", "d_max", "n_v", "witness", "d_geo", "genus", "factors")
+
+    def __init__(self, n, d_max, n_v, witness, d_geo, genus, factors):
         self.n = n
         self.d_max = d_max
         self.n_v = n_v
         self.witness = witness
+        self.d_geo = d_geo
+        self.genus = genus
+        self.factors = factors
 
     def __repr__(self):
         return f"PowerClassData(n={self.n}, d_max={self.d_max}, n_v={self.n_v})"
+
+    def sheet_equation(self, zeta):
+        """The normal form of z^n_v = zeta * witness (zeta a unit), from the
+        factors of h: const(zeta * lead(witness)) * prod f^((e/d_max) mod
+        n_v)."""
+        return _normal_form(self.n_v, zeta * self.witness.leading_unit(),
+                            [(f, e // self.d_max) for f, e in self.factors])
+
+
+def riemann_hurwitz_genus(n, branch):
+    """Genus of the cyclic degree-n cover of P^1 branched as ``branch``, a
+    list of (degree of the point, multiplicity m) with ramification index
+    n / gcd(n, m) above each point."""
+    two_g = 2 - 2 * n
+    for deg, m in branch:
+        two_g += deg * (n - gcd(n, m))
+    if two_g % 2:
+        raise GenusMismatch("Riemann-Hurwitz parity failure")
+    return two_g // 2
 
 
 def power_class(F, h, n):
@@ -1089,13 +1097,16 @@ def power_class(F, h, n):
         h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("power class of zero")
-    from math import gcd
     facs = h.factored()
-    d1 = n
+    d_geo = n
     for _, e in facs:
-        d1 = gcd(d1, e)
+        d_geo = gcd(d_geo, e)
+    a_inf = h.den.degree() - h.num.degree()
+    genus = riemann_hurwitz_genus(
+        n // d_geo, [(f.degree(), e // d_geo) for f, e in facs]
+        + [(1, a_inf // d_geo)])
     unit = h.leading_unit()
-    divisors = sorted((d for d in range(1, d1 + 1) if d1 % d == 0),
+    divisors = sorted((d for d in range(1, d_geo + 1) if d_geo % d == 0),
                       reverse=True)
     for d in divisors:
         root = F.nth_root(unit, d)
@@ -1105,21 +1116,8 @@ def power_class(F, h, n):
                 witness = witness * RationalFunction(f) ** (e // d)
             if witness**d != h:
                 raise WitnessMismatch("witness verification failed")
-            return PowerClassData(n, d, n // d, witness)
+            return PowerClassData(n, d, n // d, witness, d_geo, genus, facs)
     raise WitnessMismatch("unreachable: d = 1 always works")
-
-
-def geometric_power_class(F, h, n):
-    """Power class over the algebraic closure: units are always powers."""
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
-    if h.is_zero():
-        raise ZeroFunction("power class of zero")
-    from math import gcd
-    d1 = n
-    for _, e in h.factored():
-        d1 = gcd(d1, e)
-    return d1
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1132,6 @@ def _extension_with_embedding(F, i):
 
 def kummer_solutions(Fbig, d, u0):
     """#{w in Fbig : w^d = u0} for a unit u0."""
-    from math import gcd
     g = gcd(d, Fbig.q - 1)
     if u0 ** ((Fbig.q - 1) // g) == Fbig.one():
         return g
@@ -1156,7 +1153,6 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
     general rule above.
     """
     import numpy as np
-    from math import gcd
     if isinstance(h, FqPoly):
         h = RationalFunction(h)
     if h.is_zero():
@@ -1288,6 +1284,16 @@ def power_sums(poly, upto):
     return ps
 
 
+def _normal_form(nbar, unit, factors):
+    """const(unit) * prod f^(e mod nbar) over the factors (f, e)."""
+    out = FqPoly.constant(unit)
+    for f, e in factors:
+        r = e % nbar
+        if r:
+            out = out * f**r
+    return out
+
+
 def normalize_kummer_equation(nbar, h):
     """Replace h by h * g^nbar so the result is a polynomial all of whose
     irreducible factors have exponent in [1, nbar-1].  The Kummer cover
@@ -1297,12 +1303,7 @@ def normalize_kummer_equation(nbar, h):
         h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("cannot normalize zero")
-    out = FqPoly.constant(h.leading_unit())
-    for f, e in h.factored():
-        r = e % nbar
-        if r:
-            out = out * f**r
-    return out
+    return _normal_form(nbar, h.leading_unit(), h.factored())
 
 
 def kummer_genus(n_c, h):
@@ -1314,7 +1315,6 @@ def kummer_genus(n_c, h):
     the closure only, the component count n_c splits accordingly and the
     genus of a single component is returned.
     """
-    from math import gcd
     if isinstance(h, FqPoly):
         h = RationalFunction(h)
     if h.is_zero():
@@ -1323,18 +1323,7 @@ def kummer_genus(n_c, h):
     if gcd(n_c, F.p) != 1:
         raise CharacteristicDividesExponent(
             f"{n_c} not prime to characteristic {F.p}")
-    if power_class(F, h, n_c).d_max != 1:
+    pc = power_class(F, h, n_c)
+    if pc.d_max != 1:
         raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
-    d = geometric_power_class(F, h, n_c)
-    n_comp = n_c // d
-    two_g = -2 * n_comp + 2
-    for f, e in h.factored():
-        e //= d
-        if e % n_comp:
-            two_g += f.degree() * (n_comp - gcd(n_comp, e))
-    a_inf = -(h.num.degree() - h.den.degree()) // d
-    if a_inf % n_comp:
-        two_g += n_comp - gcd(n_comp, a_inf)
-    if two_g % 2:
-        raise GenusMismatch("Riemann-Hurwitz parity failure")
-    return two_g // 2
+    return pc.genus

@@ -50,8 +50,7 @@ automorphism than to any other.  Only generators are applied, each the
 least element not yet reached, with 2|G| ``apply`` calls; every other row
 of the table is composed from them, row(g o t) = row(g) o row(t).
 
-Valuations are integers in the v(pi_L) = 1 normalization unless stated;
-``as_vp1`` converts to the v(p) = 1 scale (divide by e).
+Valuations are integers in the v(pi_L) = 1 normalization unless stated.
 """
 
 from __future__ import annotations
@@ -509,12 +508,6 @@ class LocalFieldElement:
             raise PrecisionExhausted("valuation decision lacks headroom")
         return v
 
-    def as_vp1(self):
-        v = self.valuation()
-        if v == INFINITE:
-            return INFINITE
-        return Fraction(v, self.K.e)
-
     def residue(self):
         K = self.K
         v = self.valuation_or_none()
@@ -554,19 +547,6 @@ class LocalFieldElement:
 
     def is_zero_to_precision(self):
         return self.exact_zero or self.K._vec_val(self.vec) is None
-
-    def eq_approx(self, other, margin_digits=None):
-        """Equality up to (nearly) working precision."""
-        d = self - other
-        if d.exact_zero:
-            return True
-        v = d.valuation_or_none()
-        if v is None:
-            return True
-        K = self.K
-        need = K.e * (min(self.prec, other.prec) + min(self.shift, other.shift)
-                      - (margin_digits if margin_digits is not None else _MARGIN))
-        return v >= need
 
     def digits(self, count):
         """First `count` pi-adic digits (residue-field elements) of the unit
@@ -887,22 +867,13 @@ class GaloisGroupData:
     def compose(self, i, j):
         return self.table[i][j]
 
-    def element_order(self, i):
-        j, n = i, 1
-        while j != self.identity_index:
-            j = self.table[j][i]
-            n += 1
-        return n
 
-
-def galois_group(L, base="Qp"):
+def galois_group(L):
     """Enumerate Gal(L/Q_p) by sending the generators to conjugate roots,
     and build its table from generators.
 
     Raises NotGalois when fewer than [L:Q_p] automorphisms exist.
     """
-    if base != "Qp":
-        raise NotImplementedError("only the base Q_p is supported")
     K = L
     # roots of the unramified modulus inside U (they are Hensel-liftable)
     mcoeffs = [K.from_int(c) for c in K.U.modulus]

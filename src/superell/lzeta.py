@@ -56,13 +56,11 @@ def graph_h1_charpoly(component_orbit_sizes, node_orbit_data):
     return _integer_coeffs(quo)
 
 
-def component_l_factor(piece, budget=None):
+def component_l_factor(piece):
     """Zeta numerator of one component block, in the variable T^(d_j)."""
     if piece["genus"] == 0:
         return [1]
-    kwargs = {} if budget is None else {"budget": budget}
-    P = zeta_numerator(piece["n_geo"], piece["equation"], piece["genus"],
-                       **kwargs)
+    P = zeta_numerator(piece["n_geo"], piece["equation"], piece["genus"])
     # P(T) -> P(T^d)
     d = piece["d_j"]
     out = [0] * ((len(P) - 1) * d + 1)
@@ -80,7 +78,7 @@ class LFactorResult:
         return len(self.p1) - 1
 
 
-def local_l_factor(inertial, budget=None):
+def local_l_factor(inertial):
     """P1(T) of the inertial reduction, with the degree identity checked
     against dim H^1."""
     graph = graph_h1_charpoly(inertial.component_orbit_sizes(),
@@ -90,7 +88,7 @@ def local_l_factor(inertial, budget=None):
     for comp in inertial.components:
         for piece in comp.geometric_pieces:
             # one zeta factor per Frobenius orbit of geometric components
-            pf = component_l_factor(piece, budget)
+            pf = component_l_factor(piece)
             comp_factors.append(pf)
             p1 = p1 * QPoly(pf)
     p1 = _integer_coeffs(p1)

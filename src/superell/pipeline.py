@@ -173,7 +173,6 @@ def compute(curve, config=None, explicit_field=None, trace=None):
 
     if explicit_field is not None:
         candidates = [(explicit_field, galois_group(explicit_field))]
-        L0 = explicit_field
     else:
         L0, _ = splitting_field(curve.f, curve.p, config)
         say(f"splitting field: {L0.label} (degree {L0.degree})")
@@ -220,6 +219,8 @@ def compute_with_retry(curve, config=None, explicit_field=None, trace=None):
     try:
         return compute(curve, config, explicit_field, trace)
     except PrecisionExhausted:
+        if explicit_field is not None:
+            raise  # the field keeps its own precision: a retry would repeat
         if trace:
             print("precision exhausted; retrying at fourfold precision",
                   file=trace)

@@ -8,7 +8,9 @@ the chart alongside the powers of its denominator, O(m^2) products for
 deg f = m, and ``localfield.gauss_reduce`` reads N_v and fbar_v off both
 sides.  The vertex scaling is the deterministic pi^(N_v/n); any
 unit change of that scaling twists fbar_v by an n-th-power-compatible unit
-and is checked (in the tests) to leave all derived data unchanged.
+and is checked (in the tests) to leave all derived data unchanged.  One
+factorization of fbar_v (``power_class``) gives the number of components
+above v, the witness and the genus of each component.
 
 Nodes above an edge are computed on the child side, where the node sits at
 x = infinity of the normalized chart: with a = ord_infinity(fbar_child) and
@@ -27,7 +29,6 @@ from .finitefield import (
     FqPoly,
     RationalFunction,
     fq_make,
-    kummer_genus,
     power_class,
 )
 from .localfield import gauss_reduce, poly_mul
@@ -63,7 +64,8 @@ class VertexReduction:
     """Kummer data of the curve above one component of the tree."""
 
     __slots__ = ("vertex", "N_v", "eta_vp1", "fbar", "n_v", "d_max",
-                 "witness", "component_genus", "scaling_exponent")
+                 "witness", "component_genus", "scaling_exponent",
+                 "power_class")
 
     def __init__(self, vertex, N_v, fbar, n, L):
         self.vertex = vertex
@@ -74,11 +76,11 @@ class VertexReduction:
             raise NotDivisible(
                 f"n = {n} does not divide N_v = {N_v} at vertex {vertex}")
         self.scaling_exponent = N_v // n  # varpi_v = pi^(N_v/n)
-        pc = power_class(L.residue_field, fbar, n)
+        self.power_class = pc = power_class(L.residue_field, fbar, n)
         self.d_max = pc.d_max
         self.n_v = pc.n_v
         self.witness = pc.witness  # gbar with gbar^(d_max) = fbar
-        self.component_genus = kummer_genus(self.n_v, self.witness)
+        self.component_genus = pc.genus
 
     def component_count(self):
         return self.d_max

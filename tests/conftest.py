@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,8 +10,8 @@ import pytest
 from superell import tree
 from superell.curve import SuperellipticCurve
 from superell.errors import SuperellError
-from superell.finitefield import FqElement, FqField
-from superell.localfield import LocalFieldElement
+from superell.finitefield import FqElement, FqField, RationalFunction
+from superell.localfield import INFINITE, _MARGIN, LocalFieldElement
 from superell.pipeline import compute_with_retry
 
 REPO = Path(__file__).resolve().parents[1]
@@ -19,6 +20,31 @@ DEG40_SPEC = {"n": 5, "f": [-12, -12, 1, 4, 1], "p": 3}  # [L:Q_3] = 40
 # ex1 under x -> 3x: branch points at valuation -1/2
 EX1_NON_INTEGRAL_SPEC = {"n": 4, "p": 3, "f": [
     ["9*x^2-3", 1], ["9*x^2+3", 1], ["9*x^2-18*x-3", 1]]}
+
+
+def as_vp1(x):
+    """The valuation of x in the v(p) = 1 scale."""
+    v = x.valuation()
+    return INFINITE if v == INFINITE else Fraction(v, x.K.e)
+
+
+def eq_approx(x, y, margin_digits=_MARGIN):
+    """Equality of two elements of L up to working precision less
+    ``margin_digits`` digits."""
+    d = x - y
+    v = None if d.exact_zero else d.valuation_or_none()
+    need = x.K.e * (min(x.prec, y.prec) + min(x.shift, y.shift)
+                    - margin_digits)
+    return v is None or v >= need
+
+
+def element_order(G, i):
+    """The order of element i of the Galois group G."""
+    j, n = i, 1
+    while j != G.identity_index:
+        j = G.table[j][i]
+        n += 1
+    return n
 
 
 @pytest.fixture(scope="session")
@@ -118,6 +144,21 @@ def moebius_calls(monkeypatch):
         return moebius_eval(m, x, L)
 
     monkeypatch.setattr(tree, "moebius_eval", counted)
+    return count
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """A one-element list counting the ``RationalFunction.factored`` calls
+    made while the test runs."""
+    count = [0]
+    factored = RationalFunction.factored
+
+    def counted(self):
+        count[0] += 1
+        return factored(self)
+
+    monkeypatch.setattr(RationalFunction, "factored", counted)
     return count
 
 

@@ -62,6 +62,12 @@ subtraction; edges are disc inclusion.  Every repeated triple is
 cross-checked against the partition of its chart-reduction fibers, on the
 chart up to a scalar.  It is the reference for ``tree.build_tree``, which
 reads the vertices off the pairwise valuations.
+
+``geometric_power_class`` and ``kummer_genus_by_factorizations`` factor
+the equation anew for each invariant: the gcd of n and the exponents, and
+Riemann-Hurwitz after a power class check, three factorizations in all.
+They are the references for ``PowerClassData.d_geo`` and ``.genus``, read
+off the one factorization of ``power_class``.
 """
 
 import itertools
@@ -69,6 +75,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from superell.errors import (
+    GenusMismatch,
+    IsProperPower,
     NoRationalFixedPoint,
     NotInvariant,
     NotSplit,
@@ -81,6 +89,7 @@ from superell.finitefield import (
     factor_poly,
     fq_make,
     kummer_solutions,
+    power_class,
 )
 from superell.localfield import INFINITE, sort_key
 from superell.tree import (
@@ -695,9 +704,7 @@ def galois_table_by_scan(autos):
                           pi_imgs) for t in autos] for s in autos]
     inertia = sorted(i for i, s in enumerate(autos) if s.res_power == 0)
     frob = min(i for i, s in enumerate(autos) if s.res_power == 1 % K.f)
-    identity = next(i for i, s in enumerate(autos)
-                    if s.a_img.eq_approx(K.gen_unramified())
-                    and s.pi_img.eq_approx(K.pi()))
+    identity = _match_pair(K.gen_unramified(), K.pi(), a_imgs, pi_imgs)
     return table, inertia, frob, identity
 
 
@@ -725,3 +732,33 @@ def tree_action_by_scan(G, tree):
         vertex_perm.append([by_members[frozenset(pp[j] for j in v.members)]
                             for v in tree.vertices])
     return point_perm, vertex_perm
+
+
+def geometric_power_class(F, h, n):
+    """Power class over the algebraic closure: units are always powers."""
+    d1 = n
+    for _, e in h.factored():
+        d1 = gcd(d1, e)
+    return d1
+
+
+def kummer_genus_by_factorizations(n_c, h):
+    """Genus of one geometric component of z^n_c = h, h not a proper power
+    modulo n_c-th powers over its field, by Riemann-Hurwitz over the
+    algebraic closure."""
+    F = h.field
+    if power_class(F, h, n_c).d_max != 1:
+        raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
+    d = geometric_power_class(F, h, n_c)
+    n_comp = n_c // d
+    two_g = -2 * n_comp + 2
+    for f, e in h.factored():
+        e //= d
+        if e % n_comp:
+            two_g += f.degree() * (n_comp - gcd(n_comp, e))
+    a_inf = -(h.num.degree() - h.den.degree()) // d
+    if a_inf % n_comp:
+        two_g += n_comp - gcd(n_comp, a_inf)
+    if two_g % 2:
+        raise GenusMismatch("Riemann-Hurwitz parity failure")
+    return two_g // 2

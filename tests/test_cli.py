@@ -151,6 +151,29 @@ class TestCli:
                             if name not in used)
             assert not unused, f"unused imports in {path.name}: {unused}"
 
+    def test_every_definition_is_used(self):
+        """Every function, class and method the package defines is
+        referenced in the package or exported through ``__all__``
+        (dunders exempt)."""
+        trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+                 for path in sorted((REPO / "src" / "superell").glob("*.py"))}
+        used = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        used |= set(importlib.import_module("superell").__all__)
+        unused = sorted(
+            f"{name}: {node.name} (line {node.lineno})"
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in used)
+        assert not unused, f"unreferenced definitions: {unused}"
+
     def test_no_assert_statements(self):
         """Every internal check raises a typed error, so it also holds
         under python -O."""
@@ -180,6 +203,30 @@ class TestCli:
             data = json.loads(proc.stdout)
             assert data["conductor_exponent"] == 11
             assert data["P1"] == [1, 1, 3, 3]
+
+    @pytest.mark.parametrize("precision", [8, 10, 12])
+    def test_field_tower_precision_exhausted_is_final(
+            self, tmp_path, monkeypatch, capsys, precision):
+        """An explicit field keeps its own precision, so running the
+        pipeline again would repeat the failure: no retry."""
+        from superell import pipeline
+        calls = [0]
+        compute = pipeline.compute
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute", counted)
+        tower = {"p": 3, "unramified_modulus": [1, 0, 1],
+                 "eisenstein": [[-3, 0, 0, 0, 1]], "precision": precision}
+        (tmp_path / "curve.json").write_text(json.dumps(EX1))
+        (tmp_path / "tower.json").write_text(json.dumps(tower))
+        code = main([str(tmp_path / "curve.json"), "--field-tower",
+                     str(tmp_path / "tower.json"), "--trace"])
+        err = capsys.readouterr().err
+        assert code == 4 and calls[0] == 1
+        assert "PrecisionExhausted" in err and "retrying" not in err
 
     def test_field_tower_non_monic_modulus(self, tmp_path):
         tower = {"p": 3, "unramified_modulus": [1, 0, 2],

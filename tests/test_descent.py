@@ -223,6 +223,22 @@ class TestYScalings:
         assert inversions[0] == 0
 
 
+class TestOneFactorization:
+    """Every Kummer equation of the fiber and its descent is factored
+    once: ``fbar`` of each VertexReduction, h_raw of each InertiaQuotient
+    (to normalize it) and h' of each DescendedComponent, from which the
+    power class, the genus and the piece equations are all read."""
+
+    @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction"))
+    def test_each_equation_once(self, sample_results, factorizations, name):
+        r = sample_results[name]
+        fiber = reduce_special_fiber(r.curve, r.L, r.tree)
+        ic = build_inertial_curve(r.curve, r.L, r.G, r.filt, r.tree,
+                                  r.inertial.ctx.act, fiber)
+        assert factorizations[0] <= (len(fiber.reductions) + len(ic.iq)
+                                     + len(ic.components))
+
+
 class TestWildQuotientGenera:
     def test_example2_swan_quotients(self):
         curve, L, G, filt, tree, act, fiber, ic = full_setup(*EX2)

@@ -10,6 +10,7 @@ from superell.errors import (
     IsProperPower,
     NonPrime,
     ReducibleModulus,
+    ZeroFunction,
     ZeroPolynomial,
 )
 from superell.finitefield import (
@@ -20,7 +21,6 @@ from superell.finitefield import (
     count_kummer_points,
     factor_poly,
     fq_make,
-    geometric_power_class,
     kummer_genus,
     normalize_kummer_equation,
     power_class,
@@ -31,7 +31,9 @@ from oracles import (
     DigitField,
     count_kummer_points_scalar,
     count_points_by_places,
+    geometric_power_class,
     is_irreducible_by_trial_division,
+    kummer_genus_by_factorizations,
     monic_polys,
 )
 
@@ -153,7 +155,7 @@ class TestLogTable:
             for d in (2, 3, 4, 6):
                 g = gcd(d, F.q - 1)
                 assert F.nth_root(F.zero(), d) == F.zero()
-                for u in list(F.elements())[1:]:
+                for u in map(F.from_index, range(1, F.q)):
                     r = F.nth_root(u, d)
                     if u ** ((F.q - 1) // g) == F.one():
                         assert r is not None and r**d == u
@@ -423,8 +425,37 @@ class TestPowerClass:
         F = fq_make(3)  # units {1, 2}; 2 is not a square mod 3
         h = poly(F, 0, 0, 2)
         pc = power_class(F, h, 2)
-        assert pc.d_max == 1
-        assert geometric_power_class(F, h, 2) == 2
+        assert pc.d_max == 1 and pc.d_geo == 2
+
+    @pytest.mark.parametrize("p, k, ns", [
+        (5, 1, (2, 3, 4, 6)), (7, 1, (2, 3, 4, 6)), (13, 1, (2, 3, 4, 6)),
+        (5, 2, (2, 3, 4, 6)), (3, 2, (2, 4)), (2, 2, (3,)),
+    ])
+    def test_one_factorization_matches_oracles(self, p, k, ns):
+        """d_geo, genus and the sheet equations, read off one
+        factorization, against the oracles that factor anew: on products
+        of random factors with exponents in [-6, 6], so that proper powers
+        and non-square units occur."""
+        F = fq_make(p, k)
+        rng = random.Random(97 * p + k)
+        for _ in range(12):
+            h = RationalFunction(FqPoly.constant(
+                F.from_index(rng.randrange(1, F.q))))
+            for _ in range(rng.randrange(4)):
+                g = FqPoly(F, [F.from_index(rng.randrange(F.q))
+                               for _ in range(rng.randrange(1, 3))]
+                           + [F.one()])
+                h = h * RationalFunction(g) ** rng.randrange(-6, 7)
+            for n in ns:
+                pc = power_class(F, h, n)
+                assert pc.d_geo == geometric_power_class(F, h, n)
+                assert pc.genus == kummer_genus_by_factorizations(
+                    pc.n_v, pc.witness)
+                for zeta in (F.one(), F.from_index(rng.randrange(1, F.q))):
+                    twisted = pc.witness * RationalFunction(
+                        FqPoly.constant(zeta))
+                    assert pc.sheet_equation(zeta) \
+                        == normalize_kummer_equation(pc.n_v, twisted)
 
 
 class TestCounting:
@@ -623,10 +654,18 @@ class TestRationalFunction:
         assert h.ord_at(INF) == -2
         assert h.unit_value_at(INF) == F.from_int(2)
 
-    def test_compose_moebius(self):
+    def test_zero_function_has_no_order_or_unit_value(self):
         F = fq_make(5)
-        x = RationalFunction(FqPoly.x(F))
-        h = RationalFunction(poly(F, 1, 0, 1))
-        inv = RationalFunction(poly(F, 1), FqPoly.x(F))  # 1/x
-        assert h.compose(inv) == RationalFunction(poly(F, 1, 0, 1),
-                                                  poly(F, 0, 0, 1))
+        zero = RationalFunction(poly(F, 0))
+        for pt in (F.one(), INF):
+            with pytest.raises(ZeroFunction):
+                zero.ord_at(pt)
+            with pytest.raises(ZeroFunction):
+                zero.unit_value_at(pt)
+
+    def test_compose_linear(self):
+        # (x^2 + 1)/x at 2x + 3 over GF(5): (4x^2 + 2x)/(2x + 3)
+        F = fq_make(5)
+        h = RationalFunction(poly(F, 1, 0, 1), FqPoly.x(F))
+        assert h.compose(poly(F, 3, 2)) == RationalFunction(
+            poly(F, 0, 2, 4), poly(F, 3, 2))

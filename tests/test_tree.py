@@ -34,6 +34,7 @@ from superell.tree import (
     triple_chart,
 )
 
+from conftest import element_order
 from oracles import (
     _chart_up_to_scalar,
     build_tree_by_triples,
@@ -148,7 +149,7 @@ class TestSmallTrees:
         from superell.curve import BranchDivisor, BranchPoint
         roots = roots_of_qpoly(L0, f)
         pts = [BranchPoint(r, 1) for r in roots]
-        div = BranchDivisor(pts, False)
+        div = BranchDivisor(pts)
         tree = build_tree(div, L0)
         assert tree.vertex_count() == 1
         assert tree.edges == []
@@ -160,7 +161,7 @@ class TestSmallTrees:
         pts = [BranchPoint(roots[0], 1), BranchPoint(roots[0], 1),
                BranchPoint(roots[1], 1)]
         with pytest.raises(NotSplit):
-            build_tree(BranchDivisor(pts, False), L)
+            build_tree(BranchDivisor(pts), L)
 
 
 class TestGaloisAction:
@@ -168,7 +169,7 @@ class TestGaloisAction:
         curve, L, G, filt, div = example1_setup()
         tree = build_tree(div, L)
         act = galois_on_tree(G, filt, tree)
-        gen4 = [g for g in G.inertia if G.element_order(g) == 4][0]
+        gen4 = [g for g in G.inertia if element_order(G, g) == 4][0]
         perm = act.vertex_perm[gen4]
         assert perm[tree.root] == tree.root
         c1, c2 = tree.vertices[tree.root].children
@@ -346,7 +347,7 @@ def integer_divisor(p, ints, infinity=None):
         pts.insert(0, inf)
     elif infinity == "last":
         pts.append(inf)
-    return BranchDivisor(pts, infinity is not None), L
+    return BranchDivisor(pts), L
 
 
 # (p, integer points, where infinity is marked)
