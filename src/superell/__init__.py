@@ -11,7 +11,6 @@ from .fieldsearch import (
 )
 from .finitefield import (
     FqPoly,
-    RationalFunction,
     count_kummer_points,
     factor_poly,
     fq_make,
@@ -27,11 +26,10 @@ from .qpoly import QPoly, parse_poly
 __all__ = [
     "SuperellipticCurve", "branch_divisor", "SuperellError", "SearchConfig",
     "build_tower", "semistabilizing_field", "splitting_field", "FqPoly",
-    "RationalFunction", "count_kummer_points", "factor_poly", "fq_make",
-    "kummer_genus", "normalize_kummer_equation", "power_class",
-    "zeta_numerator", "LocalField", "galois_group",
-    "ramification_filtration", "compute", "compute_with_retry", "QPoly",
-    "parse_poly",
+    "count_kummer_points", "factor_poly", "fq_make", "kummer_genus",
+    "normalize_kummer_equation", "power_class", "zeta_numerator",
+    "LocalField", "galois_group", "ramification_filtration", "compute",
+    "compute_with_retry", "QPoly", "parse_poly",
 ]
 
 __version__ = "0.1.0"

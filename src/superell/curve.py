@@ -129,6 +129,11 @@ class SuperellipticCurve:
                         f"factor multiplicity must be at least 1, not {mult}")
                 base = _parse_factor(entry) if isinstance(entry, str) \
                     else QPoly([_coefficient(c) for c in entry])
+                # the check of validate(), made before a large power of
+                # base is expanded
+                if mult >= n and base.degree() > 0:
+                    raise ValidationError(
+                        f"f has a factor which is an {n}-th power over Q")
                 f = f * base**mult
         else:
             f = QPoly([_coefficient(c) for c in fspec])

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .finitefield import (
     FqPoly,
-    RationalFunction,
     fq_make,
     kummer_genus,
     normalize_kummer_equation,
@@ -75,31 +74,23 @@ def rewrite_in_subalgebra(poly, u_poly):
     return out
 
 
-def rewrite_in_power(rat, m):
-    """Rewrite a scaling-invariant rational function of u in w = u^m."""
-    if m == 1:
-        return rat
-    F = rat.field
-    num, den = rat.num, rat.den
-    lo_n = next(i for i, c in enumerate(num.coeffs) if not c.is_zero())
-    lo_d = next(i for i, c in enumerate(den.coeffs) if not c.is_zero())
-    shift = (lo_d - lo_n) % m
-    if shift:
-        x = FqPoly.x(F)
-        num = num * x**shift
-        den = den * x**shift
+def rewrite_in_power(poly, m):
+    """Rewrite a polynomial in u whose exponents are all divisible by m as
+    a polynomial in w = u^m."""
+    c = poly.coeffs
+    if any(not x.is_zero() for i, x in enumerate(c) if i % m):
+        raise NotInvariant(
+            "function is not invariant under the scaling action")
+    return FqPoly(poly.field, c[::m])
 
-    def compress(poly):
-        out = []
-        for i, c in enumerate(poly.coeffs):
-            if i % m == 0:
-                out.append(c)
-            elif not c.is_zero():
-                raise NotInvariant(
-                    "function is not invariant under the scaling action")
-        return FqPoly(F, out)
 
-    return RationalFunction(compress(num), compress(den))
+def _constant_ratio(a, b):
+    """The constant c with a = c * b, for nonzero polynomials a and b that
+    are witnesses of the same sheets, one of them transported."""
+    c = a.lead() / b.lead()
+    if a != b * c:
+        raise NotInvariant("witness transport ratio is not constant")
+    return c
 
 
 def _mult_order(x):
@@ -166,13 +157,8 @@ class ActionContext:
         F = self.L.residue_field
         lin = FqPoly(F, [b, a])
         sigma = self.G.autos[g]
-        num = red_v.witness.num.map_coeffs(sigma.residue_action)
-        den = red_v.witness.den.map_coeffs(sigma.residue_action)
-        moved = RationalFunction(num, den).compose(lin)
-        ratio = moved / red_w.witness
-        if not ratio.is_constant():
-            raise NotInvariant("sheet transport ratio is not constant")
-        const = ratio.leading_unit()
+        moved = red_v.witness.map_coeffs(sigma.residue_action).compose(lin)
+        const = _constant_ratio(moved, red_w.witness)
         gam = self.gamma(g, v)
         zeta_new = sigma.residue_action(zeta) * const \
             * (gam.inverse() ** red_v.n_v)
@@ -300,13 +286,10 @@ class InertiaQuotient:
         F = L.residue_field
         n = ctx.curve.n
         red = ctx.fiber.reductions[v]
-        if not red.fbar.den.is_one():
-            raise NotInvariant("reduced equation has an unexpected pole")
-        fpoly = red.fbar.num
 
         # wild part
         self.translations, self.u_poly, self.g_wild = _translation_quotient(
-            ctx, ctx.act.wild_stabilizer(v), v, fpoly)
+            ctx, ctx.act.wild_stabilizer(v), v, red.fbar)
 
         # tame part
         sg = ctx.act.tame_generator(v)
@@ -335,8 +318,17 @@ class InertiaQuotient:
         if s is None:
             raise NotInvariant("gamma^(mu/m) is not a power of c")
         self.s = s
-        H = RationalFunction(self.g_wild, FqPoly.x(F) ** (s * self.nbar))
-        self.h_raw = rewrite_in_power(H, m)
+        # z^nbar = g_wild / u^(s nbar) = (g_wild / u^j0) w^k with j0 the
+        # lowest exponent of g_wild and w^k = u^(j0 - s nbar); h_raw keeps
+        # w^(k mod nbar), an nbar-th power away from w^k
+        c = self.g_wild.coeffs
+        j0 = next(j for j, x in enumerate(c) if not x.is_zero())
+        k, r = divmod(j0 - s * self.nbar, m)
+        if r:
+            raise NotInvariant(
+                "function is not invariant under the scaling action")
+        self.h_raw = rewrite_in_power(FqPoly(F, c[j0:]), m) \
+            * FqPoly.x(F) ** (k % self.nbar)
         self.h_norm = normalize_kummer_equation(self.nbar, self.h_raw)
         self.flagged = (mu // m) == n
 
@@ -552,13 +544,8 @@ class DescendedComponent:
         witness = pcL.witness
         self.genus_geometric = 0 if self.flagged else pcL.genus
         # Frobenius (p^(d_v)-power) action on the component labels
-        wit_f = RationalFunction(
-            witness.num.map_coeffs(lambda c: c.frobenius(d_v)),
-            witness.den.map_coeffs(lambda c: c.frobenius(d_v)))
-        ratio = wit_f / witness
-        if not ratio.is_constant():
-            raise NotInvariant("witness Frobenius ratio not constant")
-        omega = ratio.leading_unit()
+        omega = _constant_ratio(
+            witness.map_coeffs(lambda c: c.frobenius(d_v)), witness)
         labels = F.roots_of_unity(self.d_geo)
         pieces = []
         seen = set()

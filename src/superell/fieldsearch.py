@@ -451,7 +451,7 @@ def has_nth_root_of_p(L, n):
     return bool(roots_integral(coeffs, L))
 
 
-def semistabilizing_candidates(L0, n, f, p, config=None):
+def semistabilizing_candidates(L0, n, p, config=None):
     """Yield catalog fields containing L0, zeta_n and p^(1/n), Galois over
     Q_p, in increasing degree (with their Galois groups)."""
     if config is None:
@@ -487,8 +487,8 @@ def semistabilizing_candidates(L0, n, f, p, config=None):
             f"contains the splitting field, zeta_{n} and p^(1/{n})")
 
 
-def semistabilizing_field(L0, n, f, p, config=None):
+def semistabilizing_field(L0, n, p, config=None):
     """First (smallest) semistabilizing candidate."""
-    for L, G in semistabilizing_candidates(L0, n, f, p, config):
+    for L, G in semistabilizing_candidates(L0, n, p, config):
         return L, G
     raise CatalogExhausted("unreachable")

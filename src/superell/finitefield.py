@@ -30,27 +30,30 @@ the field's scalar operations on ints without creating elements.
 
 On top of the field arithmetic this module provides
 
-* ``FqPoly`` / ``RationalFunction``: dense univariate polynomials and reduced
-  fractions over a fixed field;
+* ``FqPoly``: dense univariate polynomials over a fixed field, also the one
+  representation of a Kummer equation z^nbar = h: every h met is a
+  polynomial, since the charts send the pole of f to infinity, and its
+  order and unit value at a point of P^1 are ``ord_at`` and
+  ``unit_value_at``;
 * ``factor_poly``: squarefree + distinct-degree + Cantor-Zassenhaus equal
   degree splitting, derandomized by seeding the splitting PRNG from the
   input polynomial;
-* ``power_class``: the largest d | n such that a rational function h is a
-  d-th power, with an explicit witness, and, from the same factorization
-  of h, the power class d_geo over the algebraic closure, the genus of one
-  geometric component of z^n = h (``riemann_hurwitz_genus``, the one
-  Riemann-Hurwitz formula of the package) and the normal forms of its
-  sheets;
+* ``power_class``: the largest d | n such that a polynomial h is a d-th
+  power, with an explicit polynomial witness, and, from the same
+  ``factor_poly`` of h, the power class d_geo over the algebraic closure,
+  the genus of one geometric component of z^n = h
+  (``riemann_hurwitz_genus``, the one Riemann-Hurwitz formula of the
+  package) and the normal forms of its sheets;
 * ``count_kummer_points`` / ``zeta_numerator``: rational point counts on the
   normalization of z^nbar = h(w) and the numerator of its zeta function;
-* ``normalize_kummer_equation``: strip nbar-th power factors and denominators
-  without changing the function field of the cover.
+* ``normalize_kummer_equation``: strip nbar-th power factors without
+  changing the function field of the cover.
 
 Bulk work runs on numpy digit arrays, (k, N) int64 arrays holding N
 elements as columns of base-p digits.  ``count_kummer_points`` evaluates
-num and den of h at all of F_{q^i}, a fixed chunk of points at a time, and
-decides n-th-power residuosity of the ordinary points by comparing discrete
-logs, read from the field's log table through a numpy view (a field above
+h at all of F_{q^i}, a fixed chunk of points at a time, and decides
+n-th-power residuosity of the ordinary points by their discrete logs, read
+from the field's log table through a numpy view (a field above
 2^17 keeps a numpy log table alone: 4 bytes per element, at most about
 4 MB within ``DEFAULT_POINT_BUDGET``).  numpy is imported inside the
 functions that use it, so importing the package does not load it; the
@@ -707,7 +710,8 @@ class FqPoly:
     def is_one(self):
         return self._c == (1,)
 
-    def _lead(self):
+    def lead(self):
+        """The leading coefficient."""
         return FqElement(self.field, self._c[-1])
 
     def key(self):
@@ -786,6 +790,34 @@ class FqPoly:
         for c in reversed(self._c):
             acc = add(mul(acc, x.i), c)
         return FqElement(F, acc)
+
+    def _divide_out(self, pt):
+        """(ord at the finite point pt, self with every factor x - pt
+        divided out)."""
+        lin = FqPoly._make(self.field, (self.field._neg(pt.i), 1))
+        k, poly = 0, self
+        while poly.evaluate(pt).is_zero():
+            poly = poly // lin
+            k += 1
+        return k, poly
+
+    def ord_at(self, pt):
+        """Order of vanishing at a point of P^1 (pt = FqElement or INF);
+        -deg at infinity."""
+        if self.is_zero():
+            raise ZeroFunction("order of the zero function")
+        if pt == INF:
+            return -self.degree()
+        return self._divide_out(pt)[0]
+
+    def unit_value_at(self, pt):
+        """Value of self * t^(-ord) at pt, t the local parameter (x - pt or
+        1/x); the leading coefficient at infinity."""
+        if self.is_zero():
+            raise ZeroFunction("unit value of the zero function")
+        if pt == INF:
+            return self.lead()
+        return self._divide_out(pt)[1].evaluate(pt)
 
     def compose(self, other):
         F = self.field
@@ -924,129 +956,6 @@ def factor_poly(F, g):
 
 
 # ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-class RationalFunction:
-    """Reduced fraction of FqPoly's with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = FqPoly(num.field, [num.field.one()])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num, den = num // g, den // g
-        lead = den._lead()
-        if lead != num.field.one():
-            inv = lead.inverse()
-            num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def __repr__(self):
-        if self.den.is_one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_constant(self):
-        return self.num.degree() <= 0 and self.den.is_one()
-
-    def __mul__(self, other):
-        if isinstance(other, FqPoly):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, FqPoly):
-            other = RationalFunction(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other):
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __pow__(self, e):
-        if e < 0:
-            return RationalFunction(self.den, self.num) ** (-e)
-        return RationalFunction(self.num**e, self.den**e)
-
-    def compose(self, other):
-        """self(other) for a polynomial ``other``, e.g. a linear change of
-        variable."""
-        return RationalFunction(self.num.compose(other),
-                                self.den.compose(other))
-
-    def _divide_out(self, pt):
-        """(ord at the finite point pt, num and den with every factor
-        x - pt divided out)."""
-        lin = FqPoly(self.field, [-pt, self.field.one()])
-        out = []
-        for poly in (self.num, self.den):
-            k = 0
-            while poly.evaluate(pt).is_zero():
-                poly = poly // lin
-                k += 1
-            out.append((k, poly))
-        (a, num), (b, den) = out
-        return a - b, num, den
-
-    def ord_at(self, pt):
-        """Order of vanishing at a point of P^1 (pt = FqElement or INF)."""
-        if self.is_zero():
-            raise ZeroFunction("order of the zero function")
-        if pt == INF:
-            return self.den.degree() - self.num.degree()
-        return self._divide_out(pt)[0]
-
-    def unit_value_at(self, pt):
-        """Value of self * t^(-ord) at pt, t the local parameter (x-pt or 1/x)."""
-        if self.is_zero():
-            raise ZeroFunction("unit value of the zero function")
-        if pt == INF:
-            return self.num._lead() / self.den._lead()
-        _, num, den = self._divide_out(pt)
-        return num.evaluate(pt) / den.evaluate(pt)
-
-    def factored(self):
-        """[(irreducible, exponent)] over num and den (den with negative exps)."""
-        out = {}
-        if self.num.degree() > 0:
-            for f, e in factor_poly(self.field, self.num):
-                out[f] = out.get(f, 0) + e
-        if self.den.degree() > 0:
-            for f, e in factor_poly(self.field, self.den):
-                out[f] = out.get(f, 0) - e
-        return sorted(out.items(), key=lambda kv: kv[0].key())
-
-    def leading_unit(self):
-        return self.num._lead()
-
-
-# ---------------------------------------------------------------------------
 # power classes
 # ---------------------------------------------------------------------------
 
@@ -1055,7 +964,7 @@ class PowerClassData:
 
     ``d_geo`` is the gcd of n and the exponents of h, its power class over
     the algebraic closure; ``genus`` is the genus of one geometric component
-    of z^n = h; ``factors`` is h.factored()."""
+    of z^n = h; ``factors`` is ``factor_poly`` of h."""
 
     __slots__ = ("n", "d_max", "n_v", "witness", "d_geo", "genus", "factors")
 
@@ -1075,7 +984,7 @@ class PowerClassData:
         """The normal form of z^n_v = zeta * witness (zeta a unit), from the
         factors of h: const(zeta * lead(witness)) * prod f^((e/d_max) mod
         n_v)."""
-        return _normal_form(self.n_v, zeta * self.witness.leading_unit(),
+        return _normal_form(self.n_v, zeta * self.witness.lead(),
                             [(f, e // self.d_max) for f, e in self.factors])
 
 
@@ -1092,28 +1001,27 @@ def riemann_hurwitz_genus(n, branch):
 
 
 def power_class(F, h, n):
-    """Largest d | n with h a d-th power in F(x)^*, plus a witness g, g^d = h."""
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
+    """Largest d | n with the polynomial h a d-th power in F(x)^*, plus a
+    witness g, g^d = h."""
     if h.is_zero():
         raise ZeroFunction("power class of zero")
-    facs = h.factored()
+    facs = factor_poly(F, h)
     d_geo = n
     for _, e in facs:
         d_geo = gcd(d_geo, e)
-    a_inf = h.den.degree() - h.num.degree()
+    a_inf = -h.degree()
     genus = riemann_hurwitz_genus(
         n // d_geo, [(f.degree(), e // d_geo) for f, e in facs]
         + [(1, a_inf // d_geo)])
-    unit = h.leading_unit()
+    unit = h.lead()
     divisors = sorted((d for d in range(1, d_geo + 1) if d_geo % d == 0),
                       reverse=True)
     for d in divisors:
         root = F.nth_root(unit, d)
         if root is not None:
-            witness = RationalFunction(FqPoly.constant(root))
+            witness = FqPoly.constant(root)
             for f, e in facs:
-                witness = witness * RationalFunction(f) ** (e // d)
+                witness = witness * f ** (e // d)
             if witness**d != h:
                 raise WitnessMismatch("witness verification failed")
             return PowerClassData(n, d, n // d, witness, d_geo, genus, facs)
@@ -1147,14 +1055,11 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
     has solutions.
 
     The affine points are evaluated as digit arrays, ``_KUMMER_CHUNK`` at a
-    time.  Where num and den are both nonzero, a = 0 and there are g =
-    gcd(nbar, q^i - 1) points above x0 if num/den is a g-th power, i.e. if
-    log(num) = log(den) mod g; the other points and infinity take the
-    general rule above.
+    time.  Where h(x0) is nonzero, a = 0 and there are g = gcd(nbar, q^i - 1)
+    points above x0 if h(x0) is a g-th power, i.e. if log h(x0) = 0 mod g;
+    the zeros of h and infinity take the general rule above.
     """
     import numpy as np
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("cannot count points of z^n = 0")
     F = h.field
@@ -1165,31 +1070,27 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
         raise EnumerationBudgetExceeded(
             f"q^i = {F.q ** i} exceeds budget {budget}")
     big, emb = _extension_with_embedding(F, i)
-    hh = RationalFunction(h.num.map_coeffs(emb, big), h.den.map_coeffs(emb, big))
+    hh = h.map_coeffs(emb, big)
     g_full = gcd(nbar, big.q - 1)
     log = big._log_table() if g_full > 1 else None
-
-    def values(poly, x):
-        cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
-                for c in reversed(poly.coeffs)]
-        acc = np.broadcast_to(cols[0], x.shape)
-        for col in cols[1:]:
-            acc = big._mul_digits(acc, x)
-            acc += col
-            acc %= big.p
-        return big._indices(acc)
-
+    cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
+            for c in reversed(hh.coeffs)]
     total = 0
     special = []
     for start in range(0, big.q, _KUMMER_CHUNK):
         idx = np.arange(start, min(start + _KUMMER_CHUNK, big.q),
                         dtype=np.int64)
         x = big._digits(idx)
-        nv, dv = values(hh.num, x), values(hh.den, x)
-        ordinary = (nv != 0) & (dv != 0)
+        acc = np.broadcast_to(cols[0], x.shape)
+        for col in cols[1:]:
+            acc = big._mul_digits(acc, x)
+            acc += col
+            acc %= big.p
+        hv = big._indices(acc)
+        ordinary = hv != 0
         special.extend(idx[~ordinary].tolist())
         if log is not None:
-            ordinary &= (log[nv] - log[dv]) % g_full == 0
+            ordinary &= log[hv] % g_full == 0
         total += g_full * int(np.count_nonzero(ordinary))
     for x0 in [big.from_index(j) for j in special] + [INF]:
         d = gcd(nbar, hh.ord_at(x0))
@@ -1222,8 +1123,6 @@ def zeta_numerator(nbar, h, genus, budget=DEFAULT_POINT_BUDGET):
     z^nbar = h over F_q, from point counts N_1..N_genus and the functional
     equation.  The count N_{genus+1} is used as a consistency check.
     """
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
     F = h.field
     q = F.q
     if genus == 0:
@@ -1295,15 +1194,13 @@ def _normal_form(nbar, unit, factors):
 
 
 def normalize_kummer_equation(nbar, h):
-    """Replace h by h * g^nbar so the result is a polynomial all of whose
-    irreducible factors have exponent in [1, nbar-1].  The Kummer cover
+    """Replace the polynomial h by h / g^nbar so that every irreducible
+    factor of the result has exponent in [1, nbar-1].  The Kummer cover
     z^nbar = h is unchanged up to isomorphism.
     """
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("cannot normalize zero")
-    return _normal_form(nbar, h.leading_unit(), h.factored())
+    return _normal_form(nbar, h.lead(), factor_poly(h.field, h))
 
 
 def kummer_genus(n_c, h):
@@ -1315,8 +1212,6 @@ def kummer_genus(n_c, h):
     the closure only, the component count n_c splits accordingly and the
     genus of a single component is returned.
     """
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
     if h.is_zero():
         raise ZeroFunction("genus of z^n = 0")
     F = h.field

@@ -955,7 +955,9 @@ def ramification_filtration(G):
     """Compute Gamma_i via i(sigma) = v_L(sigma(theta) - theta) for a
     verified generator theta of O_L over Z_p.
 
-    Candidates theta = pi, then pi + a; the candidate is accepted when
+    Candidates theta = pi, then pi + a, then for f > 1 pi plus the
+    Teichmueller lift of the residue generator, each built only when the
+    one before it fails; the candidate is accepted when
     sum_(sigma != 1) i(sigma) equals v_L(E'(pi)) (the different of L/Q_p,
     since U/Q_p is unramified).
     """
@@ -964,11 +966,14 @@ def ramification_filtration(G):
     dE = poly_derivative([LocalFieldElement(K, (c,) + (K.U.zero,) * (K.e - 1),
                                             0, K.N, False) for c in K.E], K)
     diff_val = poly_eval(dE, K.pi()).valuation()
-    candidates = [K.pi(), K.pi() + K.gen_unramified()]
-    if K.f > 1:
-        candidates.append(K.pi() +
-                          K.teichmueller(K.residue_field.gen()))
-    for theta in candidates:
+
+    def candidates():
+        yield K.pi()
+        yield K.pi() + K.gen_unramified()
+        if K.f > 1:
+            yield K.pi() + K.teichmueller(K.residue_field.gen())
+
+    for theta in candidates():
         ivals = {}
         ok = True
         total = 0

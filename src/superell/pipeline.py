@@ -42,6 +42,9 @@ class PipelineResult:
         red = self.fiber
         ic = self.inertial
         verts = []
+        # fbar is a polynomial (``gauss_valuation_f`` rejects any other
+        # reduced denominator), so the report's denominator is always 1
+        fbar_den = [list(L.residue_field.one().coeffs)]
         for v in tree.vertices:
             r = red.reductions[v.index]
             verts.append({
@@ -51,8 +54,8 @@ class PipelineResult:
                 "marked_points": sorted(v.marked),
                 "N_v": r.N_v,
                 "eta": str(r.eta_vp1),
-                "fbar_num": _poly_json(r.fbar.num),
-                "fbar_den": _poly_json(r.fbar.den),
+                "fbar_num": _poly_json(r.fbar),
+                "fbar_den": fbar_den,
                 "n_v": r.n_v,
                 "component_count": r.component_count(),
                 "component_genus": r.component_genus,
@@ -176,8 +179,8 @@ def compute(curve, config=None, explicit_field=None, trace=None):
     else:
         L0, _ = splitting_field(curve.f, curve.p, config)
         say(f"splitting field: {L0.label} (degree {L0.degree})")
-        candidates = semistabilizing_candidates(L0, curve.n, curve.f,
-                                                curve.p, config)
+        candidates = semistabilizing_candidates(L0, curve.n, curve.p,
+                                                config)
 
     last_failure = None
     for L, G in candidates:

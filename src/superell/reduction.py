@@ -6,9 +6,12 @@ where divisibility by n is the semistability criterion) and the reduced
 equation fbar_v.  The substitution runs Horner's rule in the numerator of
 the chart alongside the powers of its denominator, O(m^2) products for
 deg f = m, and ``localfield.gauss_reduce`` reads N_v and fbar_v off both
-sides.  The vertex scaling is the deterministic pi^(N_v/n); any
-unit change of that scaling twists fbar_v by an n-th-power-compatible unit
-and is checked (in the tests) to leave all derived data unchanged.  One
+sides.  fbar_v is a polynomial: the chart sends the pole of f to infinity,
+so the reduced denominator is a nonzero constant, and any other reduced
+denominator raises ``NotInvariant``.  The vertex scaling is the
+deterministic pi^(N_v/n); any unit change of that scaling twists fbar_v by
+an n-th-power-compatible unit and is checked (in the tests) to leave all
+derived data unchanged.  One
 factorization of fbar_v (``power_class``) gives the number of components
 above v, the witness and the genus of each component.
 
@@ -23,14 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import AdmissibilityViolation, GenusMismatch, NotDivisible
-from .finitefield import (
-    INF,
-    FqPoly,
-    RationalFunction,
-    fq_make,
-    power_class,
+from .errors import (
+    AdmissibilityViolation,
+    GenusMismatch,
+    NotDivisible,
+    NotInvariant,
 )
+from .finitefield import INF, FqPoly, fq_make, power_class
 from .localfield import gauss_reduce, poly_mul
 
 
@@ -40,7 +42,9 @@ def gauss_valuation_f(curve, L, chart):
     With the chart (a, b, c, d), f((d x - b)/(-c x + a)) is num / den with
     num = sum_i q_i (d x - b)^i (-c x + a)^(m - i) and den = (-c x + a)^m,
     m = deg f.  Horner's rule in (d x - b) builds num alongside the powers
-    of (-c x + a), the last of which is den."""
+    of (-c x + a), the last of which is den.  The reduction of den must
+    be a nonzero constant, and fbar_v is the reduction of num divided by
+    it."""
     a, b, c, d = chart
     P1, P2 = [-b, d], [a, -c]
     q = curve.f.coeffs
@@ -55,8 +59,9 @@ def gauss_valuation_f(curve, L, chart):
                    for x, y in zip(num, den)]
     mu_n, red_n = gauss_reduce(num, L)
     mu_d, red_d = gauss_reduce(den, L)
-    fbar = RationalFunction(FqPoly(L.residue_field, red_n),
-                            FqPoly(L.residue_field, red_d))
+    if any(not r.is_zero() for r in red_d[1:]):
+        raise NotInvariant("reduced equation has an unexpected pole")
+    fbar = FqPoly(L.residue_field, red_n) * red_d[0].inverse()
     return mu_n - mu_d, fbar
 
 

@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from superell import tree
+from superell import finitefield, tree
 from superell.curve import SuperellipticCurve
 from superell.errors import SuperellError
-from superell.finitefield import FqElement, FqField, RationalFunction
+from superell.finitefield import FqElement, FqField
 from superell.localfield import INFINITE, _MARGIN, LocalFieldElement
 from superell.pipeline import compute_with_retry
 
@@ -101,20 +101,33 @@ def perfbench():
 
 
 @pytest.fixture(scope="session")
-def padic_tree_pass0(perfbench):
-    """(case, outcome) for pass 0 of the benchmark's ``padic_tree``
-    workload at its default seed: the outcome is the pipeline result, or
-    the typed error the pipeline raised."""
-    _, passes = perfbench.workloads.build(
-        "padic_tree", perfbench.reference.DEFAULT_SEED)
-    out = []
-    for case in passes[0]:
-        try:
-            out.append((case, compute_with_retry(
-                SuperellipticCurve.from_json_dict(case.spec))))
-        except SuperellError as exc:
-            out.append((case, exc))
-    return out
+def workload_pass0(perfbench):
+    """workload_pass0(name): (case, outcome) for pass 0 of the benchmark
+    workload ``name`` at its default seed, computed once per session: the
+    outcome is the pipeline result, or the typed error the pipeline
+    raised."""
+    cache = {}
+
+    def outcomes(workload):
+        if workload not in cache:
+            _, passes = perfbench.workloads.build(
+                workload, perfbench.reference.DEFAULT_SEED)
+            out = []
+            for case in passes[0]:
+                try:
+                    out.append((case, compute_with_retry(
+                        SuperellipticCurve.from_json_dict(case.spec))))
+                except SuperellError as exc:
+                    out.append((case, exc))
+            cache[workload] = out
+        return cache[workload]
+    return outcomes
+
+
+@pytest.fixture(scope="session")
+def padic_tree_pass0(workload_pass0):
+    """(case, outcome) for pass 0 of the ``padic_tree`` workload."""
+    return workload_pass0("padic_tree")
 
 
 @pytest.fixture
@@ -149,16 +162,20 @@ def moebius_calls(monkeypatch):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """A one-element list counting the ``RationalFunction.factored`` calls
-    made while the test runs."""
+    """A one-element list counting the ``factor_poly`` calls that
+    ``power_class`` and ``normalize_kummer_equation`` make while the test
+    runs (root finding, which also factors, is not counted)."""
     count = [0]
-    factored = RationalFunction.factored
+    factor_poly = finitefield.factor_poly
+    callers = {finitefield.power_class.__code__,
+               finitefield.normalize_kummer_equation.__code__}
 
-    def counted(self):
-        count[0] += 1
-        return factored(self)
+    def counted(F, g):
+        if sys._getframe(1).f_code in callers:
+            count[0] += 1
+        return factor_poly(F, g)
 
-    monkeypatch.setattr(RationalFunction, "factored", counted)
+    monkeypatch.setattr(finitefield, "factor_poly", counted)
     return count
 
 

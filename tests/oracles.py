@@ -25,6 +25,12 @@ affine model is smooth.
 point at a time with ``FqElement`` arithmetic: the reference for the
 vectorized ``count_kummer_points``.
 
+These counting oracles, ``gauss_valuation_by_expansion`` and the genus
+oracles below take a rational function as an explicit (num, den) pair.
+The package carries every Kummer equation as a polynomial; a rational
+case z^nbar = num/den is compared with the package's count of the
+isomorphic z^nbar = num * den^(nbar - 1).
+
 ``moebius_eval_by_division`` is the value of a Moebius chart in P^1(F_L)
 computed as residue(num / den), with a p-adic division: the reference for
 ``tree.moebius_eval``, which reads the value off leading residues.
@@ -85,7 +91,6 @@ from superell.errors import (
 from superell.finitefield import (
     INF,
     FqPoly,
-    RationalFunction,
     factor_poly,
     fq_make,
     kummer_solutions,
@@ -288,20 +293,40 @@ def _count_places(G, positive_only, depth):
     return total
 
 
-def _places_over(nbar, h, x0):
-    F = h.field
+def _fraction(h):
+    """(num, den) of h, a polynomial or an explicit (num, den) pair of a
+    rational function, reduced by their gcd with a monic denominator."""
+    if isinstance(h, FqPoly):
+        return h, FqPoly.constant(h.field.one())
+    num, den = h
+    g = num.gcd(den)
+    c = den.lead().inverse()
+    return num // g * c, den // g * c
+
+
+def _fraction_over(h, i):
+    """``_fraction(h)`` with its coefficients embedded in F_{q^i}."""
+    num, den = _fraction(h)
+    F = num.field
+    big = fq_make(F.p, F.k * i)
+    emb = F.embedding(big)
+    return big, num.map_coeffs(emb, big), den.map_coeffs(emb, big)
+
+
+def _places_over(nbar, num, den, x0):
+    F = num.field
     if x0 == INF:
-        dn, dd = h.num.degree(), h.den.degree()
-        hn = FqPoly(F, list(reversed(h.num.coeffs)))
-        hd = FqPoly(F, list(reversed(h.den.coeffs)))
+        dn, dd = num.degree(), den.degree()
+        hn = FqPoly(F, list(reversed(num.coeffs)))
+        hd = FqPoly(F, list(reversed(den.coeffs)))
         shift = dd - dn
         if shift > 0:
             hn = hn * _t_power(F, shift)
         elif shift < 0:
             hd = hd * _t_power(F, -shift)
     else:
-        hn = h.num.shift(x0)
-        hd = h.den.shift(x0)
+        hn = num.shift(x0)
+        hd = den.shift(x0)
     G = [FqPoly(F, [F.zero()]) for _ in range(nbar + 1)]
     G[0] = -hn
     G[nbar] = hd
@@ -309,18 +334,13 @@ def _places_over(nbar, h, x0):
 
 
 def count_points_by_places(nbar, h, i=1):
-    """Points over F_{q^i} on the normalization of z^nbar = h, place by place."""
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
-    F = h.field
-    big = fq_make(F.p, F.k * i)
-    emb = F.embedding(big)
-    hh = RationalFunction(h.num.map_coeffs(emb, big),
-                          h.den.map_coeffs(emb, big))
+    """Points over F_{q^i} on the normalization of z^nbar = h, place by
+    place; h is a polynomial or a (num, den) pair."""
+    big, num, den = _fraction_over(h, i)
     total = 0
     for idx in range(big.q):
-        total += _places_over(nbar, hh, big.from_index(idx))
-    total += _places_over(nbar, hh, INF)
+        total += _places_over(nbar, num, den, big.from_index(idx))
+    total += _places_over(nbar, num, den, INF)
     return total
 
 
@@ -426,29 +446,23 @@ def count_affine_brute(n, fbar):
 
 
 def places_at_infinity(nbar, h):
-    """Degree-1 places of z^nbar = h above x = infinity (Puiseux oracle)."""
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
-    return _places_over(nbar, h, INF)
+    """Degree-1 places of z^nbar = h above x = infinity (Puiseux oracle);
+    h is a polynomial or a (num, den) pair."""
+    return _places_over(nbar, *_fraction(h), INF)
 
 
 def count_kummer_points_scalar(nbar, h, i=1):
-    """``count_kummer_points`` by a Horner evaluation and a power per point."""
-    if isinstance(h, FqPoly):
-        h = RationalFunction(h)
-    F = h.field
-    big = fq_make(F.p, F.k * i)
-    emb = F.embedding(big)
-    hh = RationalFunction(h.num.map_coeffs(emb, big),
-                          h.den.map_coeffs(emb, big))
+    """``count_kummer_points`` by a Horner evaluation and a power per point,
+    for h a polynomial or a (num, den) pair."""
+    big, num, den = _fraction_over(h, i)
     total = 0
     g_full = gcd(nbar, big.q - 1)
     e_full = (big.q - 1) // g_full
     one = big.one()
     for idx in range(big.q):
         x0 = big.from_index(idx)
-        nv = hh.num.evaluate(x0)
-        dv = hh.den.evaluate(x0)
+        nv = num.evaluate(x0)
+        dv = den.evaluate(x0)
         if not nv.is_zero() and not dv.is_zero():
             # ordinary point: a = 0, d = nbar; u0 is an nbar-th power iff
             # (nv * dv^(g-1))^((q-1)/g) = 1 (multiplying u0 by dv^g)
@@ -456,11 +470,16 @@ def count_kummer_points_scalar(nbar, h, i=1):
             if g_full == 1 or probe**e_full == one:
                 total += g_full
             continue
-        d = gcd(nbar, hh.ord_at(x0))
-        total += kummer_solutions(big, d, hh.unit_value_at(x0))
-    d = gcd(nbar, hh.ord_at(INF))
-    total += kummer_solutions(big, d, hh.unit_value_at(INF))
-    return total
+        total += _fiber_points(big, nbar, num, den, x0)
+    return total + _fiber_points(big, nbar, num, den, INF)
+
+
+def _fiber_points(big, nbar, num, den, x0):
+    """Rational points above x0 of the normalization of z^nbar = num/den,
+    by the general rule of ``count_kummer_points``."""
+    d = gcd(nbar, num.ord_at(x0) - den.ord_at(x0))
+    return kummer_solutions(big, d, num.unit_value_at(x0)
+                            / den.unit_value_at(x0))
 
 
 def moebius_eval_by_division(m, x, L):
@@ -531,7 +550,7 @@ def gauss_valuation_by_expansion(f, L, chart):
     mu_n, red_n = gauss_reduce_by_division(L, num)
     mu_d, red_d = gauss_reduce_by_division(L, pow2[m])
     F = L.residue_field
-    return mu_n - mu_d, RationalFunction(FqPoly(F, red_n), FqPoly(F, red_d))
+    return mu_n - mu_d, (FqPoly(F, red_n), FqPoly(F, red_d))
 
 
 def taylor_shift_by_binomials(coeffs, K, center, pi_power):
@@ -734,29 +753,40 @@ def tree_action_by_scan(G, tree):
     return point_perm, vertex_perm
 
 
+def _factored(h):
+    """[(irreducible, exponent)] of h, a polynomial or a (num, den) pair,
+    over num and den (den with negative exponents)."""
+    num, den = _fraction(h)
+    out = dict(factor_poly(num.field, num))
+    for f, e in factor_poly(den.field, den):
+        out[f] = out.get(f, 0) - e
+    return sorted(out.items(), key=lambda kv: kv[0].key())
+
+
 def geometric_power_class(F, h, n):
     """Power class over the algebraic closure: units are always powers."""
     d1 = n
-    for _, e in h.factored():
+    for _, e in _factored(h):
         d1 = gcd(d1, e)
     return d1
 
 
 def kummer_genus_by_factorizations(n_c, h):
-    """Genus of one geometric component of z^n_c = h, h not a proper power
-    modulo n_c-th powers over its field, by Riemann-Hurwitz over the
-    algebraic closure."""
-    F = h.field
-    if power_class(F, h, n_c).d_max != 1:
+    """Genus of one geometric component of z^n_c = h, h (a polynomial or a
+    (num, den) pair) not a proper power modulo n_c-th powers over its
+    field, by Riemann-Hurwitz over the algebraic closure."""
+    num, den = _fraction(h)
+    F = num.field
+    if power_class(F, num * den ** (n_c - 1), n_c).d_max != 1:
         raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
     d = geometric_power_class(F, h, n_c)
     n_comp = n_c // d
     two_g = -2 * n_comp + 2
-    for f, e in h.factored():
+    for f, e in _factored(h):
         e //= d
         if e % n_comp:
             two_g += f.degree() * (n_comp - gcd(n_comp, e))
-    a_inf = -(h.num.degree() - h.den.degree()) // d
+    a_inf = -(num.degree() - den.degree()) // d
     if a_inf % n_comp:
         two_g += n_comp - gcd(n_comp, a_inf)
     if two_g % 2:

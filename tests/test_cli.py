@@ -23,12 +23,12 @@ REPORT_SHA256 = {
 }
 
 
-def run_cli(tmp_path, spec, *args):
+def run_cli(tmp_path, spec, *args, timeout=600):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(spec))
     proc = subprocess.run(
         [sys.executable, "-m", "superell.cli", str(path), *args],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, timeout=timeout)
     return proc
 
 
@@ -117,6 +117,16 @@ class TestCli:
         assert set(diag) == {"error", "exit_code", "message"}
         assert (diag["error"], diag["exit_code"]) == ("ValidationError", 2)
         assert diag["message"] and proc.stderr == ""
+
+    def test_huge_multiplicity_refused_before_expanding(self, tmp_path):
+        """A nonconstant factor of multiplicity >= n is an n-th-power factor
+        of f, refused before the power is expanded (which would not end)."""
+        spec = {"n": 3, "p": 5, "f": [["x^2-3", 10**30], 3, "x^"]}
+        proc = run_cli(tmp_path, spec, "--json", timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "error": "ValidationError", "exit_code": 2,
+            "message": "f has a factor which is an 3-th power over Q"}
 
     def test_bad_option_text_is_argparse_usage(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--precision", "abc")
@@ -308,31 +318,21 @@ def test_perfbench_spans_resolve():
         assert callable(obj), f"{modname}.{attr} is not callable"
 
 
-def test_padic_tree_pass0_reports_pinned(perfbench, padic_tree_pass0):
-    """The ``--json`` reports of pass 0 of the benchmark's ``padic_tree``
-    workload at the default seed have the sha256 pinned in
-    perfbench/references.json."""
+@pytest.mark.parametrize("workload", ("padic_tree", "point_count",
+                                      "cold_cli"))
+def test_pass0_reports_pinned(perfbench, workload_pass0, workload):
+    """The ``--json`` reports of pass 0 of each benchmark workload at the
+    default seed, recomputed in process, have the sha256 pinned in
+    perfbench/references.json; for ``cold_cli`` these include the curve
+    with a degree-40 field and the spec refused with exit code 2."""
     reference = perfbench.reference
     pinned = reference.load()["reports"]
-    assert padic_tree_pass0
-    for case, outcome in padic_tree_pass0:
+    outcomes = workload_pass0(workload)
+    assert outcomes
+    for case, outcome in outcomes:
         if isinstance(outcome, Exception):
             text = reference.error_report(outcome)
         else:
             text = reference.canonical(outcome.to_json_dict())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == pinned[case.key], f"{case.shape}: report drift"
-
-
-def test_deg40_report_pinned(perfbench):
-    """The ``--json`` report of the ``cold_cli`` curve with a degree-40
-    field, recomputed in process, has the sha256 pinned in
-    perfbench/references.json."""
-    from superell import SuperellipticCurve, compute_with_retry
-    workloads, reference = perfbench.workloads, perfbench.reference
-    spec = workloads.shape_of("cold_cli", "deg40").fixed
-    result = compute_with_retry(SuperellipticCurve.from_json_dict(spec))
-    text = reference.canonical(result.to_json_dict())
-    key = workloads.Case("cold_cli", "deg40", "0", spec).key
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        reference.load()["reports"][key]

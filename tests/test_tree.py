@@ -51,7 +51,7 @@ def example1_setup():
     f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
     curve = SuperellipticCurve(4, f, 3)
     L0, _ = splitting_field(f, 3)
-    L, G = semistabilizing_field(L0, 4, f, 3)
+    L, G = semistabilizing_field(L0, 4, 3)
     filt = ramification_filtration(G)
     div = branch_divisor(curve, L)
     return curve, L, G, filt, div
@@ -61,7 +61,7 @@ def example2_setup():
     f = parse_poly("x^4-x^2+1")
     curve = SuperellipticCurve(3, f, 2)
     L0, _ = splitting_field(f, 2)
-    L, G = semistabilizing_field(L0, 3, f, 2)
+    L, G = semistabilizing_field(L0, 3, 2)
     filt = ramification_filtration(G)
     div = branch_divisor(curve, L)
     return curve, L, G, filt, div
