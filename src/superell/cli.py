@@ -37,9 +37,6 @@ def _parser():
     ap.add_argument("--precision", type=int, default=50,
                     help="p-adic working precision in digits (default 50, "
                          "minimum 8)")
-    ap.add_argument("--max-cyclotomic", type=int, default=64,
-                    help="catalog bound on the p-power cyclotomic part "
-                         "(default 64)")
     ap.add_argument("--max-degree", type=int, default=64,
                     help="catalog bound on the field degree (default 64)")
     ap.add_argument("--field-tower", metavar="PATH", default=None,
@@ -176,7 +173,6 @@ def main(argv=None):
         return _fail(args, "ValidationError", "precision must be at least 8",
                      2, "error: precision must be at least 8")
     config = SearchConfig(precision=args.precision,
-                          max_cyclotomic=args.max_cyclotomic,
                           max_degree=args.max_degree)
     trace = sys.stderr if args.trace else None
     try:

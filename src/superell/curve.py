@@ -20,7 +20,6 @@ from .errors import (
     ValidationError,
 )
 from .finitefield import is_prime, riemann_hurwitz_genus
-from .localfield import roots_of_qpoly
 from .qpoly import QPoly, parse_poly
 
 
@@ -134,6 +133,10 @@ class SuperellipticCurve:
                 if mult >= n and base.degree() > 0:
                     raise ValidationError(
                         f"f has a factor which is an {n}-th power over Q")
+                # a constant c^mult enters as c^(mult mod n): y -> c^k y,
+                # k = mult // n, removes the n-th power c^(n k)
+                if base.degree() == 0 and n >= 2:
+                    mult %= n
                 f = f * base**mult
         else:
             f = QPoly([_coefficient(c) for c in fspec])
@@ -184,21 +187,22 @@ class BranchDivisor:
         return len(self.points)
 
 
-def branch_divisor(curve, L):
+def branch_divisor(curve, roots):
     """Branch divisor of y^n = f over L: all roots of f with multiplicities,
     plus infinity when n does not divide deg f.
 
-    Roots of each squarefree factor are located separately, so every root
-    carries its exact multiplicity.
+    ``roots`` has one list of roots in L per squarefree factor of f, in
+    ``curve.squarefree_decomposition()`` order (``splits_in`` finds them),
+    so every root carries its exact multiplicity.
     """
     points = []
-    for g_i, mult in curve.squarefree_decomposition():
-        roots = roots_of_qpoly(L, g_i)
-        if len(roots) != g_i.degree():
+    for (g_i, mult), rs in zip(curve.squarefree_decomposition(), roots,
+                               strict=True):
+        if len(rs) != g_i.degree():
             raise RootMultiplicityMismatch(
-                f"factor of degree {g_i.degree()} has only {len(roots)} "
+                f"factor of degree {g_i.degree()} has only {len(rs)} "
                 f"roots in the given field")
-        for r in roots:
+        for r in rs:
             points.append(BranchPoint(r, mult))
     if curve.branches_infinity():
         points.append(BranchPoint(None, None, is_infinity=True))

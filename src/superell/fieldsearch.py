@@ -10,15 +10,23 @@ present, a uniformizer of the composite is written as xi^A y^B / p^k and
 its minimal polynomial over the unramified part is recovered by linear
 algebra.
 
-The search is exhaustive in increasing degree, so results are the
-smallest-degree catalog members with the requested properties.  Fields the
-catalog cannot express (for instance wild composites with gcd(e, phi(p^s))
-> 1, which are skipped during flattening) surface as CatalogExhausted.
+The pipeline makes one scan, ``semistabilizing_candidates``, in increasing
+degree: a field qualifies when it contains zeta_n and p^(1/n), f splits
+over it and it is Galois over Q_p; the roots of the split test are the
+branch divisor.  Three necessary conditions skip an entry before it is
+built: n | e(L) (for p^(1/n)), n | p^f0 - 1 (zeta_n, as f(L) = f0 and p
+does not divide n) and r | f0, with r the lcm of the degrees of the
+irreducible factors of f mod p (each is the reduction of a root in L).
+
+Results are the smallest-degree catalog members with the requested
+properties.  Fields the catalog cannot express (for instance wild
+composites with gcd(e, phi(p^s)) > 1, which are skipped during flattening)
+surface as CatalogExhausted.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CatalogExhausted,
@@ -28,14 +36,13 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
+from .finitefield import FqPoly, factor_poly, fq_make
 from .localfield import (
     INFINITE,
     LocalField,
     LocalFieldElement,
-    coeff_transport,
     galois_group,
     poly_mul,
-    roots_integral,
     roots_of_qpoly,
 )
 from .qpoly import QPoly
@@ -43,20 +50,19 @@ from .qpoly import QPoly
 
 #: catalog bound on the unramified degree f0
 MAX_UNRAMIFIED = 8
+#: catalog bound on the p-power cyclotomic part p^s
+MAX_CYCLOTOMIC = 64
 
 
 class SearchConfig:
-    """Bounds of the catalog: max cyclotomic p-part, max total degree,
-    working precision."""
+    """Bounds of the catalog: max total degree, working precision."""
 
-    def __init__(self, precision=50, max_cyclotomic=64, max_degree=64):
+    def __init__(self, precision=50, max_degree=64):
         self.precision = precision
-        self.max_cyclotomic = max_cyclotomic
         self.max_degree = max_degree
 
     def scaled(self, factor):
-        return SearchConfig(self.precision * factor, self.max_cyclotomic,
-                            self.max_degree)
+        return SearchConfig(self.precision * factor, self.max_degree)
 
 
 class _SkipCandidate(Exception):
@@ -156,10 +162,8 @@ def _solve_linear(K, cols, rhs):
 def _as_u_tuple(K_U, x):
     """Convert an element of the 1-step field K_U into an integral U-tuple."""
     v = x.valuation_or_none()
-    if v == INFINITE:
-        return K_U.U.zero
-    if v is None:
-        # zero to precision: treat as zero (guarded by Eisenstein checks)
+    if v is None or v == INFINITE:
+        # zero to precision counts as zero (guarded by Eisenstein checks)
         return K_U.U.zero
     if v < 0:
         raise _SkipCandidate("non-integral minimal polynomial coefficient")
@@ -311,27 +315,23 @@ def construct_candidate(p, f0, s, e, u_idx, prec):
     Returns a LocalField or raises _SkipCandidate.
     """
     key = (p, f0, s, e, u_idx, prec)
-    if key in _CANDIDATE_CACHE:
-        val = _CANDIDATE_CACHE[key]
-        if isinstance(val, Exception):
-            raise val
-        return val
-    try:
-        field = _construct_candidate(p, f0, s, e, u_idx, prec)
-    except _SkipCandidate as exc:
-        _CANDIDATE_CACHE[key] = exc
-        raise
-    _CANDIDATE_CACHE[key] = field
-    return field
+    if key not in _CANDIDATE_CACHE:
+        try:
+            _CANDIDATE_CACHE[key] = _construct_candidate(*key)
+        except _SkipCandidate as exc:
+            _CANDIDATE_CACHE[key] = exc
+    val = _CANDIDATE_CACHE[key]
+    if isinstance(val, Exception):
+        raise val
+    return val
 
 
-def _teich_unit(L, u_idx, e):
-    """Teichmueller lift of the canonical coset representative."""
-    Fq = L.residue_field
-    g0 = gcd(e, Fq.q - 1)
-    if g0 == 1 or u_idx == 0:
+def _teich_unit(L, u_idx):
+    """Teichmueller lift of the canonical coset representative (u_idx is 0
+    when e-th powers exhaust the units: ``catalog_entries``)."""
+    if u_idx == 0:
         return L.one()
-    return L.teichmueller(Fq.multiplicative_generator() ** u_idx)
+    return L.teichmueller(L.residue_field.multiplicative_generator() ** u_idx)
 
 
 def _construct_candidate(p, f0, s, e, u_idx, prec):
@@ -342,15 +342,13 @@ def _construct_candidate(p, f0, s, e, u_idx, prec):
     if s == 0:
         if e == 1:
             return base
-        c = _teich_unit(base, u_idx, e) * base.from_int(p)
+        c = _teich_unit(base, u_idx) * base.from_int(p)
         return adjoin_radical(base, e, c, label=label)
     eis = _cyclotomic_pk_shifted(p, s)
     L1 = LocalField(p, f0, eis, prec, label=f"Q_{p}(f{f0};zeta_{p ** s})")
     if e == 1:
         return L1
-    if gcd(e, L1.e) != 1:
-        raise _SkipCandidate("wild composite with gcd(e, phi(p^s)) > 1")
-    c = _teich_unit(L1, u_idx, e) * L1.from_int(p)
+    c = _teich_unit(L1, u_idx) * L1.from_int(p)
     return adjoin_radical(L1, e, c, label=label)
 
 
@@ -359,7 +357,7 @@ def catalog_entries(p, config):
     lexicographically: the deterministic search order."""
     out = []
     s_max = 0
-    while p ** (s_max + 1) <= config.max_cyclotomic:
+    while p ** (s_max + 1) <= MAX_CYCLOTOMIC:
         s_max += 1
     for f0 in range(1, MAX_UNRAMIFIED + 1):
         q0 = p**f0
@@ -392,103 +390,93 @@ def splits_in(L, factors):
     return roots
 
 
+def residue_degree_bound(factors, p):
+    """r, the lcm of the degrees of the irreducible factors over F_p of the
+    reductions of the primitive integral ``factors``: every such factor is
+    the reduction of an integral root, so r divides f(L) whenever the
+    factors split over L."""
+    F = fq_make(p)
+    r = 1
+    for g in factors:
+        ints, _ = g.content_clear()
+        red = FqPoly.from_ints(F, [int(c) for c in ints.coeffs])
+        for irr, _ in factor_poly(F, red):
+            r = lcm(r, irr.degree())
+    return r
+
+
+def _split_fields(factors, n, p, config, shortfall):
+    """Yield (L, roots) for the catalog fields L, in increasing degree, that
+    contain zeta_n and p^(1/n) and over which the squarefree ``factors``
+    split, with the roots per factor.  Entries that fail a skip test of the
+    module docstring are not built.  A root test that runs out of
+    precision sets shortfall[0]."""
+    r = residue_degree_bound(factors, p)
+    # with zeta_n in L, p^(1/n) is in L exactly when x^n - p splits
+    radical = QPoly([-p] + [0] * (n - 1) + [1])
+    for deg, f0, s, e, u_idx in catalog_entries(p, config):
+        if (deg // f0) % n or (p**f0 - 1) % n or f0 % r:
+            continue
+        try:
+            L = construct_candidate(p, f0, s, e, u_idx, config.precision)
+        except _SkipCandidate:
+            continue
+        try:
+            roots = splits_in(L, [radical] + factors)
+        except PrecisionExhausted:
+            shortfall[0] = True
+            continue
+        if roots is not None:
+            yield L, roots[1:]
+
+
 def splitting_field(f, p, config=None):
     """Smallest catalog field over which the squarefree factors of f split.
 
     Returns (LocalField, roots of the squarefree part in deterministic
     order).  Raises CatalogExhausted when no candidate splits f.
     """
-    if config is None:
-        config = SearchConfig()
+    config = config or SearchConfig()
     factors = [g for g, _ in f.squarefree_decomposition()]
-    for deg, f0, s, e, u_idx in catalog_entries(p, config):
-        try:
-            L = construct_candidate(p, f0, s, e, u_idx, config.precision)
-        except _SkipCandidate:
-            continue
-        try:
-            roots = splits_in(L, factors)
-        except PrecisionExhausted:
-            continue
-        if roots is not None:
-            flat = [r for rs in roots for r in rs]
-            return L, flat
+    for L, roots in _split_fields(factors, 1, p, config, [False]):
+        return L, [r for rs in roots for r in rs]
     raise CatalogExhausted(
         f"no catalog field of degree <= {config.max_degree} splits f; "
         "supply an explicit field tower")
 
 
-def contains_field(M, L0):
-    """Does the candidate M contain (a copy of) the two-level field L0?"""
-    if L0.f > 1:
-        if M.f % L0.f:
-            return False
-        mcoeffs = [M.from_int(c) for c in L0.U.modulus]
-        a_roots = roots_integral(mcoeffs, M)
-        if not a_roots:
-            return False
-    else:
-        a_roots = [M.one()]
-    for a_img in a_roots:
-        transport = coeff_transport(M, a_img, L0.f)
-        E_img = [transport(c) for c in L0.E]
-        if roots_integral(E_img, M):
-            return True
-    return False
+def semistabilizing_candidates(f, n, p, config=None):
+    """Yield (L, G, roots) for the catalog fields L, in increasing degree,
+    that contain zeta_n and p^(1/n), over which f splits and which are
+    Galois over Q_p with group G.  ``roots`` has one list per squarefree
+    factor of f, in ``f.squarefree_decomposition()`` order.
 
-
-def contains_nth_root_of_unity(L, n):
-    if n <= 2:
-        return True
-    # zeta_n exists iff the residue field contains it (n prime to p)
-    if gcd(n, L.p) != 1:
-        return False
-    return (L.residue_field.q - 1) % n == 0
-
-
-def has_nth_root_of_p(L, n):
-    coeffs = [L.from_int(-L.p)] + [L.zero()] * (n - 1) + [L.one()]
-    return bool(roots_integral(coeffs, L))
-
-
-def semistabilizing_candidates(L0, n, p, config=None):
-    """Yield catalog fields containing L0, zeta_n and p^(1/n), Galois over
-    Q_p, in increasing degree (with their Galois groups)."""
-    if config is None:
-        config = SearchConfig()
+    When no field qualifies, raises PrecisionExhausted if a root test ran
+    out of precision on some field (a retry at higher precision may find
+    one), else CatalogExhausted.
+    """
+    config = config or SearchConfig()
+    factors = [g for g, _ in f.squarefree_decomposition()]
+    shortfall = [False]
     found = False
-    for deg, f0, s, e, u_idx in catalog_entries(p, config):
-        if deg % L0.degree:
-            continue
-        if f0 % L0.f:
-            continue
-        # e(L) = deg / f0 must be divisible by n for p^(1/n) to exist
-        if (deg // f0) % n:
-            continue
+    for L, roots in _split_fields(factors, n, p, config, shortfall):
         try:
-            L = construct_candidate(p, f0, s, e, u_idx, config.precision)
-        except _SkipCandidate:
-            continue
-        if not contains_nth_root_of_unity(L, n):
-            continue
-        try:
-            if not contains_field(L, L0):
-                continue
-            if not has_nth_root_of_p(L, n):
-                continue
             G = galois_group(L)
         except (PrecisionExhausted, NotGalois):
             continue
         found = True
-        yield L, G
-    if not found:
-        raise CatalogExhausted(
-            f"no Galois catalog field of degree <= {config.max_degree} "
-            f"contains the splitting field, zeta_{n} and p^(1/{n})")
+        yield L, G, roots
+    if found:
+        return
+    if shortfall[0]:
+        raise PrecisionExhausted(
+            "a root test ran out of precision on a catalog field")
+    raise CatalogExhausted(
+        f"no Galois catalog field of degree <= {config.max_degree} splits "
+        f"f and contains zeta_{n} and p^(1/{n}); supply an explicit field "
+        "tower")
 
 
-def semistabilizing_field(L0, n, p, config=None):
-    """First (smallest) semistabilizing candidate."""
-    for L, G in semistabilizing_candidates(L0, n, p, config):
-        return L, G
-    raise CatalogExhausted("unreachable")
+def semistabilizing_field(f, n, p, config=None):
+    """First (smallest) semistabilizing candidate (L, G, roots)."""
+    return next(semistabilizing_candidates(f, n, p, config))

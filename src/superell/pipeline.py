@@ -1,6 +1,10 @@
 """End-to-end driver: curve -> fields -> tree -> reduction -> descent ->
 L-factor and conductor, with hard consistency cross-checks at every joint.
 
+The fields come from one catalog scan, ``semistabilizing_candidates``; the
+roots of f that its split test finds are the branch divisor, and the first
+candidate over which the model is semistable is used.
+
 ``compute`` returns a PipelineResult carrying every intermediate object
 (for tests and reports); ``compute_with_retry`` retries once at fourfold
 precision when the p-adic precision runs out.
@@ -19,13 +23,9 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .fieldsearch import (
-    SearchConfig,
-    semistabilizing_candidates,
-    splitting_field,
-)
+from .fieldsearch import SearchConfig, semistabilizing_candidates
 from .finitefield import count_kummer_points, power_sums
-from .localfield import galois_group, ramification_filtration
+from .localfield import galois_group, ramification_filtration, roots_of_qpoly
 from .lzeta import conductor_exponent, local_l_factor
 from .reduction import raw_gauss_values, reduce_special_fiber, semistable_check
 from .tree import build_tree, galois_on_tree
@@ -175,17 +175,18 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         f"genus {curve.genus()}")
 
     if explicit_field is not None:
-        candidates = [(explicit_field, galois_group(explicit_field))]
+        # branch_divisor raises RootMultiplicityMismatch unless f splits
+        roots = [roots_of_qpoly(explicit_field, g)
+                 for g, _ in curve.squarefree_decomposition()]
+        candidates = [(explicit_field, galois_group(explicit_field), roots)]
     else:
-        L0, _ = splitting_field(curve.f, curve.p, config)
-        say(f"splitting field: {L0.label} (degree {L0.degree})")
-        candidates = semistabilizing_candidates(L0, curve.n, curve.p,
+        candidates = semistabilizing_candidates(curve.f, curve.n, curve.p,
                                                 config)
 
     last_failure = None
-    for L, G in candidates:
+    for L, G, roots in candidates:
         say(f"candidate field: {L.label} (e={L.e}, f={L.f})")
-        div = branch_divisor(curve, L)
+        div = branch_divisor(curve, roots)
         tree = build_tree(div, L)
         raw = raw_gauss_values(curve, L, tree)
         fails = semistable_check(raw, curve.n)

@@ -400,15 +400,21 @@ class TreeGaloisAction:
         tree = self.tree
         L = tree.L
         one = L.residue_field.one()
+        # M(g, v) for g in stab(v) depends only on the chart of v, so every
+        # translation is read off the original charts before any chart moves
+        moves = {}
         for v in tree.vertices:
             for g in self.stabilizer[v.index]:
                 self.affine(g, v.index)  # raises unless affine
             a, b = self.affine(self.tame_generator(v.index), v.index)
             if a != one and not b.is_zero():
-                c = b / (one - a)
-                mat = (L.one(), -L.from_residue(c), L.zero(), L.one())
-                v.chart = matrix_mul(mat, v.chart)
-                self._matrix_cache = {}
+                moves[v.index] = L.from_residue(b / (one - a))
+        for i, c in moves.items():
+            v = tree.vertices[i]
+            v.chart = matrix_mul((L.one(), -c, L.zero(), L.one()), v.chart)
+        self._matrix_cache = {
+            (g, w): m for (g, w), m in self._matrix_cache.items()
+            if w not in moves and self.vertex_perm[g][w] not in moves}
         # cocycle check on all stabilizer pairs: the composed M(s o t, v)
         # follows the word of s o t, so it tests the generators' matrices
         for v in tree.vertices:

@@ -69,6 +69,15 @@ cross-checked against the partition of its chart-reduction fibers, on the
 chart up to a scalar.  It is the reference for ``tree.build_tree``, which
 reads the vertices off the pairwise valuations.
 
+``semistable_field_by_two_scans`` is the two-scan field search: it scans
+the catalog for L0, the smallest field over which f splits
+(``fieldsearch.splitting_field``), and again for the Galois fields that
+contain zeta_n, p^(1/n) and a copy of L0 (``contains_field``, which embeds
+the generator a and the uniformizer of L0 by root search), and returns the
+first over which the model is semistable.  It is the reference for the one
+scan of ``fieldsearch.semistabilizing_candidates``, which tests "f splits
+over L" directly.
+
 ``geometric_power_class`` and ``kummer_genus_by_factorizations`` factor
 the equation anew for each invariant: the gcd of n and the exponents, and
 Riemann-Hurwitz after a power class check, three factorizations in all.
@@ -80,13 +89,22 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
+from superell.curve import branch_divisor
 from superell.errors import (
     GenusMismatch,
     IsProperPower,
     NoRationalFixedPoint,
+    NotGalois,
     NotInvariant,
     NotSplit,
     PrecisionExhausted,
+)
+from superell.fieldsearch import (
+    _SkipCandidate,
+    catalog_entries,
+    construct_candidate,
+    splits_in,
+    splitting_field,
 )
 from superell.finitefield import (
     INF,
@@ -96,7 +114,14 @@ from superell.finitefield import (
     kummer_solutions,
     power_class,
 )
-from superell.localfield import INFINITE, sort_key
+from superell.localfield import (
+    INFINITE,
+    coeff_transport,
+    galois_group,
+    roots_integral,
+    sort_key,
+)
+from superell.reduction import raw_gauss_values, semistable_check
 from superell.tree import (
     INF_POINT,
     MarkedTree,
@@ -104,6 +129,7 @@ from superell.tree import (
     _big,
     _phi_partition,
     _scale_matrix_integral,
+    build_tree,
     matrix_mul,
     moebius_eval,
     normalize_pgl2,
@@ -751,6 +777,55 @@ def tree_action_by_scan(G, tree):
         vertex_perm.append([by_members[frozenset(pp[j] for j in v.members)]
                             for v in tree.vertices])
     return point_perm, vertex_perm
+
+
+def contains_field(M, L0):
+    """Does the catalog field M contain a copy of the two-level field L0?"""
+    if L0.f > 1:
+        if M.f % L0.f:
+            return False
+        a_roots = roots_integral([M.from_int(c) for c in L0.U.modulus], M)
+        if not a_roots:
+            return False
+    else:
+        a_roots = [M.one()]
+    for a_img in a_roots:
+        transport = coeff_transport(M, a_img, L0.f)
+        if roots_integral([transport(c) for c in L0.E], M):
+            return True
+    return False
+
+
+def has_nth_root_of_p(L, n):
+    coeffs = [L.from_int(-L.p)] + [L.zero()] * (n - 1) + [L.one()]
+    return bool(roots_integral(coeffs, L))
+
+
+def semistable_field_by_two_scans(curve, config):
+    """The first Galois catalog field containing zeta_n, p^(1/n) and a copy
+    of the smallest catalog field over which f splits, over which the
+    model is semistable; None when there is none."""
+    n, p = curve.n, curve.p
+    L0, _ = splitting_field(curve.f, p, config)
+    factors = [g for g, _ in curve.squarefree_decomposition()]
+    for deg, f0, s, e, u_idx in catalog_entries(p, config):
+        if deg % L0.degree or f0 % L0.f or (deg // f0) % n \
+                or (p**f0 - 1) % n:
+            continue
+        try:
+            L = construct_candidate(p, f0, s, e, u_idx, config.precision)
+        except _SkipCandidate:
+            continue
+        try:
+            if not (contains_field(L, L0) and has_nth_root_of_p(L, n)):
+                continue
+            galois_group(L)
+        except (PrecisionExhausted, NotGalois):
+            continue
+        tree = build_tree(branch_divisor(curve, splits_in(L, factors)), L)
+        if not semistable_check(raw_gauss_values(curve, L, tree), n):
+            return L
+    return None
 
 
 def _factored(h):

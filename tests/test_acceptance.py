@@ -18,8 +18,16 @@ from superell.errors import (
     GenusMismatch,
     NotInvariant,
     PrecisionExhausted,
+    SuperellError,
 )
-from superell.fieldsearch import SearchConfig
+from superell.fieldsearch import (
+    SearchConfig,
+    _SkipCandidate,
+    catalog_entries,
+    construct_candidate,
+    residue_degree_bound,
+    splits_in,
+)
 from superell.finitefield import (
     FqPoly,
     count_kummer_points,
@@ -36,6 +44,7 @@ from oracles import (
     count_affine_brute,
     count_points_by_places,
     places_at_infinity,
+    semistable_field_by_two_scans,
 )
 
 
@@ -408,6 +417,77 @@ class TestCriterion7:
         assert done == 10
         print(f"\nPASS criterion 7: {done} good-reduction curves give f = 0 "
               f"and P1 equal to the naive-count numerator, exact match")
+
+
+def _shifted(f, c):
+    """f(x + c)."""
+    out = QPoly([0])
+    for a in reversed(f.coeffs):
+        out = out * QPoly([c, 1]) + QPoly([a])
+    return out
+
+
+class TestOneScan:
+    """The one catalog scan picks the field of the two-scan search (the
+    smallest field L0 splitting f, then the fields containing a copy of
+    L0), and its skip test on f0 never drops a field that splits f."""
+
+    def test_corpus_matches_two_scans(self):
+        config = SearchConfig(max_degree=24)
+        compared = 0
+        for n, f, p in _corpus():
+            curve = SuperellipticCurve(n, f, p)
+            try:
+                r = compute_with_retry(curve, config)
+            except CatalogExhausted:
+                assert semistable_field_by_two_scans(curve, config) is None
+                continue
+            L = semistable_field_by_two_scans(
+                curve, SearchConfig(r.L.N, config.max_degree))
+            assert (L.label, L.N) == (r.L.label, r.L.N), (n, f, p)
+            compared += 1
+        assert compared >= 70
+
+    @pytest.mark.parametrize("workload",
+                             ["padic_tree", "point_count", "cold_cli"])
+    def test_workload_shapes_match_two_scans(self, workload_pass0,
+                                             workload):
+        shapes = set()
+        for case, r in workload_pass0(workload):
+            if case.shape in shapes or isinstance(r, SuperellError):
+                continue
+            shapes.add(case.shape)
+            L = semistable_field_by_two_scans(r.curve, SearchConfig(r.L.N))
+            assert (L.label, L.N) == (r.L.label, r.L.N), case.shape
+        assert shapes
+
+    def test_residue_degree_bound_divides_f(self):
+        """r | f(L) for every catalog field L of degree <= 6 over which f
+        splits, on a seeded slice of the corpus."""
+        config = SearchConfig(max_degree=6)
+        bounds = []
+        for n, f, p in random.Random(14).sample(_corpus(), 8):
+            factors = [g for g, _ in f.squarefree_decomposition()]
+            r = residue_degree_bound(factors, p)
+            for _, f0, s, e, u_idx in catalog_entries(p, config):
+                try:
+                    L = construct_candidate(p, f0, s, e, u_idx, 50)
+                    roots = splits_in(L, factors)
+                except (_SkipCandidate, PrecisionExhausted):
+                    continue
+                if roots is not None:
+                    assert L.f % r == 0, (f, p, L.label)
+                    bounds.append(r)
+        assert 1 in bounds and max(bounds) > 1
+
+    def test_moved_example1_retries_at_fourfold_precision(self):
+        """ex1 under x -> x + 1/3: at precision 50 the split test runs out
+        of digits on the right field, and the retry at 200 finds it."""
+        curve = SuperellipticCurve(4, _shifted(EX1().f, Fraction(1, 3)), 3)
+        r = compute_with_retry(curve)
+        assert r.lfactor.p1 == [1, 1, 3, 3]
+        assert r.conductor.conductor == 11
+        assert r.L.N == 200
 
 
 def _compute_pinned_abort(curve, message):

@@ -128,6 +128,18 @@ class TestCli:
             "error": "ValidationError", "exit_code": 2,
             "message": "f has a factor which is an 3-th power over Q"}
 
+    def test_huge_constant_multiplicity_enters_mod_n(self, tmp_path):
+        """A constant c^m enters as c^(m mod n), since y -> c^(m // n) y
+        removes the rest: with n = 3, 3^(10^20) enters as 3^1."""
+        reports = []
+        for mult in (10**20, 1):
+            spec = {"n": 3, "p": 5,
+                    "f": [["3", mult], ["x^3-2", 1], ["x^2+1", 1]]}
+            proc = run_cli(tmp_path, spec, "--json", timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1]
+
     def test_bad_option_text_is_argparse_usage(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--precision", "abc")
         assert proc.returncode == 2 and proc.stdout == ""

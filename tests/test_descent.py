@@ -10,7 +10,7 @@ from superell.descent import (
     solve_mult_h90,
 )
 from superell.errors import NotInvariant
-from superell.fieldsearch import semistabilizing_field, splitting_field
+from superell.fieldsearch import semistabilizing_field
 from superell.finitefield import FqPoly, fq_make
 from superell.localfield import ramification_filtration
 from superell.qpoly import parse_poly
@@ -26,10 +26,9 @@ ACTION_CASES = ("ex1", "ex2", "good_reduction", "deg40", "ex1_non_integral",
 def full_setup(n, fs, p):
     f = parse_poly(fs)
     curve = SuperellipticCurve(n, f, p)
-    L0, _ = splitting_field(f, p)
-    L, G = semistabilizing_field(L0, n, p)
+    L, G, roots = semistabilizing_field(f, n, p)
     filt = ramification_filtration(G)
-    div = branch_divisor(curve, L)
+    div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
     act = galois_on_tree(G, filt, tree)
     fiber = reduce_special_fiber(curve, L, tree)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superell import fieldsearch, localfield
+from superell import fieldsearch, localfield, pipeline
+from superell.curve import SuperellipticCurve
 from superell.errors import (
     CatalogExhausted,
     NotEisenstein,
@@ -28,6 +29,7 @@ from superell.localfield import (
     ramification_filtration,
     roots_integral,
 )
+from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
 
 from conftest import as_vp1, element_order, eq_approx
@@ -524,22 +526,19 @@ class TestSearch:
 
     def test_semistabilizing_example1(self):
         f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
-        L0, _ = splitting_field(f, 3)
-        L, G = semistabilizing_field(L0, 4, 3)
+        L, G, _ = semistabilizing_field(f, 4, 3)
         assert L.degree == 8 and L.e == 4
         assert G.order() == 8
 
     def test_semistabilizing_example2(self):
         f = parse_poly("x^4-x^2+1")
-        L0, _ = splitting_field(f, 2)
-        L, G = semistabilizing_field(L0, 3, 2)
+        L, G, _ = semistabilizing_field(f, 3, 2)
         assert L.degree == 12 and L.e == 6
         assert G.order() == 12
 
     def test_semistabilizing_trivial(self):
         f = parse_poly("x^2-1")
-        L0, _ = splitting_field(f, 5)
-        L, G = semistabilizing_field(L0, 2, 5)
+        L, G, _ = semistabilizing_field(f, 2, 5)
         assert L.e == 2 and L.f == 1
         assert G.order() == 2
 
@@ -547,6 +546,58 @@ class TestSearch:
         f = parse_poly("x^2-3")
         with pytest.raises(CatalogExhausted):
             splitting_field(f, 3, SearchConfig(max_degree=1))
+
+    def test_catalog_exhausted_names_the_bound(self):
+        f = parse_poly("x^2-3")
+        with pytest.raises(CatalogExhausted) as exc:
+            semistabilizing_field(f, 4, 3, SearchConfig(max_degree=2))
+        assert str(exc.value) == (
+            "no Galois catalog field of degree <= 2 splits f and contains "
+            "zeta_4 and p^(1/4); supply an explicit field tower")
+
+    def test_precision_shortfall_is_not_exhausted_catalog(self):
+        """ex1 under x -> x + 1/3: at precision 50 the split test over ex1's
+        field runs out of digits, which is a shortfall, not "no field"."""
+        curve = SuperellipticCurve.from_json_dict({"n": 4, "p": 3, "f": [
+            ["(x+1/3)^2-3", 1], ["(x+1/3)^2+3", 1],
+            ["(x+1/3)^2-6*(x+1/3)-3", 1]]})
+        with pytest.raises(PrecisionExhausted):
+            semistabilizing_field(curve.f, 4, 3, SearchConfig(50, 8))
+        L, _, _ = semistabilizing_field(curve.f, 4, 3, SearchConfig(200, 8))
+        assert (L.e, L.f) == (4, 2)
+
+    def test_good_reduction_builds_one_field(self, monkeypatch):
+        """With an empty field cache the scan builds one catalog field for
+        good_reduction, and the branch divisor searches no roots."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        counts = {"builds": 0, "divisor_searches": 0}
+        in_divisor = [False]
+        construct = fieldsearch._construct_candidate
+        roots_integral = localfield.roots_integral
+        divisor = pipeline.branch_divisor
+
+        def counted_construct(*args):
+            counts["builds"] += 1
+            return construct(*args)
+
+        def counted_roots(*args, **kwargs):
+            counts["divisor_searches"] += in_divisor[0]
+            return roots_integral(*args, **kwargs)
+
+        def watched_divisor(*args):
+            in_divisor[0] = True
+            try:
+                return divisor(*args)
+            finally:
+                in_divisor[0] = False
+
+        monkeypatch.setattr(fieldsearch, "_construct_candidate",
+                            counted_construct)
+        monkeypatch.setattr(localfield, "roots_integral", counted_roots)
+        monkeypatch.setattr(pipeline, "branch_divisor", watched_divisor)
+        compute_with_retry(SuperellipticCurve(
+            2, parse_poly("x^5 - x + 1"), 7))
+        assert counts == {"builds": 1, "divisor_searches": 0}
 
     def test_root_order_deterministic(self):
         f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")

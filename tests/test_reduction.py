@@ -7,7 +7,7 @@ from superell.curve import SuperellipticCurve, branch_divisor
 from superell.fieldsearch import (
     construct_candidate,
     semistabilizing_field,
-    splitting_field,
+    splits_in,
 )
 from superell.finitefield import INF as FINF
 from superell.localfield import ramification_filtration
@@ -26,10 +26,9 @@ from oracles import gauss_valuation_by_expansion
 def setup_example(n, fs, p):
     f = parse_poly(fs)
     curve = SuperellipticCurve(n, f, p)
-    L0, _ = splitting_field(f, p)
-    L, G = semistabilizing_field(L0, n, p)
+    L, G, roots = semistabilizing_field(f, n, p)
     filt = ramification_filtration(G)
-    div = branch_divisor(curve, L)
+    div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
     act = galois_on_tree(G, filt, tree)
     return curve, L, G, filt, tree, act
@@ -58,7 +57,8 @@ class TestGaussValuation:
         f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
         curve = SuperellipticCurve(4, f, 3)
         L0 = construct_candidate(3, 2, 0, 2, 0, 50)
-        div = branch_divisor(curve, L0)
+        div = branch_divisor(curve, splits_in(L0, [
+            g for g, _ in curve.squarefree_decomposition()]))
         tree = build_tree(div, L0)
         raw = raw_gauss_values(curve, L0, tree)
         assert sorted(raw.values()) == [6, 8, 8]

@@ -15,7 +15,11 @@ from superell.errors import (
     NotSplit,
     PrecisionExhausted,
 )
-from superell.fieldsearch import semistabilizing_field, splitting_field
+from superell.fieldsearch import (
+    semistabilizing_field,
+    splits_in,
+    splitting_field,
+)
 from superell.localfield import (
     Automorphism,
     LocalField,
@@ -27,6 +31,7 @@ from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
 from superell.tree import (
     INF_POINT,
+    TreeGaloisAction,
     _scale_matrix_integral,
     build_tree,
     galois_on_tree,
@@ -50,20 +55,18 @@ ACTION_CASES = SAMPLES + ("deg40", "ex1_non_integral", "padic_tree_pass0")
 def example1_setup():
     f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
     curve = SuperellipticCurve(4, f, 3)
-    L0, _ = splitting_field(f, 3)
-    L, G = semistabilizing_field(L0, 4, 3)
+    L, G, roots = semistabilizing_field(f, 4, 3)
     filt = ramification_filtration(G)
-    div = branch_divisor(curve, L)
+    div = branch_divisor(curve, roots)
     return curve, L, G, filt, div
 
 
 def example2_setup():
     f = parse_poly("x^4-x^2+1")
     curve = SuperellipticCurve(3, f, 2)
-    L0, _ = splitting_field(f, 2)
-    L, G = semistabilizing_field(L0, 3, 2)
+    L, G, roots = semistabilizing_field(f, 3, 2)
     filt = ramification_filtration(G)
-    div = branch_divisor(curve, L)
+    div = branch_divisor(curve, roots)
     return curve, L, G, filt, div
 
 
@@ -233,6 +236,29 @@ class TestGaloisAction:
                 for v in range(act.tree.vertex_count()):
                     assert act.matrix(g, v) == \
                         chart_matrix_by_application(act, g, v)
+
+    @pytest.mark.parametrize("name",
+                             ("ex1", "ex2", "deg40", "padic_tree_pass0"))
+    def test_generator_matrices_computed_once(self, results_named, name,
+                                              monkeypatch):
+        """A generator matrix M(g, v) is computed once per pair of charts
+        of v and g(v): moving a chart drops only the matrices at it."""
+        computed = []
+        matrix = TreeGaloisAction.matrix
+
+        def recorded(self, g, v):
+            if g in self.G.generators and (g, v) not in self._matrix_cache:
+                charts = (self.tree.vertices[v].chart,
+                          self.tree.vertices[self.vertex_perm[g][v]].chart)
+                computed.append((g, v, charts))
+            return matrix(self, g, v)
+
+        monkeypatch.setattr(TreeGaloisAction, "matrix", recorded)
+        for r in results_named(name):
+            computed.clear()
+            galois_on_tree(r.G, r.filt, build_tree(r.divisor, r.L))
+            keys = [(g, v, id(a), id(b)) for g, v, (a, b) in computed]
+            assert len(keys) == len(set(keys))
 
     def test_composed_matrices_apply_nothing(self, deg40_result,
                                              monkeypatch):
@@ -418,7 +444,8 @@ class TestClusterBuilder:
         and D(1, 1) meet only at an unmarked Gauss point."""
         curve = SuperellipticCurve(4, parse_poly("(x^2-5)*(x-1)*(x-6)"), 5)
         L, _ = splitting_field(curve.f, 5)
-        div = branch_divisor(curve, L)
+        div = branch_divisor(curve, splits_in(L, [
+            g for g, _ in curve.squarefree_decomposition()]))
         messages = []
         for builder in (build_tree, build_tree_by_triples):
             with pytest.raises(NotInvariant) as exc:
