@@ -19,21 +19,25 @@ The flow per inertia orbit of tree vertices, at a representative v:
    the equation of every piece.
 
 The action is ``tree.TreeGaloisAction``'s, with the y-scaling of g at v
-read off g(pi).  Checked here: wild elements act by translations fixing y
-and the equation; every rewrite resubstitutes; the tame generator scales
-u; sheets and nodes map to sheets and nodes; the descent's stabilizer,
-Hilbert-90 solutions and Frobenius-fixed coefficients hold.  ``tree``
-checks the cocycle rule on stabilizer pairs.  Failures raise
-NotInvariant/CocycleInconsistent rather than risking a wrong L-factor.
-The same machinery restricted to subgroups of the wild inertia computes
-the quotient curves entering the Swan conductor.
+read off g(pi).  The node labels of all edges are built once, in one
+label field F_(q^M): M is the lcm over the edges of the least m for which
+omega^d = u0 has its d solutions in F_(q^m).  Checked here: wild elements
+act by translations fixing y and the equation; every rewrite
+resubstitutes; the tame generator scales u; sheets and nodes map to
+sheets and nodes; the descent's stabilizer, Hilbert-90 solutions and
+Frobenius-fixed coefficients hold.  ``tree`` checks the cocycle rule on
+stabilizer pairs.  Failures raise NotInvariant/CocycleInconsistent rather
+than risking a wrong L-factor.  The same machinery restricted to
+subgroups of the wild inertia computes the quotient curves entering the
+Swan conductor.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
+    AdmissibilityViolation,
     CocycleInconsistent,
     NormNotOne,
     NotInvariant,
@@ -93,15 +97,21 @@ def _constant_ratio(a, b):
     return c
 
 
+def _label_degree(F, d, u0):
+    """The least m for which omega^d = u0 has its d solutions in
+    F_(q^m), q = |F|: d | q^m - 1 and ord(u0) | (q^m - 1)/d."""
+    order = _mult_order(u0)
+    for m in range(1, 4 * d * F.k + 5):
+        if (F.q**m - 1) % (d * order) == 0:
+            return m
+    raise AdmissibilityViolation("node labels not found in any "
+                                 "reasonable extension")
+
+
 def _mult_order(x):
-    F = x.field
-    n, acc = 1, x
-    while acc != F.one():
-        acc = acc * x
-        n += 1
-        if n > F.q:
-            raise NotInvariant("element has no multiplicative order")
-    return n
+    """The multiplicative order (q - 1)/gcd(log x, q - 1) of a unit x."""
+    q = x.field.q
+    return (q - 1) // gcd(x.field.dlog(x), q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +130,16 @@ class ActionContext:
         self.tree = tree
         self.act = act
         self.fiber = fiber
-        k_lcm = 1
-        for en in fiber.edge_nodes:
-            k_lcm = lcm(k_lcm, en.label_field.k)
-        self.label_field = fq_make(L.p, k_lcm)
+        F = L.residue_field
+        M = lcm(*(_label_degree(F, en.d, en.u0) for en in fiber.edge_nodes))
+        self.label_field = big = fq_make(L.p, F.k * M)
+        self.label_embedding = emb = F.embedding(big)
         self.edge_labels = {}
         for en in fiber.edge_nodes:
-            emb = en.label_field.embedding(self.label_field)
-            self.edge_labels[(en.parent, en.child)] = \
-                sorted((emb(w) for w in en.labels), key=lambda x: x.index())
+            root = big.nth_root(emb(en.u0), en.d)
+            self.edge_labels[(en.parent, en.child)] = sorted(
+                (root * z for z in big.roots_of_unity(en.d)),
+                key=lambda x: x.index())
         self.edge_data = {(en.parent, en.child): en
                           for en in fiber.edge_nodes}
 
@@ -194,8 +205,7 @@ class ActionContext:
         en2 = self.edge_data[e2]
         a, _b = self.act.affine(g, cv)
         gam = self.gamma(g, cv)
-        F = self.label_field
-        embL = self.L.residue_field.embedding(F)
+        embL = self.label_embedding
         j = self.G.autos[g].res_power
         factor = gam ** en.n_prime
         if en.a_prime >= 0:

@@ -1046,7 +1046,7 @@ def kummer_solutions(Fbig, d, u0):
     return 0
 
 
-def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
+def count_kummer_points(nbar, h, i=1):
     """Rational points over F_{q^i} on the normalization of z^nbar = h(w).
 
     The curve may be reducible; points on every component are counted.  Above
@@ -1066,9 +1066,9 @@ def count_kummer_points(nbar, h, i=1, budget=DEFAULT_POINT_BUDGET):
     if gcd(nbar, F.p) != 1:
         raise CharacteristicDividesExponent(
             f"exponent {nbar} not prime to characteristic {F.p}")
-    if F.q**i > budget:
+    if F.q**i > DEFAULT_POINT_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"q^i = {F.q ** i} exceeds budget {budget}")
+            f"q^i = {F.q ** i} exceeds budget {DEFAULT_POINT_BUDGET}")
     big, emb = _extension_with_embedding(F, i)
     hh = h.map_coeffs(emb, big)
     g_full = gcd(nbar, big.q - 1)
@@ -1118,7 +1118,7 @@ def _weil_check(coeffs, q, genus, tol=1e-6):
             f"{sorted(abs(r) for r in recips)}, expected sqrt({q})")
 
 
-def zeta_numerator(nbar, h, genus, budget=DEFAULT_POINT_BUDGET):
+def zeta_numerator(nbar, h, genus):
     """Numerator P(T) of the zeta function of the smooth irreducible curve
     z^nbar = h over F_q, from point counts N_1..N_genus and the functional
     equation.  The count N_{genus+1} is used as a consistency check.
@@ -1126,16 +1126,16 @@ def zeta_numerator(nbar, h, genus, budget=DEFAULT_POINT_BUDGET):
     F = h.field
     q = F.q
     if genus == 0:
-        n1 = count_kummer_points(nbar, h, 1, budget)
+        n1 = count_kummer_points(nbar, h, 1)
         if n1 != q + 1:
             raise CountsInconsistent(
                 f"genus-0 curve has {n1} points over F_{q}, expected {q + 1}")
         return [1]
-    if q ** (genus + 1) > budget:
+    if q ** (genus + 1) > DEFAULT_POINT_BUDGET:
         raise EnumerationBudgetExceeded(
             f"zeta numerator needs counts up to q^{genus + 1} = "
-            f"{q ** (genus + 1)}, beyond the budget {budget}")
-    counts = [count_kummer_points(nbar, h, i, budget)
+            f"{q ** (genus + 1)}, beyond the budget {DEFAULT_POINT_BUDGET}")
+    counts = [count_kummer_points(nbar, h, i)
               for i in range(1, genus + 2)]
     # log P = sum (N_i - 1 - q^i) T^i / i up to degree genus
     logp = [Fraction(0)] + [Fraction(counts[i - 1] - 1 - q**i, i)

@@ -3,7 +3,11 @@ L-factor and conductor, with hard consistency cross-checks at every joint.
 
 The fields come from one catalog scan, ``semistabilizing_candidates``; the
 roots of f that its split test finds are the branch divisor, and the first
-candidate over which the model is semistable is used.
+candidate over which the model is semistable is used.  Per candidate:
+branch_divisor, build_tree, ramification_filtration, galois_on_tree,
+raw_gauss_values, semistable_check, reduce_special_fiber.  Both chart
+normalizations (``build_tree``'s and the tame one of ``galois_on_tree``)
+come before any chart is substituted into f, once per vertex.
 
 ``compute`` returns a PipelineResult carrying every intermediate object
 (for tests and reports); ``compute_with_retry`` retries once at fourfold
@@ -23,9 +27,9 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .fieldsearch import SearchConfig, semistabilizing_candidates
+from .fieldsearch import SearchConfig, semistabilizing_candidates, splits_in
 from .finitefield import count_kummer_points, power_sums
-from .localfield import galois_group, ramification_filtration, roots_of_qpoly
+from .localfield import galois_group, ramification_filtration
 from .lzeta import conductor_exponent, local_l_factor
 from .reduction import raw_gauss_values, reduce_special_fiber, semistable_check
 from .tree import build_tree, galois_on_tree
@@ -175,9 +179,11 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         f"genus {curve.genus()}")
 
     if explicit_field is not None:
-        # branch_divisor raises RootMultiplicityMismatch unless f splits
-        roots = [roots_of_qpoly(explicit_field, g)
-                 for g, _ in curve.squarefree_decomposition()]
+        roots = splits_in(explicit_field,
+                          [g for g, _ in curve.squarefree_decomposition()])
+        if roots is None:
+            raise ValidationError("f does not split over the tower field "
+                                  f"{explicit_field.label}")
         candidates = [(explicit_field, galois_group(explicit_field), roots)]
     else:
         candidates = semistabilizing_candidates(curve.f, curve.n, curve.p,
@@ -188,15 +194,15 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         say(f"candidate field: {L.label} (e={L.e}, f={L.f})")
         div = branch_divisor(curve, roots)
         tree = build_tree(div, L)
+        filt = ramification_filtration(G)
+        act = galois_on_tree(G, filt, tree)
         raw = raw_gauss_values(curve, L, tree)
         fails = semistable_check(raw, curve.n)
         if fails:
             say(f"  not semistable over this field: N_v mod n = {fails}")
             last_failure = fails
             continue
-        filt = ramification_filtration(G)
-        act = galois_on_tree(G, filt, tree)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = reduce_special_fiber(curve, L, tree, raw)
         say(f"  semistable: {tree.vertex_count()} vertices, "
             f"{fiber.n_nodes} nodes, genera "
             f"{[r.component_genus for r in fiber.reductions.values()]}")

@@ -3,22 +3,25 @@
 For each vertex v of the marked tree, substituting the inverse chart into f
 and taking the Gauss valuation gives N_v = eta_v(f) (stored in pi-units,
 where divisibility by n is the semistability criterion) and the reduced
-equation fbar_v.  The substitution runs Horner's rule in the numerator of
-the chart alongside the powers of its denominator, O(m^2) products for
-deg f = m, and ``localfield.gauss_reduce`` reads N_v and fbar_v off both
-sides.  fbar_v is a polynomial: the chart sends the pole of f to infinity,
-so the reduced denominator is a nonzero constant, and any other reduced
-denominator raises ``NotInvariant``.  The vertex scaling is the
-deterministic pi^(N_v/n); any unit change of that scaling twists fbar_v by
-an n-th-power-compatible unit and is checked (in the tests) to leave all
-derived data unchanged.  One
-factorization of fbar_v (``power_class``) gives the number of components
-above v, the witness and the genus of each component.
+equation fbar_v.  Each chart is substituted once, after ``tree`` has fixed
+it (``raw_gauss_values``); the semistability check and the special fiber
+both read those values.  The substitution runs Horner's rule in the
+numerator of the chart alongside the powers of its denominator, O(m^2)
+products for deg f = m, and ``localfield.gauss_reduce`` reads N_v and
+fbar_v off both sides.  fbar_v is a polynomial: the chart sends the pole
+of f to infinity, so the reduced denominator is a nonzero constant, and
+any other reduced denominator raises ``NotInvariant``.  The vertex scaling
+is the deterministic pi^(N_v/n); any unit change of that scaling twists
+fbar_v by an n-th-power-compatible unit and is checked (in the tests) to
+leave all derived data unchanged.  One factorization of fbar_v
+(``power_class``) gives the number of components above v, the witness and
+the genus of each component.
 
 Nodes above an edge are computed on the child side, where the node sits at
 x = infinity of the normalized chart: with a = ord_infinity(fbar_child) and
-d = gcd(n, a), the fiber consists of the d solutions of omega^d = u0, and
-those labels carry the Galois action used later for the dual graph.
+d = gcd(n, a), the fiber consists of the d solutions of omega^d = u0.
+``descent`` builds those labels, in one field for all edges, together with
+the Galois action on them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     NotDivisible,
     NotInvariant,
 )
-from .finitefield import INF, FqPoly, fq_make, power_class
+from .finitefield import INF, FqPoly, power_class
 from .localfield import gauss_reduce, poly_mul
 
 
@@ -97,54 +100,40 @@ class VertexReduction:
 
 
 def semistable_check(raw_values, n):
-    """raw_values: {vertex: N_v}; returns the failing vertices with N_v mod n."""
-    return {v: N % n for v, N in raw_values.items() if N % n}
+    """raw_values: {vertex: (N_v, fbar_v)}; returns the failing vertices
+    with N_v mod n."""
+    return {v: N % n for v, (N, _) in raw_values.items() if N % n}
 
 
 class EdgeNodes:
     """The fiber of nodes above one edge of the tree.
 
-    Labels live on the child side where the node is at x = infinity; the
-    label of a point is the value of ybar^(n/d) * x^(a'/...) normalized so
-    that label^d = u0.  They may generate an extension of F_L.
+    The orders a_parent and a_child of the two reduced equations at the
+    node must add up to a multiple of n (admissibility).  The nodes sit on
+    the child side at x = infinity: they are the d solutions of
+    omega^d = u0, d = gcd(n, a_child), with u0 the unit value of
+    fbar_child there.  Their labels, which may generate an extension of
+    F_L, are ``descent.ActionContext``'s.
     """
 
     __slots__ = ("parent", "child", "pos_on_parent", "a_parent", "a_child",
-                 "d", "u0", "label_field", "labels", "n_prime", "a_prime")
+                 "d", "u0", "n_prime", "a_prime")
 
-    def __init__(self, parent, child, pos_on_parent, a_parent, a_child,
-                 n, u0, Fq):
+    def __init__(self, parent, child, pos_on_parent, fbar_parent, fbar_child,
+                 n):
         self.parent = parent
         self.child = child
         self.pos_on_parent = pos_on_parent
-        self.a_parent = a_parent
-        self.a_child = a_child
+        self.a_parent = a_parent = fbar_parent.ord_at(pos_on_parent)
+        self.a_child = a_child = fbar_child.ord_at(INF)
         if (a_parent + a_child) % n:
             raise AdmissibilityViolation(
                 f"orders {a_parent} + {a_child} not divisible by {n} on edge "
                 f"({parent},{child})")
         self.d = gcd(n, a_child)
-        self.u0 = u0
+        self.u0 = fbar_child.unit_value_at(INF)
         self.n_prime = n // self.d
         self.a_prime = a_child // self.d
-        # find the smallest extension containing all d labels
-        m = 1
-        while True:
-            big = fq_make(Fq.p, Fq.k * m)
-            if (big.q - 1) % self.d == 0:
-                emb = Fq.embedding(big)
-                u = emb(u0)
-                root = big.nth_root(u, self.d)
-                if root is not None:
-                    self.label_field = big
-                    self.labels = sorted((root * z for z in
-                                          big.roots_of_unity(self.d)),
-                                         key=lambda x: x.index())
-                    break
-            m += 1
-            if m > 4 * self.d * Fq.k + 4:
-                raise AdmissibilityViolation("node labels not found in any "
-                                             "reasonable extension")
 
     def node_count(self):
         return self.d
@@ -180,33 +169,27 @@ class SpecialFiber:
                 f"fiber differs from the curve genus {g}")
 
 
-def reduce_special_fiber(curve, L, tree):
-    """Compute all vertex reductions and node fibers; semistability must
-    hold (call ``raw_gauss_values`` + ``semistable_check`` first to decide
-    whether to enlarge L)."""
+def reduce_special_fiber(curve, L, tree, raw):
+    """All vertex reductions and node fibers from ``raw``, the
+    ``raw_gauss_values`` of the tree; semistability must hold (call
+    ``semistable_check`` first to decide whether to enlarge L)."""
     n = curve.n
-    reductions = {}
-    for v in tree.vertices:
-        N_v, fbar = gauss_valuation_f(curve, L, v.chart)
-        reductions[v.index] = VertexReduction(v.index, N_v, fbar, n, L)
+    reductions = {v: VertexReduction(v, N_v, fbar, n, L)
+                  for v, (N_v, fbar) in raw.items()}
     edge_nodes = []
     for (pu, cv) in tree.edges:
         pos = tree.direction_of_vertex(pu, cv)
         if pos == INF:
             raise AdmissibilityViolation("child direction at infinity")
-        fb_parent = reductions[pu].fbar
-        fb_child = reductions[cv].fbar
-        a_parent = fb_parent.ord_at(pos)
-        a_child = fb_child.ord_at(INF)
-        u0 = fb_child.unit_value_at(INF)
-        edge_nodes.append(EdgeNodes(pu, cv, pos, a_parent, a_child, n, u0,
-                                    L.residue_field))
+        edge_nodes.append(EdgeNodes(pu, cv, pos, reductions[pu].fbar,
+                                    reductions[cv].fbar, n))
     fiber = SpecialFiber(curve, L, tree, reductions, edge_nodes)
     fiber.check_genus()
     return fiber
 
 
 def raw_gauss_values(curve, L, tree):
-    """{vertex: N_v} without assuming divisibility (for semistable_check)."""
-    return {v.index: gauss_valuation_f(curve, L, v.chart)[0]
+    """{vertex: (N_v, fbar_v)} in the final charts of the tree, without
+    assuming divisibility (for ``semistable_check``)."""
+    return {v.index: gauss_valuation_f(curve, L, v.chart)
             for v in tree.vertices}

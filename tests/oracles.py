@@ -61,6 +61,14 @@ references for ``TreeGaloisAction.matrix``, which applies only generators
 and composes the other matrices by the cocycle rule, and for
 ``ActionContext.gamma``, which reads the y-scaling off g(pi).
 
+``node_labels_by_edge_search`` searches, edge by edge, the least
+extension F_(q^m) of F_L in which the node labels root * mu_d of the edge
+lie, building and embedding one field per try, and embeds every edge's
+labels into the compositum of those fields.  It is the reference for
+``ActionContext.label_field`` and ``ActionContext.nodes``, which compute
+the least m of each edge by integer arithmetic and build the labels once
+in the one label field.
+
 ``build_tree_by_triples`` builds the stably marked tree from the chart
 classes of all ordered triples of marked points, each class recorded by
 the disc it determines and compared with the known discs by p-adic
@@ -87,10 +95,11 @@ off the one factorization of ``power_class``.
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from superell.curve import branch_divisor
 from superell.errors import (
+    AdmissibilityViolation,
     GenusMismatch,
     IsProperPower,
     NoRationalFixedPoint,
@@ -713,6 +722,37 @@ def gamma_by_division(ctx, g, v):
     varpi_v = pi^k."""
     pik = ctx.L.pi().pow_int(ctx.fiber.reductions[v].scaling_exponent)
     return (pik / ctx.G.autos[g].apply(pik)).residue()
+
+
+def node_labels_by_edge_search(ctx):
+    """(label field, nodes) of ``ctx``: the labels of each edge in the
+    least extension of F_L that contains them, found by trying F_(q^m) for
+    m = 1, 2, ..., then embedded into the compositum of those fields,
+    which contains F_L even when there are no edges."""
+    F = ctx.L.residue_field
+    per_edge, k_lcm = {}, F.k
+    for en in ctx.fiber.edge_nodes:
+        m = 1
+        while True:
+            big = fq_make(F.p, F.k * m)
+            if (big.q - 1) % en.d == 0:
+                root = big.nth_root(F.embedding(big)(en.u0), en.d)
+                if root is not None:
+                    break
+            m += 1
+            if m > 4 * en.d * F.k + 4:
+                raise AdmissibilityViolation("node labels not found")
+        per_edge[(en.parent, en.child)] = (
+            big, [root * z for z in big.roots_of_unity(en.d)])
+        k_lcm = lcm(k_lcm, big.k)
+    field = fq_make(F.p, k_lcm)
+    nodes = []
+    for e in sorted(per_edge):
+        big, labels = per_edge[e]
+        emb = big.embedding(field)
+        nodes.extend((e, w) for w in sorted((emb(w) for w in labels),
+                                            key=lambda x: x.index()))
+    return field, nodes
 
 
 def _closeness(x, y):

@@ -39,6 +39,15 @@ def run_tower(tmp_path, tower, *args):
     return run_cli(tmp_path, EX1, "--field-tower", str(tpath), *args)
 
 
+def main_tower(tmp_path, tower, *args):
+    """``main`` in this process on EX1 with ``--field-tower`` given by
+    the JSON value ``tower``."""
+    (tmp_path / "curve.json").write_text(json.dumps(EX1))
+    (tmp_path / "tower.json").write_text(json.dumps(tower))
+    return main([str(tmp_path / "curve.json"), "--field-tower",
+                 str(tmp_path / "tower.json"), *args])
+
+
 def sample_report_sha256(name, *python_flags):
     proc = subprocess.run(
         [sys.executable, *python_flags, "-m", "superell.cli",
@@ -249,6 +258,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 4 and calls[0] == 1
         assert "PrecisionExhausted" in err and "retrying" not in err
+
+    @pytest.mark.parametrize("precision", [2, 5, 7, 8])
+    def test_field_tower_precision_floor(self, tmp_path, capsys, precision):
+        """A tower's precision has the floor of ``--precision``: below 8 it
+        is refused, at 8 the pipeline runs (and runs out of precision)."""
+        tower = {"p": 3, "unramified_modulus": [1, 0, 1],
+                 "eisenstein": [[-3, 0, 0, 0, 1]], "precision": precision}
+        code = main_tower(tmp_path, tower, "--json")
+        out = json.loads(capsys.readouterr().out)
+        if precision < 8:
+            assert code == 2
+            assert out == {"error": "ValidationError", "exit_code": 2,
+                           "message": "precision must be at least 8"}
+        else:
+            assert code == 4 and out["error"] == "PrecisionExhausted"
+
+    def test_field_tower_root_search_once(self, tmp_path, capsys,
+                                          monkeypatch):
+        """f is root-searched over the tower field once per squarefree
+        factor: the split test's roots are the branch divisor."""
+        from superell import fieldsearch, localfield, pipeline
+        from superell.curve import SuperellipticCurve
+        factors = [g for g, _ in SuperellipticCurve.from_json_dict(
+            EX1).squarefree_decomposition()]
+        calls = [0]
+        original = localfield.roots_of_qpoly
+
+        def counted(K, g):
+            calls[0] += g in factors
+            return original(K, g)
+
+        for mod in (localfield, fieldsearch, pipeline):
+            if getattr(mod, "roots_of_qpoly", None) is original:
+                monkeypatch.setattr(mod, "roots_of_qpoly", counted)
+        tower = {"p": 3, "unramified_modulus": [1, 0, 1],
+                 "eisenstein": [[-3, 0, 0, 0, 1]], "precision": 40}
+        code = main_tower(tmp_path, tower, "--json")
+        assert code == 0, capsys.readouterr().out
+        assert calls[0] == len(factors)
+
+    def test_field_tower_not_split_is_invalid(self, tmp_path, capsys):
+        tower = {"p": 3, "unramified_modulus": [1, 0, 1], "precision": 40}
+        code = main_tower(tmp_path, tower, "--json")
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and out["error"] == "ValidationError"
+        assert out["message"].startswith(
+            "f does not split over the tower field")
 
     def test_field_tower_non_monic_modulus(self, tmp_path):
         tower = {"p": 3, "unramified_modulus": [1, 0, 2],

@@ -14,10 +14,10 @@ from superell.fieldsearch import semistabilizing_field
 from superell.finitefield import FqPoly, fq_make
 from superell.localfield import ramification_filtration
 from superell.qpoly import parse_poly
-from superell.reduction import reduce_special_fiber
+from superell.reduction import raw_gauss_values, reduce_special_fiber
 from superell.tree import build_tree, galois_on_tree
 
-from oracles import gamma_by_division
+from oracles import gamma_by_division, node_labels_by_edge_search
 
 ACTION_CASES = ("ex1", "ex2", "good_reduction", "deg40", "ex1_non_integral",
                 "padic_tree_pass0")
@@ -31,7 +31,8 @@ def full_setup(n, fs, p):
     div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
     act = galois_on_tree(G, filt, tree)
-    fiber = reduce_special_fiber(curve, L, tree)
+    fiber = reduce_special_fiber(curve, L, tree,
+                                 raw_gauss_values(curve, L, tree))
     ic = build_inertial_curve(curve, L, G, filt, tree, act, fiber)
     return curve, L, G, filt, tree, act, fiber, ic
 
@@ -221,6 +222,18 @@ class TestYScalings:
         assert inversions[0] == 0
 
 
+class TestNodeLabels:
+    """The node labels of all edges, built once in one label field."""
+
+    @pytest.mark.parametrize("name", ACTION_CASES)
+    def test_match_edge_search(self, results_named, name):
+        for result in results_named(name):
+            ctx = result.inertial.ctx
+            field, nodes = node_labels_by_edge_search(ctx)
+            assert ctx.label_field is field
+            assert ctx.nodes() == nodes
+
+
 class TestOneFactorization:
     """Every Kummer equation of the fiber and its descent is factored
     once by ``factor_poly``: ``fbar`` of each VertexReduction, h_raw of
@@ -231,7 +244,8 @@ class TestOneFactorization:
     @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction"))
     def test_each_equation_once(self, sample_results, factorizations, name):
         r = sample_results[name]
-        fiber = reduce_special_fiber(r.curve, r.L, r.tree)
+        fiber = reduce_special_fiber(r.curve, r.L, r.tree,
+                                     raw_gauss_values(r.curve, r.L, r.tree))
         ic = build_inertial_curve(r.curve, r.L, r.G, r.filt, r.tree,
                                   r.inertial.ctx.act, fiber)
         assert factorizations[0] <= (len(fiber.reductions) + len(ic.iq)

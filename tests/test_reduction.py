@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from superell import pipeline, reduction
 from superell.curve import SuperellipticCurve, branch_divisor
+from superell.errors import SuperellError
 from superell.fieldsearch import (
     construct_candidate,
     semistabilizing_field,
@@ -34,6 +36,13 @@ def setup_example(n, fs, p):
     return curve, L, G, filt, tree, act
 
 
+def special_fiber(curve, L, tree):
+    """The special fiber over the final tree, from one substitution of
+    each chart."""
+    return reduce_special_fiber(curve, L, tree,
+                                raw_gauss_values(curve, L, tree))
+
+
 EX1 = (4, "(x^2-3)*(x^2+3)*(x^2-6*x-3)", 3)
 EX2 = (3, "x^4-x^2+1", 2)
 
@@ -42,13 +51,13 @@ class TestGaussValuation:
     def test_example1_eta_values(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
         raw = raw_gauss_values(curve, L, tree)
-        etas = sorted(Fraction(N, L.e) for N in raw.values())
+        etas = sorted(Fraction(N, L.e) for N, _ in raw.values())
         assert etas == [3, 4, 4]
 
     def test_example2_eta_values(self):
         curve, L, G, filt, tree, act = setup_example(*EX2)
         raw = raw_gauss_values(curve, L, tree)
-        etas = sorted(Fraction(N, L.e) for N in raw.values())
+        etas = sorted(Fraction(N, L.e) for N, _ in raw.values())
         assert etas == [0, 2, 2]
 
     def test_semistable_over_splitting_field_fails(self):
@@ -61,7 +70,7 @@ class TestGaussValuation:
             g for g, _ in curve.squarefree_decomposition()]))
         tree = build_tree(div, L0)
         raw = raw_gauss_values(curve, L0, tree)
-        assert sorted(raw.values()) == [6, 8, 8]
+        assert sorted(N for N, _ in raw.values()) == [6, 8, 8]
         fails = semistable_check(raw, 4)
         root = tree.root
         assert root in fails and fails[root] == 2
@@ -69,7 +78,7 @@ class TestGaussValuation:
     def test_chart_equivalence_invariance(self):
         # composing the chart with a unit of PGL_2(O_L) changes nothing
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, L, tree)
         rng = random.Random(99)
         from superell.finitefield import kummer_genus, power_class
         for v in tree.vertices:
@@ -91,7 +100,7 @@ class TestGaussValuation:
 class TestSpecialFiber:
     def test_example1(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, L, tree)
         genera = sorted(r.component_genus for r in fiber.reductions.values())
         assert genera == [1, 1, 3]
         assert fiber.n_nodes == 4
@@ -101,7 +110,7 @@ class TestSpecialFiber:
 
     def test_example2(self):
         curve, L, G, filt, tree, act = setup_example(*EX2)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, L, tree)
         genera = sorted(r.component_genus for r in fiber.reductions.values())
         assert genera == [1, 1, 1]
         assert fiber.n_nodes == 2
@@ -111,20 +120,20 @@ class TestSpecialFiber:
     def test_component_count_times_nv(self):
         for ex in (EX1, EX2):
             curve, L, G, filt, tree, act = setup_example(*ex)
-            fiber = reduce_special_fiber(curve, L, tree)
+            fiber = special_fiber(curve, L, tree)
             for r in fiber.reductions.values():
                 assert r.component_count() * r.n_v == curve.n
 
     def test_admissibility(self):
         for ex in (EX1, EX2):
             curve, L, G, filt, tree, act = setup_example(*ex)
-            fiber = reduce_special_fiber(curve, L, tree)
+            fiber = special_fiber(curve, L, tree)
             for en in fiber.edge_nodes:
                 assert (en.a_parent + en.a_child) % curve.n == 0
 
     def test_node_counts_example1(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, L, tree)
         for en in fiber.edge_nodes:
             assert en.d == 2  # two nodes per edge
 
@@ -132,7 +141,7 @@ class TestSpecialFiber:
         # changing varpi_v by a unit twists fbar by an n-th power compatible
         # unit: class data is unchanged
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = reduce_special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, L, tree)
         from superell.finitefield import kummer_genus, power_class
         F = L.residue_field
         for r in fiber.reductions.values():
@@ -143,6 +152,40 @@ class TestSpecialFiber:
                 assert pc.n_v == r.n_v
                 assert kummer_genus(pc.n_v, pc.witness) == r.component_genus
                 assert twisted.ord_at(FINF) == r.fbar.ord_at(FINF)
+
+
+class TestOneSubstitution:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "good_reduction",
+                                      "padic_tree_pass0"])
+    def test_each_chart_once(self, request, name, monkeypatch):
+        """``gauss_valuation_f`` runs once per vertex of each tree whose
+        Gauss values the pipeline takes: the semistability check and the
+        special fiber read the same substitutions."""
+        if name == "padic_tree_pass0":
+            curves = [SuperellipticCurve.from_json_dict(case.spec)
+                      for case, _ in request.getfixturevalue(name)]
+        else:
+            curves = [request.getfixturevalue("sample_results")[name].curve]
+        calls, vertices = [0], [0]
+        substitute = reduction.gauss_valuation_f
+        raw_values = pipeline.raw_gauss_values
+
+        def counted(*args):
+            calls[0] += 1
+            return substitute(*args)
+
+        def recorded(curve, L, tree):
+            vertices[0] += tree.vertex_count()
+            return raw_values(curve, L, tree)
+
+        monkeypatch.setattr(reduction, "gauss_valuation_f", counted)
+        monkeypatch.setattr(pipeline, "raw_gauss_values", recorded)
+        for curve in curves:
+            try:
+                pipeline.compute_with_retry(curve)
+            except SuperellError:
+                pass
+        assert vertices[0] > 0 and calls[0] == vertices[0]
 
 
 class TestHornerSubstitution:
