@@ -133,11 +133,10 @@ def _print_text(result):
     print("marked tree (specialization and reduction data):")
     print(_ascii_tree(result.tree, result))
     print("inertial reduction components:")
-    for comp in result.inertial.components:
-        for piece in comp.geometric_pieces:
-            eq = piece["equation"]
-            print(f"  z^{piece['n_geo']} = {eq!r} over GF({eq.field.q}) "
-                  f"(orbit size {piece['d_j']}, genus {piece['genus']})")
+    for piece in result.inertial.geometric_components:
+        eq = piece["equation"]
+        print(f"  z^{piece['n_geo']} = {eq!r} over GF({eq.field.q}) "
+              f"(orbit size {piece['d_j']}, genus {piece['genus']})")
     print("node orbits (size, epsilon):",
           result.inertial.node_orbit_data())
     print(f"dim H^1 = {result.inertial.dim_h1}")

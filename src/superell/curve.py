@@ -41,7 +41,6 @@ class SuperellipticCurve:
         m = 1
         for c in f.coeffs:
             m = lcm(m, c.denominator)
-        self.rescale = m
         self.f = f * Fraction(m**self.n)
         if any(c.denominator != 1 for c in self.f.coeffs):
             raise NonIntegralFactor("rescaled f is not integral")

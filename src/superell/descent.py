@@ -18,18 +18,21 @@ The flow per inertia orbit of tree vertices, at a representative v:
    d_geo over the algebraic closure, the genus of a geometric piece and
    the equation of every piece.
 
-The action is ``tree.TreeGaloisAction``'s, with the y-scaling of g at v
-read off g(pi).  The node labels of all edges are built once, in one
-label field F_(q^M): M is the lcm over the edges of the least m for which
-omega^d = u0 has its d solutions in F_(q^m).  Checked here: wild elements
-act by translations fixing y and the equation; every rewrite
-resubstitutes; the tame generator scales u; sheets and nodes map to
-sheets and nodes; the descent's stabilizer, Hilbert-90 solutions and
-Frobenius-fixed coefficients hold.  ``tree`` checks the cocycle rule on
-stabilizer pairs.  Failures raise NotInvariant/CocycleInconsistent rather
-than risking a wrong L-factor.  The same machinery restricted to
-subgroups of the wild inertia computes the quotient curves entering the
-Swan conductor.
+build_inertial_curve(act, fiber) reads G, the filtration and the tree off
+the action ``act`` (a ``tree.TreeGaloisAction``) and the curve and L off
+the special fiber; the y-scaling of g at v is read off g(pi).  The node
+labels of all edges are built once, in one label field F_(q^M): M is the
+lcm over the edges of the least m for which omega^d = u0 has its d
+solutions in F_(q^m).  On labels, inertia acts with the p^0-power and
+Frobenius with the p-th power, also when f(L) = 1 and its index in G is an
+inertia element.  Checked here: wild elements act by translations fixing
+y and the equation; every rewrite resubstitutes; the tame generator
+scales u; sheets and nodes map to sheets and nodes; the descent's
+stabilizer, Hilbert-90 solutions and Frobenius-fixed coefficients hold.
+``tree`` checks the cocycle rule on each stabilizer against its
+generators.  Failures raise NotInvariant/CocycleInconsistent rather than
+risking a wrong L-factor.  The same machinery restricted to subgroups of
+the wild inertia computes the quotient curves entering the Swan conductor.
 """
 
 from __future__ import annotations
@@ -97,9 +100,10 @@ def _constant_ratio(a, b):
     return c
 
 
-def _label_degree(F, d, u0):
-    """The least m for which omega^d = u0 has its d solutions in
-    F_(q^m), q = |F|: d | q^m - 1 and ord(u0) | (q^m - 1)/d."""
+def _label_degree(d, u0):
+    """The least m for which omega^d = u0 has its d solutions in F_(q^m),
+    q = |F| for F the field of u0: d | q^m - 1 and ord(u0) | (q^m - 1)/d."""
+    F = u0.field
     order = _mult_order(u0)
     for m in range(1, 4 * d * F.k + 5):
         if (F.q**m - 1) % (d * order) == 0:
@@ -122,17 +126,14 @@ class ActionContext:
     """Bundles tree, Galois action and reduction data, and provides the
     induced actions on y-scalings, Kummer sheets, and node labels."""
 
-    def __init__(self, curve, L, G, filt, tree, act, fiber):
-        self.curve = curve
-        self.L = L
-        self.G = G
-        self.filt = filt
-        self.tree = tree
+    def __init__(self, act, fiber):
         self.act = act
         self.fiber = fiber
-        F = L.residue_field
-        M = lcm(*(_label_degree(F, en.d, en.u0) for en in fiber.edge_nodes))
-        self.label_field = big = fq_make(L.p, F.k * M)
+        self.G, self.tree = act.G, act.tree
+        self.curve, self.L = fiber.curve, fiber.tree.L
+        F = self.L.residue_field
+        M = lcm(*(_label_degree(en.d, en.u0) for en in fiber.edge_nodes))
+        self.label_field = big = fq_make(F.p, F.k * M)
         self.label_embedding = emb = F.embedding(big)
         self.edge_labels = {}
         for en in fiber.edge_nodes:
@@ -178,24 +179,19 @@ class ActionContext:
         return (w, zeta_new)
 
     def all_sheets(self):
-        out = []
-        for v in sorted(self.fiber.reductions):
-            for zeta in self.sheets(v):
-                out.append((v, zeta))
-        return out
+        return [(v, zeta) for v in sorted(self.fiber.reductions)
+                for zeta in self.sheets(v)]
 
     # -- nodes ---------------------------------------------------------------
 
     def nodes(self):
         """All geometric nodes as ((parent, child), label) pairs."""
-        out = []
-        for e in sorted(self.edge_labels):
-            for w in self.edge_labels[e]:
-                out.append((e, w))
-        return out
+        return [(e, w) for e in sorted(self.edge_labels)
+                for w in self.edge_labels[e]]
 
-    def node_action(self, g, node):
-        """Image of a geometric node under g (semilinear on labels)."""
+    def node_action(self, g, node, j):
+        """Image of a geometric node under g, acting on labels by the
+        p^j-power: j = 0 for inertia and j = 1 for Frobenius."""
         (pu, cv), w = node
         perm = self.act.vertex_perm[g]
         e2 = (perm[pu], perm[cv])
@@ -206,7 +202,6 @@ class ActionContext:
         a, _b = self.act.affine(g, cv)
         gam = self.gamma(g, cv)
         embL = self.label_embedding
-        j = self.G.autos[g].res_power
         factor = gam ** en.n_prime
         if en.a_prime >= 0:
             factor = factor * a ** en.a_prime
@@ -252,16 +247,16 @@ def orbits(elements, generators, action):
 
 
 def _frobenius_orbits(elements, G, action):
-    """The inertia orbits of `elements`, and the orbits of Frobenius on
-    those, each a list of inertia-orbit representatives (first elements)
-    in deterministic order."""
-    i_orbits = orbits(elements, G.inertia, action)
+    """The inertia orbits of `elements` under action(g, x, 0), and on
+    those the orbits of Frobenius, action(frob, x, 1), as lists of
+    inertia-orbit representatives (first elements), deterministically."""
+    i_orbits = orbits(elements, G.inertia, lambda g, x: action(g, x, 0))
     rep_of = {x: cls[0] for cls in i_orbits for x in cls}
     f_orbits, seen = [], set()
     for cls in i_orbits:
         if cls[0] not in seen:
             orb = orbit_of(cls[0],
-                           lambda c: rep_of[action(G.frobenius_index, c)])
+                           lambda c: rep_of[action(G.frobenius_index, c, 1)])
             seen.update(orb)
             f_orbits.append(orb)
     return i_orbits, f_orbits
@@ -286,14 +281,12 @@ def orbit_of(start, step):
 class InertiaQuotient:
     """Invariant data of Ybar_v / I_v in the coordinates (w, z)."""
 
-    __slots__ = ("vertex", "translations", "u_poly", "g_wild", "c_u",
-                 "gamma", "m", "mu", "s", "nbar", "h_raw", "h_norm",
-                 "flagged")
+    __slots__ = ("vertex", "translations", "u_poly", "g_wild", "gamma", "m",
+                 "mu", "s", "nbar", "h_raw", "h_norm", "flagged")
 
     def __init__(self, ctx, v):
         self.vertex = v
-        L = ctx.L
-        F = L.residue_field
+        F = ctx.L.residue_field
         n = ctx.curve.n
         red = ctx.fiber.reductions[v]
 
@@ -309,7 +302,6 @@ class InertiaQuotient:
                                "coordinate")
         if c_u.is_zero():
             raise NotInvariant("degenerate tame action on u")
-        self.c_u = c_u
         gam = ctx.gamma(sg, v)
         self.gamma = gam
         m = _mult_order(c_u)
@@ -383,13 +375,12 @@ def _u_action(ctx, u_poly, g, v):
 
 def _w_action(ctx, iq, g):
     """Affine action (abar, bbar) of a stabilizing semilinear g on w = u^m."""
-    F = ctx.L.residue_field
     at, bt = _u_action(ctx, iq.u_poly, g, iq.vertex)
     if iq.m == 1:
         return at, bt
     if not bt.is_zero():
         raise NotInvariant("semilinear element translates u although m > 1")
-    return at**iq.m, F.zero()
+    return at**iq.m, bt
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +433,9 @@ def _fp_solve(rows, rhs, p):
     return sol
 
 
-def _semilinear_matrix(F, abar, power):
+def _semilinear_matrix(abar, power):
     """Rows of the F_p-linear map x -> x^(p^power) - abar * x."""
+    F = abar.field
     cols = []
     for j in range(F.k):
         e = F.from_index(F.p**j)
@@ -451,29 +443,30 @@ def _semilinear_matrix(F, abar, power):
     return [[cols[j].coeffs[i] for j in range(F.k)] for i in range(F.k)]
 
 
-def solve_mult_h90(F, abar, power):
+def solve_mult_h90(abar, power):
     """alpha != 0 with alpha^(p^power) = abar * alpha."""
-    rows = _semilinear_matrix(F, abar, power)
-    for vec in _fp_kernel(rows, F.p):
-        cand = F.element(tuple(vec))
+    rows = _semilinear_matrix(abar, power)
+    for vec in _fp_kernel(rows, abar.field.p):
+        cand = abar.field.element(tuple(vec))
         if not cand.is_zero():
             return cand
     raise NormNotOne("multiplicative Hilbert 90 has no solution "
                      "(norm of the cocycle is not 1)")
 
 
-def solve_add_h90(F, abar, bbar, power):
+def solve_add_h90(abar, bbar, power):
     """beta with beta^(p^power) - abar * beta = bbar."""
-    rows = _semilinear_matrix(F, abar, power)
-    sol = _fp_solve(rows, list(bbar.coeffs), F.p)
+    rows = _semilinear_matrix(abar, power)
+    sol = _fp_solve(rows, list(bbar.coeffs), abar.field.p)
     if sol is None:
         raise NormNotOne("additive Hilbert 90 has no solution")
-    return F.element(tuple(sol))
+    return abar.field.element(tuple(sol))
 
 
-def _fix_coefficients(F, eq, nbar, power):
+def _fix_coefficients(eq, nbar, power):
     """Twist eq by delta^nbar so all coefficients are fixed by
     x -> x^(p^power); exhaustive deterministic search."""
+    F = eq.field
     def fixed(poly):
         return all(c.frobenius(power) == c for c in poly.coeffs)
 
@@ -489,9 +482,9 @@ def _fix_coefficients(F, eq, nbar, power):
     raise NormNotOne("no unit twist makes the equation Frobenius-fixed")
 
 
-def _subfield_poly(F, Fsub, eq):
+def _subfield_poly(Fsub, eq):
     """Rewrite a polynomial with Frobenius-fixed coefficients over Fsub."""
-    emb = Fsub.embedding(F)
+    emb = Fsub.embedding(eq.field)
     table = {}
     for idx in range(Fsub.q):
         x = Fsub.from_index(idx)
@@ -517,8 +510,7 @@ class DescendedComponent:
                  "d_geo", "genus_geometric", "geometric_pieces", "quotient")
 
     def __init__(self, ctx, iq, d_v, stab_generator):
-        L = ctx.L
-        F = L.residue_field
+        F = ctx.L.residue_field
         self.rep = iq.vertex
         self.d_v = d_v
         self.nbar = iq.nbar
@@ -535,17 +527,17 @@ class DescendedComponent:
                     "stabilizer generator has the wrong residue power")
             abar, bbar = _w_action(ctx, iq, g)
             power = d_v
-            alpha = solve_mult_h90(F, abar, power)
-            beta = solve_add_h90(F, abar, bbar, power)
+            alpha = solve_mult_h90(abar, power)
+            beta = solve_add_h90(abar, bbar, power)
             # w = alpha w' + beta is the invariant coordinate change; it
             # maps the factors of h to factors with the same exponents, so
             # h2 stays in normal form
             h2 = h.compose(FqPoly(F, [beta, alpha]))
-            self.h_prime = _fix_coefficients(F, h2, self.nbar, power)
+            self.h_prime = _fix_coefficients(h2, self.nbar, power)
         else:
             self.h_prime = h
         # geometric splitting over F_L
-        pcL = power_class(F, self.h_prime, self.nbar)
+        pcL = power_class(self.h_prime, self.nbar)
         if pcL.d_max != pcL.d_geo:
             raise NotInvariant("component does not split over F_L as the "
                                "theory requires")
@@ -567,12 +559,12 @@ class DescendedComponent:
             ell = len(orb)
             d_j = d_v * ell
             eq = pcL.sheet_equation(zeta0)
-            eq = _fix_coefficients(F, eq, n_geo, d_j)
+            eq = _fix_coefficients(eq, n_geo, d_j)
             Fj = fq_make(F.p, d_j)
             pieces.append({
                 "d_j": d_j,
                 "field": Fj,
-                "equation": _subfield_poly(F, Fj, eq),
+                "equation": _subfield_poly(Fj, eq),
                 "n_geo": n_geo,
                 "genus": self.genus_geometric,
             })
@@ -591,7 +583,7 @@ class InertialCurve:
         frob = G.frobenius_index
         i_orbits, f_orbits = _frobenius_orbits(
             [v.index for v in ctx.tree.vertices], G,
-            lambda g, v: ctx.act.vertex_perm[g][v])
+            lambda g, v, j: ctx.act.vertex_perm[g][v])
         # inertia quotients at orbit representatives
         self.iq = {cls[0]: InertiaQuotient(ctx, cls[0]) for cls in i_orbits}
         self.components = []
@@ -619,17 +611,15 @@ class InertialCurve:
             self.components.append(comp)
 
         # geometric components over k and their Frobenius orbit sizes
-        self.geometric_components = []
-        for comp in self.components:
-            for piece in comp.geometric_pieces:
-                self.geometric_components.append(piece)
+        self.geometric_components = [piece for comp in self.components
+                                     for piece in comp.geometric_pieces]
 
         # nodes; epsilon is structurally trivial here: Galois elements
         # preserve disc radii, so an edge can never map to itself with its
         # endpoints (parent/child) exchanged
         node_i_orbits, node_f_orbits = _frobenius_orbits(
             ctx.nodes(), G, ctx.node_action)
-        self.node_orbits = [{"size": len(orb), "epsilon": 1, "rep": orb[0]}
+        self.node_orbits = [{"size": len(orb), "epsilon": 1}
                             for orb in node_f_orbits]
         self.n_geometric_nodes = len(node_i_orbits)
         self.n_geometric_components = sum(c.geometric_count()
@@ -645,9 +635,8 @@ class InertialCurve:
         return sorted((o["size"], o["epsilon"]) for o in self.node_orbits)
 
 
-def build_inertial_curve(curve, L, G, filt, tree, act, fiber):
-    ctx = ActionContext(curve, L, G, filt, tree, act, fiber)
-    return InertialCurve(ctx)
+def build_inertial_curve(act, fiber):
+    return InertialCurve(ActionContext(act, fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +663,8 @@ def quotient_genus_by_wild_subgroup(ctx, subgroup):
         _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
         total_genus += kummer_genus(red.n_v, quotient_eq)
     # graph quotient
-    node_orbs = orbits(ctx.nodes(), subgroup, ctx.node_action)
+    node_orbs = orbits(ctx.nodes(), subgroup,
+                       lambda g, x: ctx.node_action(g, x, 0))
     V = len(sheet_orbits)
     E = len(node_orbs)
     return total_genus + E - V + 1

@@ -400,7 +400,7 @@ def residue_degree_bound(factors, p):
     for g in factors:
         ints, _ = g.content_clear()
         red = FqPoly.from_ints(F, [int(c) for c in ints.coeffs])
-        for irr, _ in factor_poly(F, red):
+        for irr, _ in factor_poly(red):
             r = lcm(r, irr.degree())
     return r
 

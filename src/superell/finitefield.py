@@ -856,7 +856,7 @@ class FqPoly:
         x = FqPoly.x(F)
         g = self.gcd(x.powmod(F.q, self) - x)
         out = []
-        for fac, _ in factor_poly(F, g):
+        for fac, _ in factor_poly(g):
             if fac.degree() == 1:
                 out.append(F._neg(fac._c[0]))
         return [FqElement(F, r) for r in sorted(out)]
@@ -890,15 +890,17 @@ class FqPoly:
         return out
 
 
-def _cz_seed(F, g):
+def _cz_seed(g):
+    F = g.field
     data = (F.p, F.modulus, tuple(F._to_digits(c) for c in g._c))
     return hash(data) & 0x7FFFFFFF
 
 
-def _equal_degree_split(F, g, d, rng):
+def _equal_degree_split(g, d, rng):
     """Cantor-Zassenhaus split of g (product of degree-d irreducibles)."""
     if g.degree() == d:
         return [g]
+    F = g.field
     q, n = F.q, g.degree()
     one = FqPoly._make(F, (1,))
     while True:
@@ -916,12 +918,12 @@ def _equal_degree_split(F, g, d, rng):
         else:
             h = g.gcd(r.powmod((q**d - 1) // 2, g) - one)
         if 0 < h.degree() < g.degree():
-            return (_equal_degree_split(F, h.monic(), d, rng)
-                    + _equal_degree_split(F, (g // h).monic(), d, rng))
+            return (_equal_degree_split(h.monic(), d, rng)
+                    + _equal_degree_split((g // h).monic(), d, rng))
 
 
-def factor_poly(F, g):
-    """Full factorization of g over F.
+def factor_poly(g):
+    """Full factorization of g over its field.
 
     Returns a list of (monic irreducible, exponent) in deterministic order
     (degree, then coefficient-lex).  The product times the leading
@@ -931,7 +933,8 @@ def factor_poly(F, g):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if g.degree() == 0:
         return []
-    rng = random.Random(_cz_seed(F, g))
+    F = g.field
+    rng = random.Random(_cz_seed(g))
     out = {}
     for sqfree, mult in g.squarefree_decomposition():
         # distinct degree
@@ -947,7 +950,7 @@ def factor_poly(F, g):
             h = h.powmod(F.q, f)
             g_d = f.gcd(h - x)
             if g_d.degree() > 0:
-                for irr in _equal_degree_split(F, g_d.monic(), d, rng):
+                for irr in _equal_degree_split(g_d.monic(), d, rng):
                     out[irr.monic()] = out.get(irr.monic(), 0) + mult
                 f = f // g_d
                 h = h % f
@@ -1000,12 +1003,12 @@ def riemann_hurwitz_genus(n, branch):
     return two_g // 2
 
 
-def power_class(F, h, n):
-    """Largest d | n with the polynomial h a d-th power in F(x)^*, plus a
-    witness g, g^d = h."""
+def power_class(h, n):
+    """Largest d | n with the polynomial h a d-th power over its field,
+    plus a witness g, g^d = h."""
     if h.is_zero():
         raise ZeroFunction("power class of zero")
-    facs = factor_poly(F, h)
+    facs = factor_poly(h)
     d_geo = n
     for _, e in facs:
         d_geo = gcd(d_geo, e)
@@ -1017,7 +1020,7 @@ def power_class(F, h, n):
     divisors = sorted((d for d in range(1, d_geo + 1) if d_geo % d == 0),
                       reverse=True)
     for d in divisors:
-        root = F.nth_root(unit, d)
+        root = h.field.nth_root(unit, d)
         if root is not None:
             witness = FqPoly.constant(root)
             for f, e in facs:
@@ -1032,16 +1035,11 @@ def power_class(F, h, n):
 # Kummer point counting and zeta numerators
 # ---------------------------------------------------------------------------
 
-def _extension_with_embedding(F, i):
-    """(F_{q^i}, embedding F -> F_{q^i})."""
-    big = fq_make(F.p, F.k * i)
-    return big, F.embedding(big)
-
-
-def kummer_solutions(Fbig, d, u0):
-    """#{w in Fbig : w^d = u0} for a unit u0."""
-    g = gcd(d, Fbig.q - 1)
-    if u0 ** ((Fbig.q - 1) // g) == Fbig.one():
+def kummer_solutions(d, u0):
+    """#{w in F : w^d = u0} for a unit u0 of F."""
+    q = u0.field.q
+    g = gcd(d, q - 1)
+    if u0 ** ((q - 1) // g) == u0.field.one():
         return g
     return 0
 
@@ -1069,7 +1067,8 @@ def count_kummer_points(nbar, h, i=1):
     if F.q**i > DEFAULT_POINT_BUDGET:
         raise EnumerationBudgetExceeded(
             f"q^i = {F.q ** i} exceeds budget {DEFAULT_POINT_BUDGET}")
-    big, emb = _extension_with_embedding(F, i)
+    big = fq_make(F.p, F.k * i)
+    emb = F.embedding(big)
     hh = h.map_coeffs(emb, big)
     g_full = gcd(nbar, big.q - 1)
     log = big._log_table() if g_full > 1 else None
@@ -1094,7 +1093,7 @@ def count_kummer_points(nbar, h, i=1):
         total += g_full * int(np.count_nonzero(ordinary))
     for x0 in [big.from_index(j) for j in special] + [INF]:
         d = gcd(nbar, hh.ord_at(x0))
-        total += kummer_solutions(big, d, hh.unit_value_at(x0))
+        total += kummer_solutions(d, hh.unit_value_at(x0))
     return total
 
 
@@ -1200,7 +1199,7 @@ def normalize_kummer_equation(nbar, h):
     """
     if h.is_zero():
         raise ZeroFunction("cannot normalize zero")
-    return _normal_form(nbar, h.lead(), factor_poly(h.field, h))
+    return _normal_form(nbar, h.lead(), factor_poly(h))
 
 
 def kummer_genus(n_c, h):
@@ -1218,7 +1217,7 @@ def kummer_genus(n_c, h):
     if gcd(n_c, F.p) != 1:
         raise CharacteristicDividesExponent(
             f"{n_c} not prime to characteristic {F.p}")
-    pc = power_class(F, h, n_c)
+    pc = power_class(h, n_c)
     if pc.d_max != 1:
         raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
     return pc.genus

@@ -569,13 +569,13 @@ class LocalFieldElement:
         return tuple(out)
 
 
-def sort_key(count=12):
-    def key(x):
-        d = x.digits(count)
-        if d[0] == INFINITE:
-            return (1,)
-        return (0,) + d
-    return key
+def sort_key(x):
+    """The canonical order of elements of L: by the first 12 digits, with
+    zero last."""
+    d = x.digits(12)
+    if d[0] == INFINITE:
+        return (1,)
+    return (0,) + d
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +731,7 @@ def roots_of_qpoly(K, qp):
             continue
         if val < K.e * (K.N // 2):
             raise PrecisionExhausted("root residual too large")
-    return sorted(roots, key=sort_key())
+    return sorted(roots, key=sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +877,7 @@ def galois_group(L):
     K = L
     # roots of the unramified modulus inside U (they are Hensel-liftable)
     mcoeffs = [K.from_int(c) for c in K.U.modulus]
-    a_roots = (sorted(roots_integral(mcoeffs, K), key=sort_key())
+    a_roots = (sorted(roots_integral(mcoeffs, K), key=sort_key)
                if K.f > 1 else [K.gen_unramified()])
     if len(a_roots) != K.f:
         raise NotGalois(f"unramified modulus has {len(a_roots)} roots, "
@@ -887,7 +887,7 @@ def galois_group(L):
         # sigma|U determined by a -> a_img; transport E's coefficients
         sigmaU = coeff_transport(K, a_img, K.f)
         E_sigma = [sigmaU(c) for c in K.E]
-        for pi_img in sorted(roots_integral(E_sigma, K), key=sort_key()):
+        for pi_img in sorted(roots_integral(E_sigma, K), key=sort_key):
             autos.append(Automorphism(K, a_img, pi_img))
     if len(autos) != K.degree:
         raise NotGalois(f"found {len(autos)} automorphisms, "

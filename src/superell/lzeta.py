@@ -85,12 +85,11 @@ def local_l_factor(inertial):
                               inertial.node_orbit_data())
     comp_factors = []
     p1 = QPoly(graph)
-    for comp in inertial.components:
-        for piece in comp.geometric_pieces:
-            # one zeta factor per Frobenius orbit of geometric components
-            pf = component_l_factor(piece)
-            comp_factors.append(pf)
-            p1 = p1 * QPoly(pf)
+    for piece in inertial.geometric_components:
+        # one zeta factor per Frobenius orbit of geometric components
+        pf = component_l_factor(piece)
+        comp_factors.append(pf)
+        p1 = p1 * QPoly(pf)
     p1 = _integer_coeffs(p1)
     result = LFactorResult(p1, graph, comp_factors)
     if result.degree() != inertial.dim_h1:
@@ -110,15 +109,17 @@ class ConductorResult:
         self.bound = bound
 
 
-def conductor_exponent(curve, filt, inertial):
+def conductor_exponent(inertial):
     """f = epsilon + delta.
 
     epsilon = 2 g(Y) - dim H^1(inertial reduction); delta is the Swan sum
     over the higher ramification groups, computed from the arithmetic
     genera of the quotients Ybar/Gamma_i (wild translation quotients), and
-    accumulated exactly before the integrality assertion.
+    accumulated exactly before the integrality assertion.  The curve and
+    the filtration are those of ``inertial.ctx``.
     """
-    g = curve.genus()
+    ctx, filt = inertial.ctx, inertial.ctx.act.filt
+    g = ctx.curve.genus()
     epsilon = 2 * g - inertial.dim_h1
     gamma0 = filt.gamma(0)
     by_subgroup, genera_by_jump = {}, {}
@@ -128,8 +129,7 @@ def conductor_exponent(curve, filt, inertial):
         subgroup = filt.gamma(i)
         key = tuple(subgroup)
         if key not in by_subgroup:
-            by_subgroup[key] = quotient_genus_by_wild_subgroup(
-                inertial.ctx, subgroup)
+            by_subgroup[key] = quotient_genus_by_wild_subgroup(ctx, subgroup)
         g_i = genera_by_jump[i] = by_subgroup[key]
         delta += Fraction(len(subgroup), len(gamma0)) * (2 * g - 2 * g_i)
         i += 1

@@ -3,14 +3,21 @@ L-factor and conductor, with hard consistency cross-checks at every joint.
 
 The fields come from one catalog scan, ``semistabilizing_candidates``; the
 roots of f that its split test finds are the branch divisor, and the first
-candidate over which the model is semistable is used.  Per candidate:
-branch_divisor, build_tree, ramification_filtration, galois_on_tree,
-raw_gauss_values, semistable_check, reduce_special_fiber.  Both chart
-normalizations (``build_tree``'s and the tame one of ``galois_on_tree``)
-come before any chart is substituted into f, once per vertex.
+candidate L, G over which the model is semistable is used.  Per candidate:
+branch_divisor(curve, roots), build_tree(div, L), ramification_filtration(G),
+galois_on_tree(G, filt, tree), raw_gauss_values(curve, tree),
+semistable_check(raw, n), reduce_special_fiber(curve, tree, raw).  Both
+chart normalizations (``build_tree``'s and the tame one of
+``galois_on_tree``) come before any chart is substituted into f, once per
+vertex.  Then build_inertial_curve(act, fiber), local_l_factor(inertial),
+conductor_exponent(inertial) and verify_point_counts(inertial, p1).  Each
+stage reads its data off the objects it takes: the tree carries L, the
+action ``act`` carries G, the filtration and the tree, the fiber carries
+the curve, and the inertial curve its ``ctx``.
 
-``compute`` returns a PipelineResult carrying every intermediate object
-(for tests and reports); ``compute_with_retry`` retries once at fourfold
+``compute`` returns PipelineResult(divisor, inertial, lfactor, conductor),
+which reads the curve, L, G, the filtration, the tree and the fiber off
+``inertial.ctx``; ``compute_with_retry`` retries once at fourfold
 precision when the p-adic precision runs out.
 """
 
@@ -23,7 +30,6 @@ from .descent import build_inertial_curve
 from .errors import (
     CatalogExhausted,
     CountsInconsistent,
-    DegreeMismatch,
     PrecisionExhausted,
     ValidationError,
 )
@@ -36,15 +42,16 @@ from .tree import build_tree, galois_on_tree
 
 
 class PipelineResult:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
+    def __init__(self, divisor, inertial, lfactor, conductor):
+        ctx = inertial.ctx
+        self.divisor, self.inertial = divisor, inertial
+        self.lfactor, self.conductor = lfactor, conductor
+        self.curve, self.L, self.fiber = ctx.curve, ctx.L, ctx.fiber
+        self.G, self.filt, self.tree = ctx.G, ctx.act.filt, ctx.tree
 
     def to_json_dict(self):
-        curve = self.curve
-        tree = self.tree
-        L = self.L
-        red = self.fiber
-        ic = self.inertial
+        curve, tree, L = self.curve, self.tree, self.L
+        red, ic = self.fiber, self.inertial
         verts = []
         # fbar is a polynomial (``gauss_valuation_f`` rejects any other
         # reduced denominator), so the report's denominator is always 1
@@ -136,20 +143,19 @@ def _poly_json(poly):
     return [list(c.coeffs) for c in poly.coeffs]
 
 
-def verify_point_counts(curve, inertial, p1):
+def verify_point_counts(inertial, p1):
     """End-to-end oracle: |Zbar(F_{p^i})| for i = 1, 2 computed from the
     components + node corrections must match the zeta prediction from P1."""
-    p = curve.p
+    p = inertial.ctx.curve.p
     for i in (1, 2):
         direct = 0
-        for comp in inertial.components:
-            for piece in comp.geometric_pieces:
-                d_j = piece["d_j"]
-                if i % d_j:
-                    continue
-                cnt = count_kummer_points(piece["n_geo"], piece["equation"],
-                                          i // d_j)
-                direct += d_j * cnt
+        for piece in inertial.geometric_components:
+            d_j = piece["d_j"]
+            if i % d_j:
+                continue
+            cnt = count_kummer_points(piece["n_geo"], piece["equation"],
+                                      i // d_j)
+            direct += d_j * cnt
         for orb in inertial.node_orbits:
             if i % orb["size"] == 0:
                 direct -= orb["size"]
@@ -196,27 +202,22 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         tree = build_tree(div, L)
         filt = ramification_filtration(G)
         act = galois_on_tree(G, filt, tree)
-        raw = raw_gauss_values(curve, L, tree)
+        raw = raw_gauss_values(curve, tree)
         fails = semistable_check(raw, curve.n)
         if fails:
             say(f"  not semistable over this field: N_v mod n = {fails}")
             last_failure = fails
             continue
-        fiber = reduce_special_fiber(curve, L, tree, raw)
+        fiber = reduce_special_fiber(curve, tree, raw)
         say(f"  semistable: {tree.vertex_count()} vertices, "
             f"{fiber.n_nodes} nodes, genera "
             f"{[r.component_genus for r in fiber.reductions.values()]}")
-        inertial = build_inertial_curve(curve, L, G, filt, tree, act, fiber)
+        inertial = build_inertial_curve(act, fiber)
         lfactor = local_l_factor(inertial)
-        conductor = conductor_exponent(curve, filt, inertial)
-        verify_point_counts(curve, inertial, lfactor.p1)
-        if len(lfactor.p1) - 1 != 2 * curve.genus() - conductor.epsilon:
-            raise DegreeMismatch("deg P1 differs from 2g - epsilon")
+        conductor = conductor_exponent(inertial)
+        verify_point_counts(inertial, lfactor.p1)
         say(f"  P1 = {lfactor.p1}, f = {conductor.conductor}")
-        return PipelineResult(curve=curve, L=L, G=G, filt=filt,
-                              divisor=div, tree=tree, fiber=fiber,
-                              inertial=inertial, lfactor=lfactor,
-                              conductor=conductor, config=config)
+        return PipelineResult(div, inertial, lfactor, conductor)
     raise CatalogExhausted(
         "no catalog field yields a semistable model"
         + (f" (last failure: N_v mod n = {last_failure})"
@@ -224,8 +225,6 @@ def compute(curve, config=None, explicit_field=None, trace=None):
 
 
 def compute_with_retry(curve, config=None, explicit_field=None, trace=None):
-    if config is None:
-        config = SearchConfig()
     try:
         return compute(curve, config, explicit_field, trace)
     except PrecisionExhausted:
@@ -234,4 +233,5 @@ def compute_with_retry(curve, config=None, explicit_field=None, trace=None):
         if trace:
             print("precision exhausted; retrying at fourfold precision",
                   file=trace)
-        return compute(curve, config.scaled(4), explicit_field, trace)
+        return compute(curve, (config or SearchConfig()).scaled(4),
+                       explicit_field, trace)

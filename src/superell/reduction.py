@@ -4,8 +4,9 @@ For each vertex v of the marked tree, substituting the inverse chart into f
 and taking the Gauss valuation gives N_v = eta_v(f) (stored in pi-units,
 where divisibility by n is the semistability criterion) and the reduced
 equation fbar_v.  Each chart is substituted once, after ``tree`` has fixed
-it (``raw_gauss_values``); the semistability check and the special fiber
-both read those values.  The substitution runs Horner's rule in the
+it: raw_gauss_values(curve, tree) works over tree.L, and
+semistable_check(raw, n) and reduce_special_fiber(curve, tree, raw) both
+read its values.  The substitution runs Horner's rule in the
 numerator of the chart alongside the powers of its denominator, O(m^2)
 products for deg f = m, and ``localfield.gauss_reduce`` reads N_v and
 fbar_v off both sides.  fbar_v is a polynomial: the chart sends the pole
@@ -84,7 +85,7 @@ class VertexReduction:
             raise NotDivisible(
                 f"n = {n} does not divide N_v = {N_v} at vertex {vertex}")
         self.scaling_exponent = N_v // n  # varpi_v = pi^(N_v/n)
-        self.power_class = pc = power_class(L.residue_field, fbar, n)
+        self.power_class = pc = power_class(fbar, n)
         self.d_max = pc.d_max
         self.n_v = pc.n_v
         self.witness = pc.witness  # gbar with gbar^(d_max) = fbar
@@ -116,14 +117,13 @@ class EdgeNodes:
     F_L, are ``descent.ActionContext``'s.
     """
 
-    __slots__ = ("parent", "child", "pos_on_parent", "a_parent", "a_child",
-                 "d", "u0", "n_prime", "a_prime")
+    __slots__ = ("parent", "child", "a_parent", "a_child", "d", "u0",
+                 "n_prime", "a_prime")
 
     def __init__(self, parent, child, pos_on_parent, fbar_parent, fbar_child,
                  n):
         self.parent = parent
         self.child = child
-        self.pos_on_parent = pos_on_parent
         self.a_parent = a_parent = fbar_parent.ord_at(pos_on_parent)
         self.a_child = a_child = fbar_child.ord_at(INF)
         if (a_parent + a_child) % n:
@@ -147,9 +147,8 @@ class SpecialFiber:
     """All per-vertex reductions and node fibers of Ybar, plus the genus
     bookkeeping of its dual graph."""
 
-    def __init__(self, curve, L, tree, reductions, edge_nodes):
+    def __init__(self, curve, tree, reductions, edge_nodes):
         self.curve = curve
-        self.L = L
         self.tree = tree
         self.reductions = reductions      # vertex index -> VertexReduction
         self.edge_nodes = edge_nodes      # list of EdgeNodes
@@ -169,12 +168,12 @@ class SpecialFiber:
                 f"fiber differs from the curve genus {g}")
 
 
-def reduce_special_fiber(curve, L, tree, raw):
+def reduce_special_fiber(curve, tree, raw):
     """All vertex reductions and node fibers from ``raw``, the
     ``raw_gauss_values`` of the tree; semistability must hold (call
     ``semistable_check`` first to decide whether to enlarge L)."""
     n = curve.n
-    reductions = {v: VertexReduction(v, N_v, fbar, n, L)
+    reductions = {v: VertexReduction(v, N_v, fbar, n, tree.L)
                   for v, (N_v, fbar) in raw.items()}
     edge_nodes = []
     for (pu, cv) in tree.edges:
@@ -183,13 +182,13 @@ def reduce_special_fiber(curve, L, tree, raw):
             raise AdmissibilityViolation("child direction at infinity")
         edge_nodes.append(EdgeNodes(pu, cv, pos, reductions[pu].fbar,
                                     reductions[cv].fbar, n))
-    fiber = SpecialFiber(curve, L, tree, reductions, edge_nodes)
+    fiber = SpecialFiber(curve, tree, reductions, edge_nodes)
     fiber.check_genus()
     return fiber
 
 
-def raw_gauss_values(curve, L, tree):
-    """{vertex: (N_v, fbar_v)} in the final charts of the tree, without
-    assuming divisibility (for ``semistable_check``)."""
-    return {v.index: gauss_valuation_f(curve, L, v.chart)
+def raw_gauss_values(curve, tree):
+    """{vertex: (N_v, fbar_v)} in the final charts of the tree, over its
+    field L, without assuming divisibility (for ``semistable_check``)."""
+    return {v.index: gauss_valuation_f(curve, tree.L, v.chart)
             for v in tree.vertices}

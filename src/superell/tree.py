@@ -209,8 +209,7 @@ def _cluster_vertices(L, points, finite, val):
                 raise NotInvariant("disc model and chart-fiber model disagree")
             classes.append((t, points[c], r, partition, chart, members))
     classes.sort(key=lambda c: c[0])
-    center_key = sort_key(10)  # digits of the center; a zero center last
-    classes.sort(key=lambda c: (c[2],) + center_key(c[1]))
+    classes.sort(key=lambda c: (c[2],) + sort_key(c[1]))
     return [Vertex(idx, chart, center, r, partition, members)
             for idx, (_, center, r, partition, chart, members)
             in enumerate(classes)]
@@ -415,15 +414,28 @@ class TreeGaloisAction:
         self._matrix_cache = {
             (g, w): m for (g, w), m in self._matrix_cache.items()
             if w not in moves and self.vertex_perm[g][w] not in moves}
-        # cocycle check on all stabilizer pairs: the composed M(s o t, v)
-        # follows the word of s o t, so it tests the generators' matrices
+        # cocycle check on stab(v) x (generators of stab(v)): the composed
+        # M(s o t, v) follows the word of s o t, so it tests the generators'
+        # matrices, and by induction on word length the rule then holds for
+        # all pairs of stab(v)
         for v in tree.vertices:
             stab = self.stabilizer[v.index]
-            for s in stab:
-                for t in stab:
+            for t in self._generating_set(stab):
+                for s in stab:
                     if self.matrix(self.G.compose(s, t), v.index) != \
                             self._cocycle(s, t, v.index):
                         raise NotInvariant("cocycle rule violated")
+
+    def _generating_set(self, subgroup):
+        """Generators of ``subgroup``, taken greedily in index order: each
+        is the first element not in the span of those before it."""
+        mul, gens, span = self.G.compose, [], {self.G.identity_index}
+        for t in subgroup:
+            if t not in span:
+                gens.append(t)
+                while new := {mul(x, g) for x in span for g in gens} - span:
+                    span |= new
+        return gens
 
 
 def _big(x, L):

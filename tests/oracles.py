@@ -277,7 +277,7 @@ def _count_segment(G, lam, depth):
         if lin.evaluate(F.zero()).is_zero():
             total -= 1  # y0 = 0 handled by the z-peeling branch
         return total
-    for fac, mult in factor_poly(F, Rpoly):
+    for fac, mult in factor_poly(Rpoly):
         if fac.degree() != 1:
             continue  # residue field grows; not a degree-1 place
         y0 = -fac.coeffs[0]
@@ -513,7 +513,7 @@ def _fiber_points(big, nbar, num, den, x0):
     """Rational points above x0 of the normalization of z^nbar = num/den,
     by the general rule of ``count_kummer_points``."""
     d = gcd(nbar, num.ord_at(x0) - den.ord_at(x0))
-    return kummer_solutions(big, d, num.unit_value_at(x0)
+    return kummer_solutions(d, num.unit_value_at(x0)
                             / den.unit_value_at(x0))
 
 
@@ -656,7 +656,7 @@ def build_tree_by_triples(divisor, L):
         elif _phi_partition(L, points, _chart_up_to_scalar(L, points, t)) \
                 != classes[hit][2]:
             raise NotInvariant("disc model and chart-fiber model disagree")
-    classes.sort(key=lambda c: (c[1],) + sort_key(10)(c[0]))
+    classes.sort(key=lambda c: (c[1],) + sort_key(c[0]))
     vertices = [
         Vertex(idx, chart, center, radius, part,
                frozenset(j for j in range(m) if points[j] != INF_POINT
@@ -863,7 +863,7 @@ def semistable_field_by_two_scans(curve, config):
         except (PrecisionExhausted, NotGalois):
             continue
         tree = build_tree(branch_divisor(curve, splits_in(L, factors)), L)
-        if not semistable_check(raw_gauss_values(curve, L, tree), n):
+        if not semistable_check(raw_gauss_values(curve, tree), n):
             return L
     return None
 
@@ -872,13 +872,13 @@ def _factored(h):
     """[(irreducible, exponent)] of h, a polynomial or a (num, den) pair,
     over num and den (den with negative exponents)."""
     num, den = _fraction(h)
-    out = dict(factor_poly(num.field, num))
-    for f, e in factor_poly(den.field, den):
+    out = dict(factor_poly(num))
+    for f, e in factor_poly(den):
         out[f] = out.get(f, 0) - e
     return sorted(out.items(), key=lambda kv: kv[0].key())
 
 
-def geometric_power_class(F, h, n):
+def geometric_power_class(h, n):
     """Power class over the algebraic closure: units are always powers."""
     d1 = n
     for _, e in _factored(h):
@@ -891,10 +891,9 @@ def kummer_genus_by_factorizations(n_c, h):
     (num, den) pair) not a proper power modulo n_c-th powers over its
     field, by Riemann-Hurwitz over the algebraic closure."""
     num, den = _fraction(h)
-    F = num.field
-    if power_class(F, num * den ** (n_c - 1), n_c).d_max != 1:
+    if power_class(num * den ** (n_c - 1), n_c).d_max != 1:
         raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
-    d = geometric_power_class(F, h, n_c)
+    d = geometric_power_class(h, n_c)
     n_comp = n_c // d
     two_g = -2 * n_comp + 2
     for f, e in _factored(h):

@@ -298,7 +298,7 @@ class TestCriterion5:
                 N2, fb2 = gauss_valuation_f(
                     curve, L, matrix_mul((a, b, L.zero(), L.one()), v.chart))
                 assert N2 == base.N_v
-                pc2 = power_class(L.residue_field, fb2, n)
+                pc2 = power_class(fb2, n)
                 assert pc2.n_v == base.n_v
                 assert kummer_genus(pc2.n_v, pc2.witness) \
                     == base.component_genus
@@ -306,7 +306,7 @@ class TestCriterion5:
                     rng.randrange(1, L.residue_field.q))
                 if not u.is_zero():
                     tw = base.fbar * u**n
-                    pct = power_class(L.residue_field, tw, n)
+                    pct = power_class(tw, n)
                     assert pct.n_v == base.n_v
             if completed >= 55:
                 break

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from superell import SuperellipticCurve, compute_with_retry
 from superell.cli import main
+from superell.errors import SuperellError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -404,3 +406,23 @@ def test_pass0_reports_pinned(perfbench, workload_pass0, workload):
             text = reference.canonical(outcome.to_json_dict())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == pinned[case.key], f"{case.shape}: report drift"
+
+
+def test_all_pinned_reports(perfbench):
+    """Every spec pinned in perfbench/references.json (the warm-up and the
+    isomorphic copies of every pass of each workload at the default seed),
+    recomputed in process, gives the pinned ``--json`` report."""
+    reference = perfbench.reference
+    pinned = reference.load()["reports"]
+    assert pinned
+    drift = []
+    for key, digest in pinned.items():
+        try:
+            result = compute_with_retry(
+                SuperellipticCurve.from_json_dict(json.loads(key)))
+            text = reference.canonical(result.to_json_dict())
+        except SuperellError as exc:
+            text = reference.error_report(exc)
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            drift.append(key)
+    assert not drift, f"report drift on {drift}"

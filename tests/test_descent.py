@@ -31,9 +31,8 @@ def full_setup(n, fs, p):
     div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
     act = galois_on_tree(G, filt, tree)
-    fiber = reduce_special_fiber(curve, L, tree,
-                                 raw_gauss_values(curve, L, tree))
-    ic = build_inertial_curve(curve, L, G, filt, tree, act, fiber)
+    fiber = reduce_special_fiber(curve, tree, raw_gauss_values(curve, tree))
+    ic = build_inertial_curve(act, fiber)
     return curve, L, G, filt, tree, act, fiber, ic
 
 
@@ -95,7 +94,7 @@ class TestHilbert90:
             # solvable iff Norm(abar) = abar^(1+3) = 1
             norm = abar ** (1 + 3)
             if norm == F.one():
-                alpha = solve_mult_h90(F, abar, 1)
+                alpha = solve_mult_h90(abar, 1)
                 assert alpha.frobenius(1) == abar * alpha
 
     def test_additive(self):
@@ -106,7 +105,7 @@ class TestHilbert90:
             # beta^2 - beta = bbar solvable iff Tr(bbar) = 0
             tr = bbar + bbar.frobenius(1)
             if tr.is_zero():
-                beta = solve_add_h90(F, one, bbar, 1)
+                beta = solve_add_h90(one, bbar, 1)
                 assert beta.frobenius(1) - beta == bbar
 
 
@@ -244,10 +243,9 @@ class TestOneFactorization:
     @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction"))
     def test_each_equation_once(self, sample_results, factorizations, name):
         r = sample_results[name]
-        fiber = reduce_special_fiber(r.curve, r.L, r.tree,
-                                     raw_gauss_values(r.curve, r.L, r.tree))
-        ic = build_inertial_curve(r.curve, r.L, r.G, r.filt, r.tree,
-                                  r.inertial.ctx.act, fiber)
+        fiber = reduce_special_fiber(r.curve, r.tree,
+                                     raw_gauss_values(r.curve, r.tree))
+        ic = build_inertial_curve(r.inertial.ctx.act, fiber)
         assert factorizations[0] <= (len(fiber.reductions) + len(ic.iq)
                                      + len(ic.components))
 

@@ -320,25 +320,25 @@ class TestFactorization:
         roots = [F.from_index(i) for i in range(9)
                  if (F.from_index(i) ** 2 + F.one()).is_zero()]
         assert len(roots) == 2
-        facs = factor_poly(F, g)
+        facs = factor_poly(g)
         assert len(facs) == 2
         assert all(f.degree() == 1 and e == 1 for f, e in facs)
 
     def test_square_over_f2(self):
         F = fq_make(2)
         g = poly(F, 1, 1, 1) ** 2
-        facs = factor_poly(F, g)
+        facs = factor_poly(g)
         assert facs == [(poly(F, 1, 1, 1), 2)]
 
     def test_x(self):
         F = fq_make(5, 2)
-        facs = factor_poly(F, FqPoly.x(F))
+        facs = factor_poly(FqPoly.x(F))
         assert facs == [(FqPoly.x(F), 1)]
 
     def test_zero_poly(self):
         F = fq_make(3)
         with pytest.raises(ZeroPolynomial):
-            factor_poly(F, FqPoly(F, [F.zero()]))
+            factor_poly(FqPoly(F, [F.zero()]))
 
     def test_product_roundtrip_random(self):
         rng = random.Random(11)
@@ -348,7 +348,7 @@ class TestFactorization:
                 g = FqPoly(F, [F.from_index(rng.randrange(F.q))
                                for _ in range(deg)] + [F.one()])
                 prod = FqPoly(F, [F.one()])
-                for fac, e in factor_poly(F, g):
+                for fac, e in factor_poly(g):
                     prod = prod * fac**e
                 assert prod == g.monic()
 
@@ -377,7 +377,7 @@ class TestFactorization:
     def test_determinism(self):
         F = fq_make(7)
         g = poly(F, 3, 1, 4, 1, 5, 1)
-        assert factor_poly(F, g) == factor_poly(F, g)
+        assert factor_poly(g) == factor_poly(g)
 
 
 class TestPowerClass:
@@ -385,13 +385,13 @@ class TestPowerClass:
         # (x^2-1)^2 (x^2+1) is not a proper power modulo 4th powers
         F = fq_make(3, 2)
         h = (poly(F, -1, 0, 1) ** 2) * poly(F, 1, 0, 1)
-        pc = power_class(F, h, 4)
+        pc = power_class(h, 4)
         assert pc.d_max == 1 and pc.n_v == 4
 
     def test_square(self):
         F = fq_make(3, 2)
         h = poly(F, 0, 0, 1)  # x^2
-        pc = power_class(F, h, 4)
+        pc = power_class(h, 4)
         assert pc.d_max == 2 and pc.n_v == 2
         assert pc.witness ** 2 == h
         # exhaustive check: witness is x or -x
@@ -400,7 +400,7 @@ class TestPowerClass:
 
     def test_constant_one(self):
         F = fq_make(5)
-        pc = power_class(F, poly(F, 1), 3)
+        pc = power_class(poly(F, 1), 3)
         assert pc.d_max == 3 and pc.n_v == 1
 
     def test_witness_random(self):
@@ -415,7 +415,7 @@ class TestPowerClass:
                 if g.is_zero():
                     continue
                 h = g ** d
-                pc = power_class(F, h, n)
+                pc = power_class(h, n)
                 assert pc.d_max % d == 0 or d % pc.d_max == 0
                 assert pc.witness ** pc.d_max == h
 
@@ -423,7 +423,7 @@ class TestPowerClass:
         # u * x^2 with u a non-square: geometrically a square, not over F
         F = fq_make(3)  # units {1, 2}; 2 is not a square mod 3
         h = poly(F, 0, 0, 2)
-        pc = power_class(F, h, 2)
+        pc = power_class(h, 2)
         assert pc.d_max == 1 and pc.d_geo == 2
 
     @pytest.mark.parametrize("p, k, ns", [
@@ -455,8 +455,8 @@ class TestPowerClass:
                     den = den * g**-e
                 h = h * g ** (e % period)
             for n in ns:
-                pc = power_class(F, h, n)
-                assert pc.d_geo == geometric_power_class(F, (num, den), n)
+                pc = power_class(h, n)
+                assert pc.d_geo == geometric_power_class((num, den), n)
                 assert pc.genus == kummer_genus_by_factorizations(
                     pc.n_v, pc.witness)
                 for zeta in (F.one(), F.from_index(rng.randrange(1, F.q))):
@@ -622,7 +622,7 @@ class TestNormalize:
         out = normalize_kummer_equation(2, h)
         ratio, rem = h.divmod(out)
         assert rem.is_zero()
-        pc = power_class(F, ratio, 2)
+        pc = power_class(ratio, 2)
         assert pc.d_max == 2
 
 

@@ -11,7 +11,7 @@ from superell.lzeta import (
     local_l_factor,
 )
 from superell.pipeline import compute_with_retry, verify_point_counts
-from superell.qpoly import parse_poly
+from superell.qpoly import QPoly, parse_poly
 
 
 class TestGraphCharpoly:
@@ -57,8 +57,7 @@ class TestAssembly:
         # node orbit of size 2: (1 + T)(1 + 3T + 5T^2)
         pieces = [{"genus": 0, "d_j": 1}, elliptic_piece(1)]
         inertial = SimpleNamespace(
-            components=[SimpleNamespace(geometric_pieces=[pc])
-                        for pc in pieces],
+            geometric_components=pieces,
             component_orbit_sizes=lambda: [1, 1],
             node_orbit_data=lambda: [(2, 1)],
             dim_h1=3)
@@ -103,7 +102,7 @@ class TestEndToEnd:
         # rerun the consistency check explicitly
         curve = SuperellipticCurve(3, parse_poly("x^4-x^2+1"), 2)
         r = compute_with_retry(curve)
-        verify_point_counts(curve, r.inertial, r.lfactor.p1)
+        verify_point_counts(r.inertial, r.lfactor.p1)
 
     def test_good_reduction_quintic(self):
         # y^2 = x^5 - x + 1 is squarefree mod 7: good reduction,
@@ -122,3 +121,38 @@ class TestEndToEnd:
         assert r.conductor.conductor == 1
         assert r.inertial.b1_k == 1
         assert r.lfactor.p1 == [1, 1, 7, 7]
+
+
+def _p1(n, f, p):
+    return compute_with_retry(SuperellipticCurve(n, f, p)).lfactor.p1
+
+
+P7_CURVE = parse_poly("x^6 - 60*x^4 + 497*x^2 + 2058")  # n = 2, p = 7
+
+
+class TestFrobeniusOnNodeLabels:
+    """When f(L) = 1 the node labels may lie outside F_L, and Frobenius
+    must move them by the p-th power although it acts trivially on F_L.
+
+    Twisting y^n = f by a unit u of Z_p multiplies Frobenius on the
+    chi-part of H^1 by chi(u), for the characters chi of mu_n in Q_p.  For
+    n = 2 and u a non-square: P1(u f)(T) = P1(f)(-T).  For n | p - 1:
+    the T-coefficients of P1(u f) over u in F_p^* / (F_p^*)^n add up to
+    0."""
+
+    def test_regression_p7(self):
+        r = compute_with_retry(SuperellipticCurve(2, P7_CURVE, 7))
+        assert r.lfactor.p1 == [1, 1]
+        assert r.conductor.conductor == 3
+
+    @pytest.mark.parametrize("f, p, u", [
+        (P7_CURVE, 7, 3),
+        (parse_poly("(x-2)*(x^2-1)*(x^2-3)"), 3, 2),
+    ], ids=["p7", "p3"])
+    def test_quadratic_twist(self, f, p, u):
+        twisted = _p1(2, f * QPoly([u]), p)
+        assert twisted == [(-1) ** i * c for i, c in enumerate(_p1(2, f, p))]
+
+    def test_sextic_twists_sum_to_zero(self):
+        f = parse_poly("2*x^3 - 6*x^2 - 4*x + 12")
+        assert sum(_p1(6, f * QPoly([u]), 7)[1] for u in range(1, 7)) == 0

@@ -36,11 +36,10 @@ def setup_example(n, fs, p):
     return curve, L, G, filt, tree, act
 
 
-def special_fiber(curve, L, tree):
+def special_fiber(curve, tree):
     """The special fiber over the final tree, from one substitution of
     each chart."""
-    return reduce_special_fiber(curve, L, tree,
-                                raw_gauss_values(curve, L, tree))
+    return reduce_special_fiber(curve, tree, raw_gauss_values(curve, tree))
 
 
 EX1 = (4, "(x^2-3)*(x^2+3)*(x^2-6*x-3)", 3)
@@ -50,13 +49,13 @@ EX2 = (3, "x^4-x^2+1", 2)
 class TestGaussValuation:
     def test_example1_eta_values(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        raw = raw_gauss_values(curve, L, tree)
+        raw = raw_gauss_values(curve, tree)
         etas = sorted(Fraction(N, L.e) for N, _ in raw.values())
         assert etas == [3, 4, 4]
 
     def test_example2_eta_values(self):
         curve, L, G, filt, tree, act = setup_example(*EX2)
-        raw = raw_gauss_values(curve, L, tree)
+        raw = raw_gauss_values(curve, tree)
         etas = sorted(Fraction(N, L.e) for N, _ in raw.values())
         assert etas == [0, 2, 2]
 
@@ -69,7 +68,7 @@ class TestGaussValuation:
         div = branch_divisor(curve, splits_in(L0, [
             g for g, _ in curve.squarefree_decomposition()]))
         tree = build_tree(div, L0)
-        raw = raw_gauss_values(curve, L0, tree)
+        raw = raw_gauss_values(curve, tree)
         assert sorted(N for N, _ in raw.values()) == [6, 8, 8]
         fails = semistable_check(raw, 4)
         root = tree.root
@@ -78,7 +77,7 @@ class TestGaussValuation:
     def test_chart_equivalence_invariance(self):
         # composing the chart with a unit of PGL_2(O_L) changes nothing
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, tree)
         rng = random.Random(99)
         from superell.finitefield import kummer_genus, power_class
         for v in tree.vertices:
@@ -90,8 +89,8 @@ class TestGaussValuation:
                 m = (a, b, L.zero(), L.one())
                 N2, fbar2 = gauss_valuation_f(curve, L, matrix_mul(m, v.chart))
                 assert N2 == base_N
-                pc1 = power_class(L.residue_field, base_fbar, curve.n)
-                pc2 = power_class(L.residue_field, fbar2, curve.n)
+                pc1 = power_class(base_fbar, curve.n)
+                pc2 = power_class(fbar2, curve.n)
                 assert pc1.n_v == pc2.n_v
                 assert (kummer_genus(pc1.n_v, pc1.witness)
                         == kummer_genus(pc2.n_v, pc2.witness))
@@ -100,7 +99,7 @@ class TestGaussValuation:
 class TestSpecialFiber:
     def test_example1(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, tree)
         genera = sorted(r.component_genus for r in fiber.reductions.values())
         assert genera == [1, 1, 3]
         assert fiber.n_nodes == 4
@@ -110,7 +109,7 @@ class TestSpecialFiber:
 
     def test_example2(self):
         curve, L, G, filt, tree, act = setup_example(*EX2)
-        fiber = special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, tree)
         genera = sorted(r.component_genus for r in fiber.reductions.values())
         assert genera == [1, 1, 1]
         assert fiber.n_nodes == 2
@@ -120,20 +119,20 @@ class TestSpecialFiber:
     def test_component_count_times_nv(self):
         for ex in (EX1, EX2):
             curve, L, G, filt, tree, act = setup_example(*ex)
-            fiber = special_fiber(curve, L, tree)
+            fiber = special_fiber(curve, tree)
             for r in fiber.reductions.values():
                 assert r.component_count() * r.n_v == curve.n
 
     def test_admissibility(self):
         for ex in (EX1, EX2):
             curve, L, G, filt, tree, act = setup_example(*ex)
-            fiber = special_fiber(curve, L, tree)
+            fiber = special_fiber(curve, tree)
             for en in fiber.edge_nodes:
                 assert (en.a_parent + en.a_child) % curve.n == 0
 
     def test_node_counts_example1(self):
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, tree)
         for en in fiber.edge_nodes:
             assert en.d == 2  # two nodes per edge
 
@@ -141,14 +140,14 @@ class TestSpecialFiber:
         # changing varpi_v by a unit twists fbar by an n-th power compatible
         # unit: class data is unchanged
         curve, L, G, filt, tree, act = setup_example(*EX1)
-        fiber = special_fiber(curve, L, tree)
+        fiber = special_fiber(curve, tree)
         from superell.finitefield import kummer_genus, power_class
         F = L.residue_field
         for r in fiber.reductions.values():
             for idx in range(1, F.q):
                 u = F.from_index(idx)
                 twisted = r.fbar * u ** curve.n
-                pc = power_class(F, twisted, curve.n)
+                pc = power_class(twisted, curve.n)
                 assert pc.n_v == r.n_v
                 assert kummer_genus(pc.n_v, pc.witness) == r.component_genus
                 assert twisted.ord_at(FINF) == r.fbar.ord_at(FINF)
@@ -174,9 +173,9 @@ class TestOneSubstitution:
             calls[0] += 1
             return substitute(*args)
 
-        def recorded(curve, L, tree):
+        def recorded(curve, tree):
             vertices[0] += tree.vertex_count()
-            return raw_values(curve, L, tree)
+            return raw_values(curve, tree)
 
         monkeypatch.setattr(reduction, "gauss_valuation_f", counted)
         monkeypatch.setattr(pipeline, "raw_gauss_values", recorded)

@@ -35,7 +35,9 @@ from superell.tree import (
     _scale_matrix_integral,
     build_tree,
     galois_on_tree,
+    matrix_mul,
     moebius_eval,
+    normalize_pgl2,
     triple_chart,
 )
 
@@ -283,6 +285,27 @@ class TestGaloisAction:
             for v in V:
                 act.matrix(g, v)
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", ("ex1", "ex2", "deg40"))
+    def test_cocycle_check_catches_shifted_generators(self, results_named,
+                                                      name, monkeypatch):
+        """The cocycle rule is checked against a generating set of each
+        stabilizer only; composing every generator matrix of G with
+        x -> x + 1 still breaks it."""
+        [r] = results_named(name)
+        matrix = TreeGaloisAction.matrix
+
+        def shifted(self, g, v):
+            red = matrix(self, g, v)
+            if g in self.G.generators and g != self.G.identity_index:
+                F = self.tree.L.residue_field
+                red = normalize_pgl2(matrix_mul(
+                    red, (F.one(), F.one(), F.zero(), F.one())))
+            return red
+
+        monkeypatch.setattr(TreeGaloisAction, "matrix", shifted)
+        with pytest.raises(NotInvariant, match="cocycle rule violated"):
+            galois_on_tree(r.G, r.filt, build_tree(r.divisor, r.L))
 
     def test_edges_preserved(self):
         # implicitly asserted during construction; rerun both examples
