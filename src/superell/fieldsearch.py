@@ -13,10 +13,16 @@ algebra.
 The pipeline makes one scan, ``semistabilizing_candidates``, in increasing
 degree: a field qualifies when it contains zeta_n and p^(1/n), f splits
 over it and it is Galois over Q_p; the roots of the split test are the
-branch divisor.  Three necessary conditions skip an entry before it is
-built: n | e(L) (for p^(1/n)), n | p^f0 - 1 (zeta_n, as f(L) = f0 and p
-does not divide n) and r | f0, with r the lcm of the degrees of the
-irreducible factors of f mod p (each is the reduction of a root in L).
+branch divisor.  Four tests skip an entry before it is built: n | e(L)
+(for p^(1/n)), n | p^f0 - 1 (zeta_n, as f(L) = f0 and p does not divide
+n), r | f0, with r the lcm of the degrees of the irreducible factors of f
+mod p (each is the reduction of a root in L), and, without a wild step
+(s = 0), n | u_idx.  The last decides p^(1/n): L = U(w) with w^e = u p, u
+the Teichmueller lift of g^u_idx, so w^(e/n) is an n-th root of u p, and
+u^(1/n) is unramified over U while L/U is totally ramified.  Wild entries
+keep the root test of x^n - p: Q_7(zeta_7) = Q_7((-7)^(1/6)) has no
+7^(1/2).  A catalog entry keeps its field and, once asked for, Gal(L/Q_p)
+or the error computing it raised; the precision is part of the key.
 
 Results are the smallest-degree catalog members with the requested
 properties.  Fields the catalog cannot express (for instance wild
@@ -306,6 +312,7 @@ def _cyclotomic_pk_shifted(p, s):
     return [int(c) for c in acc.coeffs]
 
 
+#: key -> [field or _SkipCandidate, None, then Gal(L/Q_p) or its error]
 _CANDIDATE_CACHE = {}
 
 
@@ -317,10 +324,10 @@ def construct_candidate(p, f0, s, e, u_idx, prec):
     key = (p, f0, s, e, u_idx, prec)
     if key not in _CANDIDATE_CACHE:
         try:
-            _CANDIDATE_CACHE[key] = _construct_candidate(*key)
+            _CANDIDATE_CACHE[key] = [_construct_candidate(*key), None]
         except _SkipCandidate as exc:
-            _CANDIDATE_CACHE[key] = exc
-    val = _CANDIDATE_CACHE[key]
+            _CANDIDATE_CACHE[key] = [exc, None]
+    val = _CANDIDATE_CACHE[key][0]
     if isinstance(val, Exception):
         raise val
     return val
@@ -406,28 +413,31 @@ def residue_degree_bound(factors, p):
 
 
 def _split_fields(factors, n, p, config, shortfall):
-    """Yield (L, roots) for the catalog fields L, in increasing degree, that
-    contain zeta_n and p^(1/n) and over which the squarefree ``factors``
-    split, with the roots per factor.  Entries that fail a skip test of the
-    module docstring are not built.  A root test that runs out of
-    precision sets shortfall[0]."""
+    """Yield (key, L, roots) for the catalog fields L, in increasing degree,
+    that contain zeta_n and p^(1/n) and over which the squarefree
+    ``factors`` split, with the cache key of L and the roots per factor.
+    Entries that fail a skip test of the module docstring are not built.
+    A root test that runs out of precision sets shortfall[0]."""
     r = residue_degree_bound(factors, p)
     # with zeta_n in L, p^(1/n) is in L exactly when x^n - p splits
+    # (tested on wild entries; the u_idx test decides the others)
     radical = QPoly([-p] + [0] * (n - 1) + [1])
     for deg, f0, s, e, u_idx in catalog_entries(p, config):
-        if (deg // f0) % n or (p**f0 - 1) % n or f0 % r:
+        if (deg // f0) % n or (p**f0 - 1) % n or f0 % r \
+                or (s == 0 and u_idx % n):
             continue
+        key = (p, f0, s, e, u_idx, config.precision)
         try:
-            L = construct_candidate(p, f0, s, e, u_idx, config.precision)
+            L = construct_candidate(*key)
         except _SkipCandidate:
             continue
         try:
-            roots = splits_in(L, [radical] + factors)
+            roots = splits_in(L, [radical] + factors if s else factors)
         except PrecisionExhausted:
             shortfall[0] = True
             continue
         if roots is not None:
-            yield L, roots[1:]
+            yield key, L, roots[1:] if s else roots
 
 
 def splitting_field(f, p, config=None):
@@ -438,7 +448,7 @@ def splitting_field(f, p, config=None):
     """
     config = config or SearchConfig()
     factors = [g for g, _ in f.squarefree_decomposition()]
-    for L, roots in _split_fields(factors, 1, p, config, [False]):
+    for _, L, roots in _split_fields(factors, 1, p, config, [False]):
         return L, [r for rs in roots for r in rs]
     raise CatalogExhausted(
         f"no catalog field of degree <= {config.max_degree} splits f; "
@@ -459,13 +469,17 @@ def semistabilizing_candidates(f, n, p, config=None):
     factors = [g for g, _ in f.squarefree_decomposition()]
     shortfall = [False]
     found = False
-    for L, roots in _split_fields(factors, n, p, config, shortfall):
-        try:
-            G = galois_group(L)
-        except (PrecisionExhausted, NotGalois):
+    for key, L, roots in _split_fields(factors, n, p, config, shortfall):
+        entry = _CANDIDATE_CACHE[key]
+        if entry[1] is None:
+            try:
+                entry[1] = galois_group(L)
+            except (PrecisionExhausted, NotGalois) as exc:
+                entry[1] = exc
+        if isinstance(entry[1], Exception):
             continue
         found = True
-        yield L, G, roots
+        yield L, entry[1], roots
     if found:
         return
     if shortfall[0]:

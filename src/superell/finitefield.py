@@ -599,7 +599,8 @@ def fq_make(p, k=1, modulus=None):
 # ---------------------------------------------------------------------------
 #
 # Coefficient lists of canonical indices, low to high, combined by the
-# field's scalar operations on indices.
+# field's scalar operations on indices, or by plain ``% p`` in a prime
+# field, where the indices are the residues themselves.
 
 def _trim(c):
     """c without its high zero coefficients, as a tuple (the zero
@@ -612,8 +613,14 @@ def _trim(c):
 
 def _mul_ints(F, a, b):
     """Product of two coefficient lists."""
-    mul, add = F._mul, F._add
     res = [0] * (len(a) + len(b) - 1)
+    if F.k == 1:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    res[i + j] += x * y
+        return [c % F.p for c in res]
+    mul, add = F._mul, F._add
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -627,8 +634,17 @@ def _divmod_ints(F, a, b, inv_lead):
     db = len(b) - 1
     if len(a) <= db:
         return [0], list(a)
-    mul, add, neg = F._mul, F._add, F._neg
     r, quo = list(a), [0] * (len(a) - db)
+    if F.k == 1:
+        p = F.p
+        for off in range(len(a) - 1 - db, -1, -1):
+            x = r[off + db] % p
+            if x:
+                quo[off] = c = x * inv_lead % p
+                for j in range(db):
+                    r[off + j] -= c * b[j]
+        return quo, [c % p for c in r[:db]]
+    mul, add, neg = F._mul, F._add, F._neg
     for off in range(len(a) - 1 - db, -1, -1):
         x = r[off + db]
         if x:
@@ -641,14 +657,17 @@ def _divmod_ints(F, a, b, inv_lead):
 
 def _scale_ints(F, a, c):
     """Coefficient list a times the scalar index c."""
-    mul = F._mul
-    return [mul(x, c) for x in a]
+    if F.k == 1:
+        return [x * c % F.p for x in a]
+    return [F._mul(x, c) for x in a]
 
 
 def _add_ints(F, a, b):
     """Sum of two coefficient lists."""
     if len(a) < len(b):
         a, b = b, a
+    if F.k == 1:
+        return [(x + y) % F.p for x, y in zip(a, b)] + list(a[len(b):])
     add = F._add
     return [add(x, y) for x, y in zip(a, b)] + list(a[len(b):])
 

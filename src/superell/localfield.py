@@ -555,7 +555,7 @@ class LocalFieldElement:
         v = self.valuation_or_none()
         if v in (INFINITE, None):
             return (INFINITE,)
-        K = self.K
+        K, U, p = self.K, self.K.U, self.K.p
         piinv = K.pi_inverse()
         y = self * piinv.pow_int(v)
         out = [v]
@@ -565,7 +565,14 @@ class LocalFieldElement:
                 break
             r = y.residue()
             out.append(r.index())
-            y = (y - K.from_residue(r)) * piinv
+            # y pi^-1 = (c_0 w + p (c_1, ..., c_(e-1), 0)) / p, where
+            # pi^-1 = w / p: e products in U instead of e^2
+            y = y - K.from_residue(r)
+            c = y.vec
+            vec = tuple(U.add(U.mul(c[0], wj), tuple(p * a for a in cj))
+                        for wj, cj in zip(piinv.vec, c[1:] + (U.zero,)))
+            y = LocalFieldElement(K, vec, y.shift - 1,
+                                  min(y.prec, piinv.prec), False)._absorb()
         return tuple(out)
 
 

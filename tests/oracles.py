@@ -86,6 +86,11 @@ first over which the model is semistable.  It is the reference for the one
 scan of ``fieldsearch.semistabilizing_candidates``, which tests "f splits
 over L" directly.
 
+``digits_by_field_products`` expands x / pi^v(x) digit by digit, dividing
+by pi with a full product in L, e^2 products in U per digit: the reference
+for ``LocalFieldElement.digits``, which divides by pi with e products in U
+and so for ``sort_key``.
+
 ``geometric_power_class`` and ``kummer_genus_by_factorizations`` factor
 the equation anew for each invariant: the gcd of n and the exponents, and
 Riemann-Hurwitz after a power class check, three factorizations in all.
@@ -839,6 +844,26 @@ def contains_field(M, L0):
 def has_nth_root_of_p(L, n):
     coeffs = [L.from_int(-L.p)] + [L.zero()] * (n - 1) + [L.one()]
     return bool(roots_integral(coeffs, L))
+
+
+def digits_by_field_products(x, count):
+    """The valuation of x and the first ``count`` pi-adic digits of
+    x / pi^v(x), each digit step a product by pi^-1 in L."""
+    v = x.valuation_or_none()
+    if v in (INFINITE, None):
+        return (INFINITE,)
+    K = x.K
+    piinv = K.pi_inverse()
+    y = x * piinv.pow_int(v)
+    out = [v]
+    while len(out) <= count:
+        if y.is_zero_to_precision() or y.prec + y.shift < 1:
+            out.extend([0] * (count - len(out) + 1))
+            break
+        r = y.residue()
+        out.append(r.index())
+        y = (y - K.from_residue(r)) * piinv
+    return tuple(out)
 
 
 def semistable_field_by_two_scans(curve, config):

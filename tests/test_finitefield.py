@@ -4,6 +4,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
+from superell import finitefield
 from superell.errors import (
     CharacteristicDividesExponent,
     CountsInconsistent,
@@ -39,6 +40,13 @@ from oracles import (
 
 def poly(F, *ints):
     return FqPoly.from_ints(F, list(ints))
+
+
+def _trim_ints(c):
+    c = list(c)
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    return c
 
 
 class TestFieldConstruction:
@@ -373,6 +381,34 @@ class TestFactorization:
             assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
             assert a.compose(b).evaluate(x) == a.evaluate(b.evaluate(x))
             assert (a * b).gcd(b) == b.monic()
+
+    @pytest.mark.parametrize("p", (2, 3, 13))
+    def test_prime_field_lists_match_scalar_ops(self, p):
+        """The ``% p`` paths of the coefficient-list helpers give the lists
+        of the field's scalar operations on indices."""
+        F, rng = fq_make(p), random.Random(p)
+        for _ in range(30):
+            a = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+            b = [rng.randrange(p) for _ in range(rng.randrange(1, 6))]
+            b[-1] = b[-1] or 1
+            c = rng.randrange(p)
+            prod = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    prod[i + j] = F._add(prod[i + j], F._mul(x, y))
+            assert finitefield._mul_ints(F, a, b) == prod
+            assert finitefield._scale_ints(F, a, c) == [F._mul(x, c)
+                                                         for x in a]
+            total = finitefield._add_ints(F, a, b)
+            assert total == [F._add(x, y) for x, y in zip(
+                a + [0] * len(b), b + [0] * len(a))][:max(len(a), len(b))]
+            quo, rem = finitefield._divmod_ints(F, a, b, F._inv(b[-1]))
+            assert all(0 <= x < p for x in quo + rem)
+            if len(a) >= len(b):
+                assert len(rem) == len(b) - 1
+                back = finitefield._add_ints(
+                    F, finitefield._mul_ints(F, quo, b), rem)
+                assert _trim_ints(back) == _trim_ints(a)
 
     def test_determinism(self):
         F = fq_make(7)

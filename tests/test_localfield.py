@@ -15,8 +15,11 @@ from superell.errors import (
 from superell.fieldsearch import (
     SearchConfig,
     build_tower,
+    catalog_entries,
     construct_candidate,
+    semistabilizing_candidates,
     semistabilizing_field,
+    splits_in,
     splitting_field,
 )
 from superell.localfield import (
@@ -28,12 +31,14 @@ from superell.localfield import (
     galois_group,
     ramification_filtration,
     roots_integral,
+    sort_key,
 )
 from superell.pipeline import compute_with_retry
-from superell.qpoly import parse_poly
+from superell.qpoly import QPoly, parse_poly
 
 from conftest import as_vp1, element_order, eq_approx
 from oracles import (
+    digits_by_field_products,
     galois_table_by_scan,
     gauss_reduce_by_division,
     taylor_shift_by_binomials,
@@ -214,6 +219,36 @@ class TestUnitResidue:
         K = field_example1()
         assert K.pi_inverse() is K.pi_inverse()
         assert eq_approx(K.pi_inverse() * K.pi(), K.one())
+
+
+class TestDigits:
+    """``digits`` divides by pi with e products in U; the reference divides
+    with a product in L, and the digits and sort keys agree."""
+
+    @pytest.mark.parametrize("make", TestUnitResidue.FIELDS)
+    def test_matches_field_products_random(self, make):
+        K = make()
+        rng = random.Random(K.degree + K.p)
+        for _ in range(40):
+            coords = [tuple(rng.randrange(K.U.pN) * K.p ** rng.randrange(3)
+                            for _ in range(K.f)) for _ in range(K.e)]
+            x = K.element_from_coords(coords, shift=rng.randrange(-2, 3))
+            for count in (1, 12, K.N * K.e):
+                assert x.digits(count) == digits_by_field_products(x, count)
+
+    @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction",
+                                      "deg40", "padic_tree_pass0"))
+    def test_sort_keys_of_roots(self, results_named, name):
+        """The sort keys of the branch points and of their differences,
+        on the samples, the deg40 curve and the ``padic_tree`` shapes."""
+        checked = 0
+        for r in results_named(name):
+            xs = [bp.value for bp in r.divisor.points if not bp.is_infinity]
+            for x in xs + [x - y for x in xs for y in xs]:
+                d = digits_by_field_products(x, 12)
+                assert sort_key(x) == ((1,) if d[0] == INFINITE else (0,) + d)
+                checked += 1
+        assert checked
 
 
 def _random_element(K, rng, shift=0):
@@ -598,6 +633,82 @@ class TestSearch:
         compute_with_retry(SuperellipticCurve(
             2, parse_poly("x^5 - x + 1"), 7))
         assert counts == {"builds": 1, "divisor_searches": 0}
+
+    def test_tame_radical_rule_matches_root_test(self, monkeypatch):
+        """On an entry without a wild step that passes n | e and
+        n | p^f0 - 1, p^(1/n) is in L exactly when n | u_idx: 471 entries
+        with p <= 13, 2 <= n <= 12, p not dividing n, degree <= 12."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        checked = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for _, f0, s, e, u_idx in catalog_entries(p, SearchConfig(20, 12)):
+                for n in range(2, 13):
+                    if s or n % p == 0 or e % n or (p**f0 - 1) % n:
+                        continue
+                    L = construct_candidate(p, f0, s, e, u_idx, 20)
+                    radical = QPoly([-p] + [0] * (n - 1) + [1])
+                    has_root = splits_in(L, [radical]) is not None
+                    assert has_root == (u_idx % n == 0), (p, f0, e, u_idx, n)
+                    checked += 1
+        assert checked == 471
+
+    def test_wild_entry_keeps_the_root_test(self):
+        """Q_7(zeta_7) = Q_7((-7)^(1/6)) passes n | e and n | p - 1 for
+        n = 2 and has u_idx = 0, but 7^(1/2) is not in it: -1 is not a
+        square mod 7."""
+        L = construct_candidate(7, 1, 1, 1, 0, 50)
+        assert (L.e, L.f) == (6, 1)
+        assert splits_in(L, [parse_poly("x^2-7")]) is None
+        assert splits_in(L, [parse_poly("x^2+7")]) is not None
+
+    @staticmethod
+    def _count_groups(monkeypatch):
+        fields = []
+        group = fieldsearch.galois_group
+
+        def counted(L):
+            fields.append(L)
+            return group(L)
+
+        monkeypatch.setattr(fieldsearch, "galois_group", counted)
+        return fields
+
+    def test_one_group_per_field(self, perfbench, monkeypatch):
+        """With an empty field cache, pass 0 of ``padic_tree`` computes
+        Gal(L/Q_p) once per field it asks about, and pass 1, isomorphic
+        copies of the same shapes, computes none."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        fields = self._count_groups(monkeypatch)
+        _, passes = perfbench.workloads.build(
+            "padic_tree", perfbench.reference.DEFAULT_SEED)
+        for k in (0, 1):
+            del fields[:]
+            for case in passes[k]:
+                compute_with_retry(
+                    SuperellipticCurve.from_json_dict(case.spec))
+            if k == 0:
+                assert fields
+                assert len({id(L) for L in fields}) == len(fields)
+            else:
+                assert fields == []
+
+    def test_cached_not_galois_is_skipped(self, monkeypatch):
+        """A non-Galois catalog field over which f splits is asked about
+        once: the scan for an isomorphic copy of f skips it without a
+        second ``galois_group`` call, and yields the same fields."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        fields = self._count_groups(monkeypatch)
+        config = SearchConfig(50, 8)
+        first = [L for L, _, _ in semistabilizing_candidates(
+            parse_poly("x^2-3"), 2, 3, config)]
+        failed = {key for key, (_, G) in fieldsearch._CANDIDATE_CACHE.items()
+                  if isinstance(G, NotGalois)}
+        assert (3, 1, 0, 4, 0, 50) in failed
+        assert len(fields) == len(first) + len(failed)
+        del fields[:]
+        second = [L for L, _, _ in semistabilizing_candidates(
+            parse_poly("(x+1)^2-3"), 2, 3, config)]
+        assert second == first and fields == []
 
     def test_root_order_deterministic(self):
         f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
