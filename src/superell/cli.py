@@ -38,7 +38,8 @@ def _parser():
                     help="p-adic working precision in digits (default 50, "
                          "minimum 8)")
     ap.add_argument("--max-degree", type=int, default=64,
-                    help="catalog bound on the field degree (default 64)")
+                    help="catalog bound on the field degree (default 64, "
+                         "minimum 1)")
     ap.add_argument("--field-tower", metavar="PATH", default=None,
                     help="JSON spec of an explicit field tower to use "
                          "instead of the catalog search")
@@ -167,9 +168,10 @@ def main(argv=None):
             w.startswith("--j") and "--json".startswith(w) for w in words))
         return _fail(args, "ValidationError", str(exc), 2,
                      f"{parser.format_usage()}{parser.prog}: error: {exc}")
-    if args.precision < 8:
-        return _fail(args, "ValidationError", "precision must be at least 8",
-                     2, "error: precision must be at least 8")
+    floor = ("precision must be at least 8" if args.precision < 8 else
+             "max-degree must be at least 1" if args.max_degree < 1 else None)
+    if floor:
+        return _fail(args, "ValidationError", floor, 2, f"error: {floor}")
     config = SearchConfig(precision=args.precision,
                           max_degree=args.max_degree)
     trace = sys.stderr if args.trace else None

@@ -18,21 +18,26 @@ The flow per inertia orbit of tree vertices, at a representative v:
    d_geo over the algebraic closure, the genus of a geometric piece and
    the equation of every piece.
 
-build_inertial_curve(act, fiber) reads G, the filtration and the tree off
+build_inertial_curve(act, fiber) reads G, its filtration and the tree off
 the action ``act`` (a ``tree.TreeGaloisAction``) and the curve and L off
 the special fiber; the y-scaling of g at v is read off g(pi).  The node
-labels of all edges are built once, in one label field F_(q^M): M is the
-lcm over the edges of the least m for which omega^d = u0 has its d
-solutions in F_(q^m).  On labels, inertia acts with the p^0-power and
-Frobenius with the p-th power, also when f(L) = 1 and its index in G is an
-inertia element.  Checked here: wild elements act by translations fixing
-y and the equation; every rewrite resubstitutes; the tame generator
-scales u; sheets and nodes map to sheets and nodes; the descent's
-stabilizer, Hilbert-90 solutions and Frobenius-fixed coefficients hold.
-``tree`` checks the cocycle rule on each stabilizer against its
-generators.  Failures raise NotInvariant/CocycleInconsistent rather than
-risking a wrong L-factor.  The same machinery restricted to subgroups of
-the wild inertia computes the quotient curves entering the Swan conductor.
+labels of an edge, the solutions omega of omega^d = u0, lie in the unit
+group of the algebraic closure of F_p, which is (Q/Z)_(p') by an
+isomorphism extending lambda(x) = dlog(x)/(q - 1) on F_L^*; the p-th power
+is multiplication by p there.  So the labels are the points
+t = (lambda(u0) + k)/d of Q/Z, k < d, kept as the integers D t mod D for
+D = (q - 1) lcm(d), and no extension of F_L is built.
+On labels, inertia acts with the p^0-power and Frobenius with the p-th
+power, t -> p^j t plus lambda of an F_L-scalar, also when f(L) = 1 and
+its index in G is an inertia element.  Checked here: wild elements act by
+translations fixing y and the equation; every rewrite resubstitutes; the
+tame generator scales u; sheets and nodes map to sheets and nodes; the
+descent's stabilizer, Hilbert-90 solutions and Frobenius-fixed
+coefficients hold.  ``tree`` checks the cocycle rule on each stabilizer
+against its generators.  Failures raise NotInvariant/CocycleInconsistent
+rather than risking a wrong L-factor.  The same machinery restricted to
+subgroups of the wild inertia computes the quotient curves entering the
+Swan conductor.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import (
-    AdmissibilityViolation,
     CocycleInconsistent,
     NormNotOne,
     NotInvariant,
@@ -100,18 +104,6 @@ def _constant_ratio(a, b):
     return c
 
 
-def _label_degree(d, u0):
-    """The least m for which omega^d = u0 has its d solutions in F_(q^m),
-    q = |F| for F the field of u0: d | q^m - 1 and ord(u0) | (q^m - 1)/d."""
-    F = u0.field
-    order = _mult_order(u0)
-    for m in range(1, 4 * d * F.k + 5):
-        if (F.q**m - 1) % (d * order) == 0:
-            return m
-    raise AdmissibilityViolation("node labels not found in any "
-                                 "reasonable extension")
-
-
 def _mult_order(x):
     """The multiplicative order (q - 1)/gcd(log x, q - 1) of a unit x."""
     q = x.field.q
@@ -131,18 +123,11 @@ class ActionContext:
         self.fiber = fiber
         self.G, self.tree = act.G, act.tree
         self.curve, self.L = fiber.curve, fiber.tree.L
-        F = self.L.residue_field
-        M = lcm(*(_label_degree(en.d, en.u0) for en in fiber.edge_nodes))
-        self.label_field = big = fq_make(F.p, F.k * M)
-        self.label_embedding = emb = F.embedding(big)
-        self.edge_labels = {}
-        for en in fiber.edge_nodes:
-            root = big.nth_root(emb(en.u0), en.d)
-            self.edge_labels[(en.parent, en.child)] = sorted(
-                (root * z for z in big.roots_of_unity(en.d)),
-                key=lambda x: x.index())
         self.edge_data = {(en.parent, en.child): en
                           for en in fiber.edge_nodes}
+        # a point t of Q/Z with denominator dividing D is kept as D t mod D
+        self.D = (self.L.residue_field.q - 1) \
+            * lcm(*(en.d for en in fiber.edge_nodes))
 
     # -- scalars -----------------------------------------------------------
 
@@ -184,15 +169,23 @@ class ActionContext:
 
     # -- nodes ---------------------------------------------------------------
 
+    def label(self, x):
+        """lambda(x) = dlog(x)/(q - 1) in Q/Z, for x in F_L^*, kept as
+        D lambda(x)."""
+        return x.field.dlog(x) * (self.D // (x.field.q - 1))
+
     def nodes(self):
-        """All geometric nodes as ((parent, child), label) pairs."""
-        return [(e, w) for e in sorted(self.edge_labels)
-                for w in self.edge_labels[e]]
+        """All geometric nodes as ((parent, child), D t) pairs, t in Q/Z
+        running over the solutions of d t = lambda(u0)."""
+        return [(e, (self.label(en.u0) + k * self.D) // en.d)
+                for e, en in sorted(self.edge_data.items())
+                for k in range(en.d)]
 
     def node_action(self, g, node, j):
         """Image of a geometric node under g, acting on labels by the
-        p^j-power: j = 0 for inertia and j = 1 for Frobenius."""
-        (pu, cv), w = node
+        p^j-power: j = 0 for inertia and j = 1 for Frobenius.  On the
+        points of Q/Z that is t -> p^j t + n' lambda(gamma) + a' lambda(a)."""
+        (pu, cv), t = node
         perm = self.act.vertex_perm[g]
         e2 = (perm[pu], perm[cv])
         if e2 not in self.edge_data:
@@ -200,20 +193,11 @@ class ActionContext:
         en = self.edge_data[(pu, cv)]
         en2 = self.edge_data[e2]
         a, _b = self.act.affine(g, cv)
-        gam = self.gamma(g, cv)
-        embL = self.label_embedding
-        factor = gam ** en.n_prime
-        if en.a_prime >= 0:
-            factor = factor * a ** en.a_prime
-        else:
-            factor = factor * (a.inverse() ** (-en.a_prime))
-        w_new = w.frobenius(j) * embL(factor)
-        if w_new ** en2.d != embL(en2.u0):
+        t2 = (self.L.p**j * t + en.n_prime * self.label(self.gamma(g, cv))
+              + en.a_prime * self.label(a)) % self.D
+        if (en2.d * t2 - self.label(en2.u0)) % self.D:
             raise CocycleInconsistent("node label image inconsistent")
-        for cand in self.edge_labels[e2]:
-            if cand == w_new:
-                return (e2, cand)
-        raise CocycleInconsistent("node image not among the labels")
+        return (e2, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +223,10 @@ def orbits(elements, generators, action):
 
     for g in generators:
         for x in elements:
-            union(index[x], index[action(g, x)])
+            y = action(g, x)
+            if y not in index:
+                raise CocycleInconsistent("image outside the acted-on set")
+            union(index[x], index[y])
     groups = {}
     for i, x in enumerate(elements):
         groups.setdefault(find(i), []).append(x)
@@ -252,26 +239,9 @@ def _frobenius_orbits(elements, G, action):
     inertia-orbit representatives (first elements), deterministically."""
     i_orbits = orbits(elements, G.inertia, lambda g, x: action(g, x, 0))
     rep_of = {x: cls[0] for cls in i_orbits for x in cls}
-    f_orbits, seen = [], set()
-    for cls in i_orbits:
-        if cls[0] not in seen:
-            orb = orbit_of(cls[0],
-                           lambda c: rep_of[action(G.frobenius_index, c, 1)])
-            seen.update(orb)
-            f_orbits.append(orb)
+    f_orbits = orbits([cls[0] for cls in i_orbits], [G.frobenius_index],
+                      lambda g, c: rep_of[action(g, c, 1)])
     return i_orbits, f_orbits
-
-
-def orbit_of(start, step):
-    """Orbit of `start` under iterating the single map `step`."""
-    out = [start]
-    cur = step(start)
-    while cur != start:
-        out.append(cur)
-        cur = step(cur)
-        if len(out) > 10**6:
-            raise CocycleInconsistent("orbit iteration does not close")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +518,11 @@ class DescendedComponent:
         # Frobenius (p^(d_v)-power) action on the component labels
         omega = _constant_ratio(
             witness.map_coeffs(lambda c: c.frobenius(d_v)), witness)
-        labels = F.roots_of_unity(self.d_geo)
         pieces = []
-        seen = set()
-        for zeta0 in labels:
-            if zeta0 in seen:
-                continue
-            orb = orbit_of(zeta0, lambda z: z.frobenius(d_v) * omega)
-            seen.update(orb)
-            ell = len(orb)
-            d_j = d_v * ell
+        for orb in orbits(F.roots_of_unity(self.d_geo), [d_v],
+                          lambda k, z: z.frobenius(k) * omega):
+            zeta0 = orb[0]
+            d_j = d_v * len(orb)
             eq = pcL.sheet_equation(zeta0)
             eq = _fix_coefficients(eq, n_geo, d_j)
             Fj = fq_make(F.p, d_j)

@@ -50,6 +50,11 @@ automorphism than to any other.  Only generators are applied, each the
 least element not yet reached, with 2|G| ``apply`` calls; every other row
 of the table is composed from them, row(g o t) = row(g) o row(t).
 
+The ramification filtration is read off the images of pi: inertia fixes
+U and O_L = O_U[pi], so i(sigma) = v_L(sigma(pi) - pi) on inertia, and
+Hilbert's formula, sum i(sigma) = v_L(E'(pi)), checks it.  It is computed
+once per group and kept on it (``GaloisGroupData.filt``).
+
 Valuations are integers in the v(pi_L) = 1 normalization unless stated.
 """
 
@@ -839,7 +844,8 @@ class KeyedImages:
 
 class GaloisGroupData:
     """Gal(L/Q_p): automorphism list, multiplication table, inertia,
-    Frobenius coset representative.
+    Frobenius coset representative and ramification filtration ``filt``,
+    computed with the group (``ramification_filtration``).
 
     ``generators`` lists the elements whose table rows were computed by
     applying them; ``words`` maps every other element y != 1 to a pair
@@ -857,6 +863,7 @@ class GaloisGroupData:
         self.table = self.extend(rows, len(autos))  # [i][j]: i o j
         self.inertia = inertia      # sorted list of indices
         self.frobenius_index = frobenius_index
+        self.filt = ramification_filtration(self)
 
     def extend(self, perms, size):
         """The permutation of every element, given those of the generators
@@ -959,57 +966,27 @@ class RamificationFiltration:
 
 
 def ramification_filtration(G):
-    """Compute Gamma_i via i(sigma) = v_L(sigma(theta) - theta) for a
-    verified generator theta of O_L over Z_p.
+    """Gamma_i read off i(sigma) = v_L(sigma(pi) - pi) for sigma in the
+    inertia group I, sigma != 1: inertia fixes U, and O_L = O_U[pi]
+    (Serre, *Local Fields*, IV section 1).
 
-    Candidates theta = pi, then pi + a, then for f > 1 pi plus the
-    Teichmueller lift of the residue generator, each built only when the
-    one before it fails; the candidate is accepted when
-    sum_(sigma != 1) i(sigma) equals v_L(E'(pi)) (the different of L/Q_p,
-    since U/Q_p is unramified).
+    Hilbert's formula is the check: sum_(sigma in I, sigma != 1) i(sigma)
+    equals v_L(E'(pi)), the different of L/Q_p, since U/Q_p is unramified.
     """
     K = G.K
-    # v_L of the different: E'(pi)
     dE = poly_derivative([LocalFieldElement(K, (c,) + (K.U.zero,) * (K.e - 1),
                                             0, K.N, False) for c in K.E], K)
-    diff_val = poly_eval(dE, K.pi()).valuation()
-
-    def candidates():
-        yield K.pi()
-        yield K.pi() + K.gen_unramified()
-        if K.f > 1:
-            yield K.pi() + K.teichmueller(K.residue_field.gen())
-
-    for theta in candidates():
-        ivals = {}
-        ok = True
-        total = 0
-        for i, s in enumerate(G.autos):
-            if i == G.identity_index:
-                continue
-            d = s.apply(theta) - theta
-            v = d.valuation_or_none()
-            if v is None or v == INFINITE:
-                ok = False  # theta does not separate; try the next candidate
-                break
-            ivals[i] = v
-            total += v
-        if not ok:
-            continue
-        if total != diff_val:
-            continue
-        groups = [sorted(G.inertia)]
-        i = 1
-        while True:
-            g_i = sorted([G.identity_index] +
-                         [s for s in G.inertia
-                          if s != G.identity_index and ivals[s] >= i + 1])
-            if len(g_i) == 1:
-                break
-            groups.append(g_i)
-            i += 1
-        groups.append([G.identity_index])
-        return RamificationFiltration(groups, len(groups) - 2)
-    raise NotMonogenicWitness(
-        "no verified monogenic generator at this precision; "
-        f"different = {diff_val}")
+    pi = K.pi()
+    diff_val = poly_eval(dE, pi).valuation()
+    ivals = {s: (G.autos[s].pi_img - pi).valuation_or_none()
+             for s in G.inertia if s != G.identity_index}
+    known = all(v not in (None, INFINITE) for v in ivals.values())
+    if not known or sum(ivals.values()) != diff_val:
+        raise NotMonogenicWitness(
+            "Hilbert's formula fails for the images of pi at this "
+            f"precision; different = {diff_val}")
+    # Gamma_i = {sigma : i(sigma) >= i + 1} for i >= 1
+    wild = [sorted([G.identity_index] + [s for s, v in ivals.items() if v > i])
+            for i in range(1, max(ivals.values(), default=1))]
+    groups = [sorted(G.inertia)] + wild + [[G.identity_index]]
+    return RamificationFiltration(groups, len(groups) - 2)

@@ -115,10 +115,10 @@ def conductor_exponent(inertial):
     epsilon = 2 g(Y) - dim H^1(inertial reduction); delta is the Swan sum
     over the higher ramification groups, computed from the arithmetic
     genera of the quotients Ybar/Gamma_i (wild translation quotients), and
-    accumulated exactly before the integrality assertion.  The curve and
-    the filtration are those of ``inertial.ctx``.
+    accumulated exactly before the integrality assertion.  The curve is
+    that of ``inertial.ctx`` and the filtration that of its group.
     """
-    ctx, filt = inertial.ctx, inertial.ctx.act.filt
+    ctx, filt = inertial.ctx, inertial.ctx.G.filt
     g = ctx.curve.genus()
     epsilon = 2 * g - inertial.dim_h1
     gamma0 = filt.gamma(0)

@@ -3,17 +3,18 @@ L-factor and conductor, with hard consistency cross-checks at every joint.
 
 The fields come from one catalog scan, ``semistabilizing_candidates``; the
 roots of f that its split test finds are the branch divisor, and the first
-candidate L, G over which the model is semistable is used.  Per candidate:
-branch_divisor(curve, roots), build_tree(div, L), ramification_filtration(G),
-galois_on_tree(G, filt, tree), raw_gauss_values(curve, tree),
-semistable_check(raw, n), reduce_special_fiber(curve, tree, raw).  Both
-chart normalizations (``build_tree``'s and the tame one of
-``galois_on_tree``) come before any chart is substituted into f, once per
-vertex.  Then build_inertial_curve(act, fiber), local_l_factor(inertial),
+candidate L, G over which the model is semistable is used; G carries its
+ramification filtration, computed once per catalog field.  Per candidate:
+branch_divisor(curve, roots), build_tree(div, L), galois_on_tree(G, tree),
+raw_gauss_values(curve, tree), semistable_check(raw, n),
+reduce_special_fiber(curve, tree, raw).  Both chart normalizations
+(``build_tree``'s and the tame one of ``galois_on_tree``) come before any
+chart is substituted into f, once per vertex.  Then
+build_inertial_curve(act, fiber), local_l_factor(inertial),
 conductor_exponent(inertial) and verify_point_counts(inertial, p1).  Each
-stage reads its data off the objects it takes: the tree carries L, the
-action ``act`` carries G, the filtration and the tree, the fiber carries
-the curve, and the inertial curve its ``ctx``.
+stage reads its data off the objects it takes: the tree carries L, G
+carries the filtration, the action ``act`` carries G and the tree, the
+fiber carries the curve, and the inertial curve its ``ctx``.
 
 ``compute`` returns PipelineResult(divisor, inertial, lfactor, conductor),
 which reads the curve, L, G, the filtration, the tree and the fiber off
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .fieldsearch import SearchConfig, semistabilizing_candidates, splits_in
 from .finitefield import count_kummer_points, power_sums
-from .localfield import galois_group, ramification_filtration
+from .localfield import galois_group
 from .lzeta import conductor_exponent, local_l_factor
 from .reduction import raw_gauss_values, reduce_special_fiber, semistable_check
 from .tree import build_tree, galois_on_tree
@@ -47,7 +48,7 @@ class PipelineResult:
         self.divisor, self.inertial = divisor, inertial
         self.lfactor, self.conductor = lfactor, conductor
         self.curve, self.L, self.fiber = ctx.curve, ctx.L, ctx.fiber
-        self.G, self.filt, self.tree = ctx.G, ctx.act.filt, ctx.tree
+        self.G, self.filt, self.tree = ctx.G, ctx.G.filt, ctx.tree
 
     def to_json_dict(self):
         curve, tree, L = self.curve, self.tree, self.L
@@ -200,8 +201,7 @@ def compute(curve, config=None, explicit_field=None, trace=None):
         say(f"candidate field: {L.label} (e={L.e}, f={L.f})")
         div = branch_divisor(curve, roots)
         tree = build_tree(div, L)
-        filt = ramification_filtration(G)
-        act = galois_on_tree(G, filt, tree)
+        act = galois_on_tree(G, tree)
         raw = raw_gauss_values(curve, tree)
         fails = semistable_check(raw, curve.n)
         if fails:

@@ -113,8 +113,8 @@ class EdgeNodes:
     node must add up to a multiple of n (admissibility).  The nodes sit on
     the child side at x = infinity: they are the d solutions of
     omega^d = u0, d = gcd(n, a_child), with u0 the unit value of
-    fbar_child there.  Their labels, which may generate an extension of
-    F_L, are ``descent.ActionContext``'s.
+    fbar_child there.  Their labels, which may lie outside F_L, are points
+    of Q/Z (``descent.ActionContext.nodes``).
     """
 
     __slots__ = ("parent", "child", "a_parent", "a_child", "d", "u0",

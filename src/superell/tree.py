@@ -21,7 +21,9 @@ the marked points isometrically, so it maps a vertex to the vertex whose
 members are the images of its members, and it never inverts an edge.
 Only the generators of Gal(L/Q_p) are applied, to the branch points and
 to the charts; the permutations and chart matrices of the other elements
-are composed along the words of the group.
+are composed along the words of the group.  ``galois_on_tree(G, tree)``
+reads the wild inertia Gamma_1 off the filtration that G carries
+(``G.filt``).
 """
 
 from __future__ import annotations
@@ -293,9 +295,8 @@ class TreeGaloisAction:
     rule M(g o t, v) = g(M(t, v)) . M(g, t(v)) in PGL_2(F_L) for chart
     matrices, g acting on residues by its Frobenius power."""
 
-    def __init__(self, G, filt, tree):
+    def __init__(self, G, tree):
         self.G = G
-        self.filt = filt
         self.tree = tree
         L, points = tree.L, tree.points
         finite = [j for j, x in enumerate(points) if x != INF_POINT]
@@ -376,7 +377,7 @@ class TreeGaloisAction:
         return sorted(set(self.stabilizer[v]) & set(self.G.inertia))
 
     def wild_stabilizer(self, v):
-        return sorted(set(self.stabilizer[v]) & set(self.filt.gamma(1)))
+        return sorted(set(self.stabilizer[v]) & set(self.G.filt.gamma(1)))
 
     def tame_generator(self, v):
         """Smallest element of I_v whose image generates I_v / P_v."""
@@ -443,5 +444,5 @@ def _big(x, L):
     return v in (None, INFINITE) or v >= L.e * (L.N // 2)
 
 
-def galois_on_tree(G, filt, tree):
-    return TreeGaloisAction(G, filt, tree)
+def galois_on_tree(G, tree):
+    return TreeGaloisAction(G, tree)

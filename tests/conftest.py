@@ -9,6 +9,7 @@ import pytest
 
 from superell import finitefield, tree
 from superell.curve import SuperellipticCurve
+from superell.descent import _frobenius_orbits, orbits
 from superell.errors import SuperellError
 from superell.finitefield import FqElement, FqField
 from superell.localfield import INFINITE, _MARGIN, LocalFieldElement
@@ -45,6 +46,18 @@ def element_order(G, i):
         j = G.table[j][i]
         n += 1
     return n
+
+
+def node_orbit_data(ctx):
+    """(number of inertia classes of the nodes, sorted Frobenius orbit
+    sizes on them, node orbit count under each group of ``ctx.G.filt``),
+    by the package's orbit routines: the side compared with
+    ``oracles.node_orbit_data_by_label_field``."""
+    nodes = ctx.nodes()
+    i_orbits, f_orbits = _frobenius_orbits(nodes, ctx.G, ctx.node_action)
+    return (len(i_orbits), sorted(len(o) for o in f_orbits),
+            [len(orbits(nodes, H, lambda g, x: ctx.node_action(g, x, 0)))
+             for H in ctx.G.filt.groups])
 
 
 @pytest.fixture(scope="session")

@@ -64,10 +64,19 @@ and composes the other matrices by the cocycle rule, and for
 ``node_labels_by_edge_search`` searches, edge by edge, the least
 extension F_(q^m) of F_L in which the node labels root * mu_d of the edge
 lie, building and embedding one field per try, and embeds every edge's
-labels into the compositum of those fields.  It is the reference for
-``ActionContext.label_field`` and ``ActionContext.nodes``, which compute
-the least m of each edge by integer arithmetic and build the labels once
-in the one label field.
+labels into the compositum of those fields.
+``node_orbit_data_by_label_field`` moves those labels by the Galois
+action in that field and counts the inertia classes of the nodes, the
+Frobenius orbits on them and the node orbits under each Gamma_i.  They
+are the references for ``ActionContext.nodes`` and
+``ActionContext.node_action``, which take the labels as points of Q/Z
+and build no field.
+
+``filtration_by_witness_search`` finds a generator theta of O_L over Z_p
+among pi, pi + a and pi plus a Teichmueller lift, applies every
+automorphism to it and accepts it by Hilbert's formula.  It is the
+reference for ``localfield.ramification_filtration``, which reads
+i(sigma) off the images of pi on inertia.
 
 ``build_tree_by_triples`` builds the stably marked tree from the chart
 classes of all ordered triples of marked points, each class recorded by
@@ -110,6 +119,7 @@ from superell.errors import (
     NoRationalFixedPoint,
     NotGalois,
     NotInvariant,
+    NotMonogenicWitness,
     NotSplit,
     PrecisionExhausted,
 )
@@ -130,8 +140,11 @@ from superell.finitefield import (
 )
 from superell.localfield import (
     INFINITE,
+    LocalFieldElement,
     coeff_transport,
     galois_group,
+    poly_derivative,
+    poly_eval,
     roots_integral,
     sort_key,
 )
@@ -758,6 +771,87 @@ def node_labels_by_edge_search(ctx):
         nodes.extend((e, w) for w in sorted((emb(w) for w in labels),
                                             key=lambda x: x.index()))
     return field, nodes
+
+
+def node_orbit_data_by_label_field(ctx):
+    """(number of inertia classes, sorted Frobenius orbit sizes on them,
+    node orbit count under each group of ``ctx.G.filt``) of the nodes of
+    ``ctx``, with the labels of ``node_labels_by_edge_search``: g moves a
+    label w of the edge e by w -> w^(p^j) * gamma^n' * a^a' into the labels
+    of g(e), in the label field, j = 0 for inertia and j = 1 for
+    Frobenius."""
+    field, nodes = node_labels_by_edge_search(ctx)
+    emb = ctx.L.residue_field.embedding(field)
+    edges = {(en.parent, en.child): en for en in ctx.fiber.edge_nodes}
+    G = ctx.G
+
+    def act(g, node, j):
+        (pu, cv), w = node
+        perm = ctx.act.vertex_perm[g]
+        e2 = (perm[pu], perm[cv])
+        en, en2 = edges[(pu, cv)], edges[e2]
+        a, _ = ctx.act.affine(g, cv)
+        if en.a_prime < 0:
+            a = a.inverse()
+        w2 = w.frobenius(j) * emb(ctx.gamma(g, cv) ** en.n_prime
+                                  * a ** abs(en.a_prime))
+        if w2 ** en2.d != emb(en2.u0):
+            raise AssertionError("node label image is not a label")
+        return (e2, w2)
+
+    def orbits_under(group):
+        out, seen = [], set()
+        for x in nodes:
+            if x not in seen:
+                orb = {act(g, x, 0) for g in group}
+                seen |= orb
+                out.append(orb)
+        return out
+
+    classes = orbits_under(G.inertia)
+    class_of = {x: i for i, orb in enumerate(classes) for x in orb}
+    sizes, done = [], set()
+    for i, orb in enumerate(classes):
+        size, c = 0, i
+        while c not in done:
+            done.add(c)
+            size += 1
+            c = class_of[act(G.frobenius_index, next(iter(classes[c])), 1)]
+        if size:
+            sizes.append(size)
+    return (len(classes), sorted(sizes),
+            [len(orbits_under(H)) for H in G.filt.groups])
+
+
+def filtration_by_witness_search(G):
+    """The lower-numbering groups Gamma_0, ..., [1] of G, from
+    i(sigma) = v_L(sigma(theta) - theta) over every sigma != 1 for a
+    generator theta of O_L over Z_p: candidates pi, then pi + a, then
+    pi plus the Teichmueller lift of the residue generator, each applied
+    by every automorphism, the first whose values sum to v_L(E'(pi))
+    (Hilbert's formula) accepted."""
+    K = G.K
+    dE = poly_derivative([LocalFieldElement(K, (c,) + (K.U.zero,) * (K.e - 1),
+                                            0, K.N, False) for c in K.E], K)
+    diff_val = poly_eval(dE, K.pi()).valuation()
+    thetas = [K.pi(), K.pi() + K.gen_unramified()]
+    if K.f > 1:
+        thetas.append(K.pi() + K.teichmueller(K.residue_field.gen()))
+    for theta in thetas:
+        ivals = {i: (s.apply(theta) - theta).valuation_or_none()
+                 for i, s in enumerate(G.autos) if i != G.identity_index}
+        if any(v in (None, INFINITE) for v in ivals.values()) \
+                or sum(ivals.values()) != diff_val:
+            continue
+        groups = [sorted(G.inertia)]
+        while True:
+            g_i = sorted([G.identity_index] + [
+                s for s in G.inertia
+                if s != G.identity_index and ivals[s] >= len(groups) + 1])
+            if len(g_i) == 1:
+                return groups + [[G.identity_index]]
+            groups.append(g_i)
+    raise NotMonogenicWitness("no verified monogenic generator")
 
 
 def _closeness(x, y):

@@ -40,9 +40,12 @@ from superell.qpoly import QPoly, parse_poly
 from superell.reduction import gauss_valuation_f
 from superell.tree import matrix_mul
 
+from conftest import node_orbit_data
 from oracles import (
     count_affine_brute,
     count_points_by_places,
+    filtration_by_witness_search,
+    node_orbit_data_by_label_field,
     places_at_infinity,
     semistable_field_by_two_scans,
 )
@@ -427,24 +430,57 @@ def _shifted(f, c):
     return out
 
 
+@pytest.fixture(scope="module")
+def corpus24():
+    """(curve, result) for the corpus at max_degree 24, the result None
+    where the catalog is exhausted: computed once for the tests below,
+    which compare it with oracles."""
+    config = SearchConfig(max_degree=24)
+    out = []
+    for n, f, p in _corpus():
+        curve = SuperellipticCurve(n, f, p)
+        try:
+            out.append((curve, compute_with_retry(curve, config)))
+        except CatalogExhausted:
+            out.append((curve, None))
+    return out
+
+
+class TestGaloisActionOracles:
+    """On the corpus at max_degree 24, every catalog field used has the
+    filtration of the witness search, and the node labels, points of Q/Z,
+    give the classes and orbits of the label-field oracle."""
+
+    def test_corpus_matches_oracles(self, corpus24):
+        fields, compared = set(), 0
+        for curve, r in corpus24:
+            if r is None:
+                continue
+            if (r.L.label, r.L.N) not in fields:
+                fields.add((r.L.label, r.L.N))
+                assert r.G.filt.groups == filtration_by_witness_search(r.G)
+            ctx = r.inertial.ctx
+            assert node_orbit_data(ctx) == \
+                node_orbit_data_by_label_field(ctx), curve.f
+            compared += 1
+        assert compared >= 70 and len(fields) > 1
+
+
 class TestOneScan:
     """The one catalog scan picks the field of the two-scan search (the
     smallest field L0 splitting f, then the fields containing a copy of
     L0), and its skip test on f0 never drops a field that splits f."""
 
-    def test_corpus_matches_two_scans(self):
+    def test_corpus_matches_two_scans(self, corpus24):
         config = SearchConfig(max_degree=24)
         compared = 0
-        for n, f, p in _corpus():
-            curve = SuperellipticCurve(n, f, p)
-            try:
-                r = compute_with_retry(curve, config)
-            except CatalogExhausted:
+        for curve, r in corpus24:
+            if r is None:
                 assert semistable_field_by_two_scans(curve, config) is None
                 continue
             L = semistable_field_by_two_scans(
                 curve, SearchConfig(r.L.N, config.max_degree))
-            assert (L.label, L.N) == (r.L.label, r.L.N), (n, f, p)
+            assert (L.label, L.N) == (r.L.label, r.L.N), curve.f
             compared += 1
         assert compared >= 70
 

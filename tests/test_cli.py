@@ -370,6 +370,20 @@ class TestCli:
         path.write_text(json.dumps(EX2))
         assert main([str(path), "--precision", "4"]) == 2
 
+    def test_bad_max_degree(self, tmp_path, capsys):
+        """A catalog bound below 1 is invalid input, not an exhausted
+        catalog."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(EX2))
+        for bound in ("-3", "0"):
+            assert main([str(path), "--json", "--max-degree", bound]) == 2
+            assert json.loads(capsys.readouterr().out) == {
+                "error": "ValidationError", "exit_code": 2,
+                "message": "max-degree must be at least 1"}
+        assert main([str(path), "--max-degree", "-3"]) == 2
+        assert capsys.readouterr().err == \
+            "error: max-degree must be at least 1\n"
+
 
 def test_perfbench_spans_resolve():
     """Every function and method that the benchmark's traced runs wrap

@@ -1,7 +1,9 @@
 import pytest
 
+from superell import descent, finitefield
 from superell.curve import SuperellipticCurve, branch_divisor
 from superell.descent import (
+    ActionContext,
     build_inertial_curve,
     quotient_genus_by_wild_subgroup,
     rewrite_in_power,
@@ -11,26 +13,36 @@ from superell.descent import (
 )
 from superell.errors import NotInvariant
 from superell.fieldsearch import semistabilizing_field
-from superell.finitefield import FqPoly, fq_make
-from superell.localfield import ramification_filtration
-from superell.qpoly import parse_poly
+from superell.finitefield import FqField, FqPoly, fq_make
+from superell.pipeline import compute_with_retry
+from superell.qpoly import QPoly, parse_poly
 from superell.reduction import raw_gauss_values, reduce_special_fiber
 from superell.tree import build_tree, galois_on_tree
 
-from oracles import gamma_by_division, node_labels_by_edge_search
+from conftest import node_orbit_data
+from oracles import (
+    filtration_by_witness_search,
+    gamma_by_division,
+    node_labels_by_edge_search,
+    node_orbit_data_by_label_field,
+)
 
 ACTION_CASES = ("ex1", "ex2", "good_reduction", "deg40", "ex1_non_integral",
                 "padic_tree_pass0")
+
+# (n, f, p) whose node labels lie outside F_L: in F_49 and in F_9
+LABELS_OUTSIDE_F_L = {"F49": (6, [12, -4, -6, 2], 7),
+                      "F9": (2, [-6, 3, 8, -4, -2, 1], 3)}
 
 
 def full_setup(n, fs, p):
     f = parse_poly(fs)
     curve = SuperellipticCurve(n, f, p)
     L, G, roots = semistabilizing_field(f, n, p)
-    filt = ramification_filtration(G)
+    filt = G.filt
     div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
-    act = galois_on_tree(G, filt, tree)
+    act = galois_on_tree(G, tree)
     fiber = reduce_special_fiber(curve, tree, raw_gauss_values(curve, tree))
     ic = build_inertial_curve(act, fiber)
     return curve, L, G, filt, tree, act, fiber, ic
@@ -222,15 +234,51 @@ class TestYScalings:
 
 
 class TestNodeLabels:
-    """The node labels of all edges, built once in one label field."""
+    """Node labels are points of Q/Z.  Moving them in the label field of
+    the edge search gives the same inertia classes, Frobenius orbits and
+    node orbits under every Gamma_i."""
 
     @pytest.mark.parametrize("name", ACTION_CASES)
     def test_match_edge_search(self, results_named, name):
         for result in results_named(name):
             ctx = result.inertial.ctx
-            field, nodes = node_labels_by_edge_search(ctx)
-            assert ctx.label_field is field
-            assert ctx.nodes() == nodes
+            assert node_orbit_data(ctx) == node_orbit_data_by_label_field(ctx)
+
+    @pytest.mark.parametrize("n, f, p", LABELS_OUTSIDE_F_L.values(),
+                             ids=list(LABELS_OUTSIDE_F_L))
+    def test_labels_outside_f_l(self, n, f, p):
+        ctx = compute_with_retry(
+            SuperellipticCurve(n, QPoly(f), p)).inertial.ctx
+        field, _ = node_labels_by_edge_search(ctx)
+        assert field.k > ctx.L.residue_field.k
+        assert node_orbit_data(ctx) == node_orbit_data_by_label_field(ctx)
+        assert ctx.G.filt.groups == filtration_by_witness_search(ctx.G)
+
+    def test_builds_no_field(self, monkeypatch):
+        """Labels outside F_L need no field: ActionContext, its nodes and
+        their images call no fq_make, embedding or nth_root."""
+        n, f, p = LABELS_OUTSIDE_F_L["F49"]
+        ctx = compute_with_retry(
+            SuperellipticCurve(n, QPoly(f), p)).inertial.ctx
+        calls = []
+        for owner, name in ((finitefield, "fq_make"), (descent, "fq_make"),
+                            (FqField, "embedding"), (FqField, "nth_root")):
+            def counted(*args, _method=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(owner, name, counted)
+        ctx = ActionContext(ctx.act, ctx.fiber)
+        images = [ctx.node_action(g, x, j) for x in ctx.nodes()
+                  for g in range(ctx.G.order()) for j in (0, 1)]
+        assert images and calls == []
+
+
+class TestFiltrationOracle:
+    @pytest.mark.parametrize("name", ACTION_CASES)
+    def test_match_witness_search(self, results_named, name):
+        for result in results_named(name):
+            assert result.G.filt.groups == \
+                filtration_by_witness_search(result.G)
 
 
 class TestOneFactorization:

@@ -9,6 +9,7 @@ from superell.errors import (
     CatalogExhausted,
     NotEisenstein,
     NotGalois,
+    NotMonogenicWitness,
     PrecisionExhausted,
     PrecisionTooLow,
 )
@@ -39,6 +40,7 @@ from superell.qpoly import QPoly, parse_poly
 from conftest import as_vp1, element_order, eq_approx
 from oracles import (
     digits_by_field_products,
+    filtration_by_witness_search,
     galois_table_by_scan,
     gauss_reduce_by_division,
     taylor_shift_by_binomials,
@@ -510,24 +512,41 @@ class TestFiltration:
         filt = ramification_filtration(G)
         assert len(filt.gamma(0)) == 1
 
-    def test_teichmueller_witness_is_lazy(self, sample_results,
-                                          monkeypatch):
-        """On ex1's field (f = 2) pi or pi + a passes the different check,
-        so the Teichmueller candidate is never built."""
+    def test_reads_pi_images_only(self, sample_results, monkeypatch):
+        """The filtration applies no automorphism and builds no
+        Teichmueller lift, also on ex1's field, where f = 2 and pi does
+        not generate O_L over Z_p; it is the one G carries."""
         r = sample_results["ex1"]
-        G = r.G
-        assert G.K.f > 1
-        calls = [0]
-        teichmueller = LocalField.teichmueller
+        assert r.G.K.f > 1
+        calls = []
+        for owner, name in ((Automorphism, "apply"),
+                            (LocalField, "teichmueller")):
+            def counted(*args, _method=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(owner, name, counted)
+        filt = ramification_filtration(r.G)
+        assert calls == []
+        assert filt.groups == r.G.filt.groups == r.filt.groups
 
-        def counted(self, r):
-            calls[0] += 1
-            return teichmueller(self, r)
+    def test_matches_witness_search(self):
+        for L in (field_example1(), field_example2(),
+                  build_tower(5, 2, [], 20)):
+            G = galois_group(L)
+            assert G.filt.groups == filtration_by_witness_search(G)
 
-        monkeypatch.setattr(LocalField, "teichmueller", counted)
-        filt = ramification_filtration(G)
-        assert filt.groups == r.filt.groups
-        assert calls[0] == 0
+    def test_hilbert_check(self):
+        """Moving one image of pi away from pi (i(sigma) 4 -> 2) breaks
+        Hilbert's formula: sum i(sigma) no longer equals v_L(E'(pi))."""
+        G = galois_group(field_example2())
+        K = G.K
+        wild = next(s for s in G.filt.gamma(1) if s != G.identity_index)
+        s = G.autos[wild]
+        assert (s.pi_img - K.pi()).valuation() == 4
+        G.autos[wild] = Automorphism(K, s.a_img,
+                                     s.pi_img + K.pi().pow_int(2))
+        with pytest.raises(NotMonogenicWitness, match="Hilbert's formula"):
+            ramification_filtration(G)
 
     def test_sizes_divide(self):
         for L in (field_example1(), field_example2()):

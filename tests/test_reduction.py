@@ -12,7 +12,6 @@ from superell.fieldsearch import (
     splits_in,
 )
 from superell.finitefield import INF as FINF
-from superell.localfield import ramification_filtration
 from superell.qpoly import QPoly, parse_poly
 from superell.reduction import (
     gauss_valuation_f,
@@ -29,10 +28,10 @@ def setup_example(n, fs, p):
     f = parse_poly(fs)
     curve = SuperellipticCurve(n, f, p)
     L, G, roots = semistabilizing_field(f, n, p)
-    filt = ramification_filtration(G)
+    filt = G.filt
     div = branch_divisor(curve, roots)
     tree = build_tree(div, L)
-    act = galois_on_tree(G, filt, tree)
+    act = galois_on_tree(G, tree)
     return curve, L, G, filt, tree, act
 
 

@@ -24,7 +24,6 @@ from superell.localfield import (
     Automorphism,
     LocalField,
     LocalFieldElement,
-    ramification_filtration,
     roots_of_qpoly,
 )
 from superell.pipeline import compute_with_retry
@@ -58,7 +57,7 @@ def example1_setup():
     f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
     curve = SuperellipticCurve(4, f, 3)
     L, G, roots = semistabilizing_field(f, 4, 3)
-    filt = ramification_filtration(G)
+    filt = G.filt
     div = branch_divisor(curve, roots)
     return curve, L, G, filt, div
 
@@ -67,7 +66,7 @@ def example2_setup():
     f = parse_poly("x^4-x^2+1")
     curve = SuperellipticCurve(3, f, 2)
     L, G, roots = semistabilizing_field(f, 3, 2)
-    filt = ramification_filtration(G)
+    filt = G.filt
     div = branch_divisor(curve, roots)
     return curve, L, G, filt, div
 
@@ -173,7 +172,7 @@ class TestGaloisAction:
     def test_example1_inertia_action(self):
         curve, L, G, filt, div = example1_setup()
         tree = build_tree(div, L)
-        act = galois_on_tree(G, filt, tree)
+        act = galois_on_tree(G, tree)
         gen4 = [g for g in G.inertia if element_order(G, g) == 4][0]
         perm = act.vertex_perm[gen4]
         assert perm[tree.root] == tree.root
@@ -187,7 +186,7 @@ class TestGaloisAction:
     def test_example1_stabilizer_orders(self):
         curve, L, G, filt, div = example1_setup()
         tree = build_tree(div, L)
-        act = galois_on_tree(G, filt, tree)
+        act = galois_on_tree(G, tree)
         assert len(act.stabilizer[tree.root]) == 8
         for child in tree.vertices[tree.root].children:
             assert len(act.stabilizer[child]) == 4
@@ -195,7 +194,7 @@ class TestGaloisAction:
     def test_example2_wild_translation(self):
         curve, L, G, filt, div = example2_setup()
         tree = build_tree(div, L)
-        act = galois_on_tree(G, filt, tree)
+        act = galois_on_tree(G, tree)
         wild = [g for g in filt.gamma(1) if g != G.identity_index][0]
         assert act.vertex_perm[wild] == list(range(3))
         for child in tree.vertices[tree.root].children:
@@ -206,7 +205,7 @@ class TestGaloisAction:
     def test_identity_acts_trivially(self):
         curve, L, G, filt, div = example1_setup()
         tree = build_tree(div, L)
-        act = galois_on_tree(G, filt, tree)
+        act = galois_on_tree(G, tree)
         e = G.identity_index
         assert act.vertex_perm[e] == list(range(tree.vertex_count()))
         for v in range(tree.vertex_count()):
@@ -258,14 +257,14 @@ class TestGaloisAction:
         monkeypatch.setattr(TreeGaloisAction, "matrix", recorded)
         for r in results_named(name):
             computed.clear()
-            galois_on_tree(r.G, r.filt, build_tree(r.divisor, r.L))
+            galois_on_tree(r.G, build_tree(r.divisor, r.L))
             keys = [(g, v, id(a), id(b)) for g, v, (a, b) in computed]
             assert len(keys) == len(set(keys))
 
     def test_composed_matrices_apply_nothing(self, deg40_result,
                                              monkeypatch):
         r = deg40_result
-        act = galois_on_tree(r.G, r.filt, r.tree)
+        act = galois_on_tree(r.G, r.tree)
         V = range(r.tree.vertex_count())
         for g in r.G.generators:
             for v in V:
@@ -305,14 +304,14 @@ class TestGaloisAction:
 
         monkeypatch.setattr(TreeGaloisAction, "matrix", shifted)
         with pytest.raises(NotInvariant, match="cocycle rule violated"):
-            galois_on_tree(r.G, r.filt, build_tree(r.divisor, r.L))
+            galois_on_tree(r.G, build_tree(r.divisor, r.L))
 
     def test_edges_preserved(self):
         # implicitly asserted during construction; rerun both examples
         for setup in (example1_setup, example2_setup):
             curve, L, G, filt, div = setup()
             tree = build_tree(div, L)
-            galois_on_tree(G, filt, tree)  # raises on violation
+            galois_on_tree(G, tree)  # raises on violation
 
 
 class TestMoebius:
