@@ -154,6 +154,11 @@ def _parse_factor(s):
 
 
 def _coefficient(c):
+    # a JSON float is already rounded and a bool is not a number: only
+    # integers and "a/b" strings are read exactly
+    if isinstance(c, (bool, float)):
+        raise ValidationError(f"bad coefficient {c!r}: coefficients are "
+                              "integers or \"a/b\" strings")
     try:
         return Fraction(c)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

@@ -24,6 +24,13 @@ keep the root test of x^n - p: Q_7(zeta_7) = Q_7((-7)^(1/6)) has no
 7^(1/2).  A catalog entry keeps its field and, once asked for, Gal(L/Q_p)
 or the error computing it raised; the precision is part of the key.
 
+On an entry that is built, the order is: the split test on residues (the
+residue pass of ``localfield``, x^n - p first on wild entries, no Newton
+step); the skip of an entry whose group is known to be an error; the
+lifting of the roots of f, by orbits of the group.  The group is computed
+into the entry once one root is lifted and passes its residual check, so
+that a field whose roots are known to too few digits costs no group.
+
 Results are the smallest-degree catalog members with the requested
 properties.  Fields the catalog cannot express (for instance wild
 composites with gcd(e, phi(p^s)) > 1, which are skipped during flattening)
@@ -72,7 +79,8 @@ class SearchConfig:
 
 
 class _SkipCandidate(Exception):
-    """Internal: this catalog entry cannot be constructed; move on."""
+    """Internal: this catalog entry cannot be constructed, or is not
+    Galois; move on."""
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +393,25 @@ def catalog_entries(p, config):
     return out
 
 
+def _residue_tests(L, polys):
+    """The root searches of the squarefree Q-polynomials ``polys`` over L
+    after their residue passes, or None as soon as one accounts for fewer
+    roots than its degree: no Newton step has been taken."""
+    searches = []
+    for g in polys:
+        search = roots_of_qpoly(L, g)
+        if search.count < g.degree():
+            return None
+        searches.append(search)
+    return searches
+
+
 def splits_in(L, factors):
     """Do all the given squarefree Q-polynomials split into linear factors
-    over L?  Returns the roots per factor, or None."""
-    roots = []
-    for g in factors:
-        r = roots_of_qpoly(L, g)
-        if len(r) != g.degree():
-            return None
-        roots.append(r)
-    return roots
+    over L?  Returns the roots per factor, or None.  Every factor passes
+    the residue test before any is lifted."""
+    searches = _residue_tests(L, factors)
+    return None if searches is None else [s.lift() for s in searches]
 
 
 def residue_degree_bound(factors, p):
@@ -412,12 +429,31 @@ def residue_degree_bound(factors, p):
     return r
 
 
-def _split_fields(factors, n, p, config, shortfall):
-    """Yield (key, L, roots) for the catalog fields L, in increasing degree,
+def _entry_group(key):
+    """Gal(L/Q_p) of the catalog entry ``key``, computed into the entry on
+    first use.  If computing it raised NotGalois or PrecisionExhausted, the
+    entry keeps the error and _SkipCandidate is raised."""
+    entry = _CANDIDATE_CACHE[key]
+    if entry[1] is None:
+        try:
+            entry[1] = galois_group(entry[0])
+        except (PrecisionExhausted, NotGalois) as exc:
+            entry[1] = exc
+    if isinstance(entry[1], Exception):
+        raise _SkipCandidate(str(entry[1]))
+    return entry[1]
+
+
+def _split_fields(factors, n, p, config, shortfall, with_group):
+    """Yield (L, G, roots) for the catalog fields L, in increasing degree,
     that contain zeta_n and p^(1/n) and over which the squarefree
-    ``factors`` split, with the cache key of L and the roots per factor.
-    Entries that fail a skip test of the module docstring are not built.
-    A root test that runs out of precision sets shortfall[0]."""
+    ``factors`` split, with the roots per factor.  Entries that fail a skip
+    test of the module docstring are not built.  The residue tests of all
+    polynomials come first.  Then, ``with_group``, an entry whose group is
+    an error is skipped, and the roots are lifted by orbits of the group G,
+    which is asked for once one root is lifted and checked (G is None
+    without the group: every root is lifted).  A root test that runs out
+    of precision sets shortfall[0]."""
     r = residue_degree_bound(factors, p)
     # with zeta_n in L, p^(1/n) is in L exactly when x^n - p splits
     # (tested on wild entries; the u_idx test decides the others)
@@ -432,12 +468,26 @@ def _split_fields(factors, n, p, config, shortfall):
         except _SkipCandidate:
             continue
         try:
-            roots = splits_in(L, [radical] + factors if s else factors)
+            searches = _residue_tests(L, [radical] + factors if s
+                                      else factors)
         except PrecisionExhausted:
             shortfall[0] = True
             continue
-        if roots is not None:
-            yield key, L, roots[1:] if s else roots
+        if searches is None:
+            continue
+        if with_group and isinstance(_CANDIDATE_CACHE[key][1], Exception):
+            continue  # not Galois, known before any Newton step
+        group = (lambda key=key: _entry_group(key)) if with_group else None
+        try:
+            roots = [search.lift(group)
+                     for search in searches[1 if s else 0:]]
+            G = group() if with_group else None
+        except _SkipCandidate:
+            continue
+        except PrecisionExhausted:
+            shortfall[0] = True
+            continue
+        yield L, G, roots
 
 
 def splitting_field(f, p, config=None):
@@ -448,7 +498,7 @@ def splitting_field(f, p, config=None):
     """
     config = config or SearchConfig()
     factors = [g for g, _ in f.squarefree_decomposition()]
-    for _, L, roots in _split_fields(factors, 1, p, config, [False]):
+    for L, _, roots in _split_fields(factors, 1, p, config, [False], False):
         return L, [r for rs in roots for r in rs]
     raise CatalogExhausted(
         f"no catalog field of degree <= {config.max_degree} splits f; "
@@ -469,17 +519,9 @@ def semistabilizing_candidates(f, n, p, config=None):
     factors = [g for g, _ in f.squarefree_decomposition()]
     shortfall = [False]
     found = False
-    for key, L, roots in _split_fields(factors, n, p, config, shortfall):
-        entry = _CANDIDATE_CACHE[key]
-        if entry[1] is None:
-            try:
-                entry[1] = galois_group(L)
-            except (PrecisionExhausted, NotGalois) as exc:
-                entry[1] = exc
-        if isinstance(entry[1], Exception):
-            continue
+    for candidate in _split_fields(factors, n, p, config, shortfall, True):
         found = True
-        yield L, entry[1], roots
+        yield candidate
     if found:
         return
     if shortfall[0]:

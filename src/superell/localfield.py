@@ -40,6 +40,24 @@ reduction and the chart comparisons of the tree all reduce through
 working precision: it reduces to 0 when known one digit past pi^m, and
 raises PrecisionExhausted otherwise.
 
+The root search runs in two passes.  The residue pass walks the digit
+recursion with no Newton step and counts the roots each node accounts for:
+a simple residue root one, a multiple residue root of multiplicity k what
+the polynomial one pi-digit deeper (whose reduction has degree k) accounts
+for.  So a split test is decided on residues alone.  The lifting pass
+refines the simple residue roots, the leaves, by Newton.  For a polynomial
+over Q (``roots_of_qpoly``) the roots that reduce to simple roots mod p lie
+in Q_p: they are lifted with integers mod p^N and deflated, and only the
+cofactor is searched over L.  Given G = Gal(L/Q_p), which permutes the
+roots of the Q_p-rational cofactor, one leaf is lifted and the images of
+its root under the generators of G fill the leaves whose discs contain
+them, until the orbit closes; only the leaves no image reaches are lifted.
+G is asked for once the first root is lifted and checked, so a root known
+to too few digits costs no group.  Without G every leaf is lifted.
+
+Products in L sum the integer products unreduced and reduce each output
+coordinate once: mod m(a), by the rows of the pi-table, then mod p^N.
+
 Gal(L/Q_p) is built from generators (Holt-Eick-O'Brien, *Handbook of
 Computational Group Theory*, 2005, ch. 4).  An automorphism is named by
 the coordinate key of its images of a and pi (``KeyedImages``): their
@@ -104,31 +122,28 @@ class Unramified:
         pN = self.pN
         return tuple((a + b) % pN for a, b in zip(x, y))
 
-    def sub(self, x, y):
-        pN = self.pN
-        return tuple((a - b) % pN for a, b in zip(x, y))
-
     def neg(self, x):
         pN = self.pN
         return tuple(-a % pN for a in x)
 
     def mul(self, x, y):
-        f, pN = self.f, self.pN
-        if f == 1:
-            return (x[0] * y[0] % pN,)
-        res = [0] * (2 * f - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    res[i + j] = (res[i + j] + a * b) % pN
-        mod = self.modulus
-        for i in range(2 * f - 2, f - 1, -1):
-            c = res[i]
+        if self.f == 1:
+            return (x[0] * y[0] % self.pN,)
+        res = [0] * (2 * self.f - 1)
+        _poly_mul_into(res, x, y)
+        return self.reduce(res)
+
+    def reduce(self, res):
+        """The U-coordinate of an unreduced integer polynomial in a of
+        degree < 2f (a list, consumed): each coefficient is reduced mod
+        p^N once, the top ones as they are cancelled by the monic m(a)."""
+        f, pN, mod = self.f, self.pN, self.modulus
+        for i in range(len(res) - 1, f - 1, -1):
+            c = res[i] % pN
             if c:
-                res[i] = 0
                 for j in range(f):
-                    res[i - f + j] = (res[i - f + j] - c * mod[j]) % pN
-        return tuple(res[:f])
+                    res[i - f + j] -= c * mod[j]
+        return tuple(a % pN for a in res[:f])
 
     def val(self, x):
         """Largest k <= N with p^k dividing every coordinate."""
@@ -163,6 +178,15 @@ class Unramified:
 
     def from_int(self, n):
         return (n % self.pN,) + (0,) * (self.f - 1)
+
+
+def _poly_mul_into(acc, x, y):
+    """acc += x * y for integer coefficient lists in a, unreduced."""
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    acc[i + j] += a * b
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +298,8 @@ class LocalField:
         while den % self.p == 0:
             den //= self.p
             k += 1
-        x = self.from_int(num)
-        if den != 1:
-            x = x * self.from_int(den).invert()
+        # den is a unit: its inverse mod p^N is exact
+        x = self.from_int(num * pow(den, -1, self.U.pN) if den != 1 else num)
         if k:
             x = LocalFieldElement(self, x.vec, x.shift - k, x.prec,
                                   x.exact_zero)
@@ -310,22 +333,45 @@ class LocalField:
         return tuple(out)
 
     def _vec_mul(self, v1, v2):
-        U, e = self.U, self.e
+        """The product of two vectors over U.  The integer products are
+        summed unreduced; each output coordinate is reduced once: mod m(a),
+        then by the rows of the pi-table, then mod p^N."""
+        U, e, f = self.U, self.e, self.f
         if e == 1:
             return (U.mul(v1[0], v2[0]),)
-        res = [U.zero] * (2 * e - 1)
+        pN = U.pN
+        if f == 1:
+            res = [0] * (2 * e - 1)
+            for i, (a,) in enumerate(v1):
+                if a:
+                    for j, (b,) in enumerate(v2):
+                        if b:
+                            res[i + j] += a * b
+            out = res[:e]
+            for j in range(e, 2 * e - 1):
+                c = res[j] % pN
+                if c:
+                    for t, (b,) in enumerate(self._pi_table[j - e]):
+                        out[t] += c * b
+            return tuple((a % pN,) for a in out)
+        res = [None] * (2 * e - 1)
         for i, a in enumerate(v1):
             if any(a):
                 for j, b in enumerate(v2):
                     if any(b):
-                        res[i + j] = U.add(res[i + j], U.mul(a, b))
-        out = list(res[:e])
+                        if res[i + j] is None:
+                            res[i + j] = [0] * (2 * f - 1)
+                        _poly_mul_into(res[i + j], a, b)
         for j in range(e, 2 * e - 1):
-            c = res[j]
-            if any(c):
-                row = self._pi_table[j - e]
-                out = [U.add(a, U.mul(c, b)) for a, b in zip(out, row)]
-        return tuple(out)
+            if res[j] is not None:
+                c = U.reduce(res[j])
+                if any(c):
+                    for t, b in enumerate(self._pi_table[j - e]):
+                        if any(b):
+                            if res[t] is None:
+                                res[t] = [0] * (2 * f - 1)
+                            _poly_mul_into(res[t], c, b)
+        return tuple(U.zero if r is None else U.reduce(r) for r in res[:e])
 
     def _vec_val(self, vec):
         """Valuation (pi-units) of an integral vector; None if indist. from 0."""
@@ -408,7 +454,9 @@ class LocalFieldElement:
     def __add__(self, other):
         K = self.K
         s, v1, p1, v2, p2 = self._aligned(other)
-        vec = tuple(K.U.add(a, b) for a, b in zip(v1, v2))
+        pN = K.U.pN
+        vec = tuple(tuple((x + y) % pN for x, y in zip(a, b))
+                    for a, b in zip(v1, v2))
         out = LocalFieldElement(K, vec, s, min(p1, p2),
                                 self.exact_zero and other.exact_zero)
         return out._absorb()
@@ -416,7 +464,9 @@ class LocalFieldElement:
     def __sub__(self, other):
         K = self.K
         s, v1, p1, v2, p2 = self._aligned(other)
-        vec = tuple(K.U.sub(a, b) for a, b in zip(v1, v2))
+        pN = K.U.pN
+        vec = tuple(tuple((x - y) % pN for x, y in zip(a, b))
+                    for a, b in zip(v1, v2))
         out = LocalFieldElement(K, vec, s, min(p1, p2),
                                 self.exact_zero and other.exact_zero)
         return out._absorb()
@@ -690,60 +740,205 @@ def _newton_refine(coeffs, K, x, dcoeffs):
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
-def roots_integral(coeffs, K, depth=0):
-    """All roots in O_L of a separable polynomial with integral coefficients.
-
-    Digit-refinement: residue roots of the Gauss reduction are either
-    lifted by Newton (simple) or explored one pi-digit deeper (multiple).
-    The roots come in the order of the residue roots; callers that need
-    the canonical order sort by ``sort_key``.
-    """
+def _residue_pass(coeffs, K, path, leaves, depth=0):
+    """The number of roots in O_K that the digit recursion accounts for,
+    with no Newton step.  A simple residue root of the Gauss reduction
+    accounts for one root: it is appended to ``leaves`` as (node, lift,
+    path), node = [coefficients over pi^m, their derivative once taken].
+    A multiple residue root accounts for what the polynomial one pi-digit
+    deeper accounts for, whose reduction has the root's multiplicity as
+    degree (Newton polygon)."""
     if depth > 6 * K.N:
         raise PrecisionExhausted("root search recursion exceeded the "
                                  "precision budget")
     m, residues = gauss_reduce(coeffs, K)
     red = FqPoly(K.residue_field, residues)
     if red.degree() < 1:
-        return []
+        return 0
     if m:
         piinv_m = K.pi_inverse().pow_int(m)
         coeffs = [c * piinv_m for c in coeffs]
+    node = [coeffs, None]
     dred = red.derivative()
-    dcoeffs = poly_derivative(coeffs, K)
-    out = []
+    count = 0
     for rbar in red.roots():
         lift = K.from_residue(rbar)
         if not dred.evaluate(rbar).is_zero():
-            out.append(_newton_refine(coeffs, K, lift, dcoeffs))
+            leaves.append((node, lift, path))
+            count += 1
+        else:
+            count += _residue_pass(poly_shift_scale(coeffs, K, lift, 1), K,
+                                   path + (lift,), leaves, depth + 1)
+    return count
+
+
+def _unwind(x, path, K):
+    """c_0 + pi (c_1 + ... + pi (c_(k-1) + pi x)) for path (c_0, ...)."""
+    pi = K.pi()
+    for c in reversed(path):
+        x = c + pi * x
+    return x
+
+
+class RootSearch:
+    """The roots in O_K of a polynomial with integral coefficients, in two
+    passes.  The residue pass runs on construction: ``count`` is the number
+    of roots it accounts for, and no Newton step has been taken.  ``lift``
+    is the lifting pass."""
+
+    def __init__(self, coeffs, K):
+        self.K, self.leaves = K, []
+        self.count = _residue_pass(coeffs, K, (), self.leaves)
+
+    def lift(self, group=None):
+        """Every root the residue pass found, in the order of the residue
+        roots, each passed through ``check``.  The first leaf is lifted by
+        Newton and checked; only then is ``group`` called for G =
+        Gal(K/Q_p), so a precision shortfall costs no group.  Each image of
+        a lifted root under the generators of G is placed in the leaf whose
+        disc contains it, until the orbit closes, and Newton lifts only the
+        leaves that no image reaches.  G must permute the roots, so the
+        coefficients must lie in Q_p; without ``group`` every leaf is
+        lifted."""
+        K, leaves = self.K, self.leaves
+        gens = discs = None
+        roots = [None] * len(leaves)
+        for i, (node, lift, path) in enumerate(leaves):
+            if roots[i] is not None:
+                continue
+            if node[1] is None:
+                node[1] = poly_derivative(node[0], K)
+            roots[i] = _unwind(_newton_refine(node[0], K, lift, node[1]),
+                               path, K)
+            self.check(roots[i])
+            if gens is None:
+                G = group() if group is not None else None
+                gens = [G.autos[g] for g in G.generators] if G else []
+            if not gens:
+                continue
+            if discs is None:
+                # (c, d): the leaf's one root is congruent to c mod pi^d
+                discs = [(_unwind(lift, path, K), len(path) + 1)
+                         for _, lift, path in leaves]
+            orbit = [roots[i]]
+            while orbit and None in roots:
+                x = orbit.pop()
+                for sigma in gens:
+                    y = sigma.apply(x)
+                    for j, (c, d) in enumerate(discs):
+                        if roots[j] is None and _in_disc(y - c, d):
+                            self.check(y)
+                            roots[j] = y
+                            orbit.append(y)
+                            break
+        return roots
+
+    def check(self, root):
+        """Raise PrecisionExhausted for a root known too roughly; a search
+        over Q (``QpolyRootSearch``) checks its residual."""
+
+
+def _in_disc(x, d):
+    """v(x) >= d, also for x zero to working precision."""
+    v = x.valuation_or_none()
+    return v is None or v == INFINITE or v >= d
+
+
+def roots_integral(coeffs, K):
+    """All roots in O_L of a separable polynomial with integral
+    coefficients, also when it does not split: a residue pass, then Newton
+    on every leaf.  The roots come in the order of the residue roots;
+    callers that need the canonical order sort by ``sort_key``."""
+    return RootSearch(coeffs, K).lift()
+
+
+def _hensel_roots(monic, p, N):
+    """The roots mod p^N of a monic integer polynomial (low to high) that
+    reduce to simple roots mod p, each lifted by Newton on integers."""
+    red = FqPoly.from_ints(fq_make(p), monic)
+    dred = red.derivative()
+    pN = p**N
+    dmonic = [i * c for i, c in enumerate(monic)][1:]
+    out = []
+    for rbar in red.roots():
+        if dred.evaluate(rbar).is_zero():
             continue
-        shifted = poly_shift_scale(coeffs, K, lift, 1)
-        pi = K.pi()
-        for s in roots_integral(shifted, K, depth + 1):
-            out.append(lift + pi * s)
+        r = rbar.i
+        fr = _int_eval(monic, r, pN)
+        while fr:  # f'(r) is a unit: quadratic convergence mod p^N
+            r = (r - fr * pow(_int_eval(dmonic, r, pN), -1, pN)) % pN
+            fr = _int_eval(monic, r, pN)
+        out.append(r)
     return out
 
 
-def roots_of_qpoly(K, qp):
-    """Roots in L of a squarefree polynomial over Q (integral or not)."""
-    ints, _ = qp.content_clear()
-    cs = [int(c) for c in ints.coeffs]
-    lead = cs[-1]
-    n = len(cs) - 1
-    # y = lead * x turns it monic integral: y^n + sum c_i lead^(n-1-i) y^i
-    monic = [K.from_int(c * lead ** (n - 1 - i)) for i, c in enumerate(cs[:-1])]
-    monic.append(K.from_int(1))
-    roots_y = roots_integral(monic, K)
-    lead_inv = K.from_int(lead).invert()
-    roots = [y * lead_inv for y in roots_y]
-    # enforce the residual check: f(root) must vanish to high precision
-    for r in roots:
-        val = poly_eval([K.from_fraction(c) for c in qp.coeffs], r) \
-            .valuation_or_none()
-        if val is None or val == INFINITE:
-            continue
-        if val < K.e * (K.N // 2):
+def _int_eval(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _deflate(monic, r, m):
+    """The quotient of a monic integer polynomial by (y - r), mod m."""
+    out, acc = [0] * (len(monic) - 1), 0
+    for i in range(len(monic) - 1, 0, -1):
+        acc = (monic[i] + r * acc) % m
+        out[i - 1] = acc
+    return out
+
+
+class QpolyRootSearch(RootSearch):
+    """The root search of a squarefree polynomial over Q, on the monic
+    integral polynomial in y = lead * x.  Its roots that reduce to simple
+    roots mod p lie in Q_p: they are lifted with integers mod p^N and
+    deflated, so only the cofactor is searched over L.  The cofactor is
+    Q_p-rational, so Gal(L/Q_p) permutes its roots."""
+
+    def __init__(self, K, qp):
+        ints, _ = qp.content_clear()
+        cs = [int(c) for c in ints.coeffs]
+        lead, n = cs[-1], len(cs) - 1
+        # y = lead * x turns it monic integral: y^n + sum c_i lead^(n-1-i) y^i
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(cs[:-1])]
+        monic.append(1)
+        in_qp = _hensel_roots(monic, K.p, K.N)
+        for r in in_qp:
+            monic = _deflate(monic, r, K.U.pN)
+        # once deflated, the coefficients are known mod p^N: 0 is inexact
+        fuzzy = LocalFieldElement(K, K._zero_vec, 0, K.N, False)
+        cofactor = [K.from_int(c) if c or not in_qp else fuzzy
+                    for c in monic]
+        super().__init__(cofactor, K)
+        self.count += len(in_qp)
+        self.in_qp = [K.from_int(r) for r in in_qp]
+        self.lead_inv = (K.from_fraction(Fraction(1, lead)) if lead != 1
+                         else None)
+        self.fcoeffs = [K.from_fraction(c) for c in qp.coeffs]
+
+    def lift(self, group=None):
+        """The roots in x, residual-checked, in ``sort_key`` order."""
+        for y in self.in_qp:
+            self.check(y)
+        roots = self.in_qp + super().lift(group)
+        if self.lead_inv is not None:
+            roots = [y * self.lead_inv for y in roots]
+        return sorted(roots, key=sort_key)
+
+    def check(self, y):
+        """The residual check: f(y / lead) must vanish to high precision."""
+        K = self.K
+        x = y * self.lead_inv if self.lead_inv is not None else y
+        val = poly_eval(self.fcoeffs, x).valuation_or_none()
+        if val not in (None, INFINITE) and val < K.e * (K.N // 2):
             raise PrecisionExhausted("root residual too large")
-    return sorted(roots, key=sort_key)
+
+
+def roots_of_qpoly(K, qp):
+    """The root search in L of a squarefree polynomial over Q (integral or
+    not) after its residue pass: ``count`` roots are accounted for, and
+    ``lift(G)`` returns them in ``sort_key`` order."""
+    return QpolyRootSearch(K, qp)
 
 
 # ---------------------------------------------------------------------------

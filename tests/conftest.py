@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from superell import finitefield, tree
+from superell import finitefield, localfield, tree
 from superell.curve import SuperellipticCurve
 from superell.descent import _frobenius_orbits, orbits
 from superell.errors import SuperellError
@@ -156,6 +156,21 @@ def inversions(monkeypatch):
 
     monkeypatch.setattr(LocalFieldElement, "invert", counted)
     return count
+
+
+@pytest.fixture
+def newton_refines(monkeypatch):
+    """The fields of the Newton lifts in L (``localfield._newton_refine``
+    calls) made while the test runs, one entry per lift."""
+    fields = []
+    refine = localfield._newton_refine
+
+    def counted(coeffs, K, x, dcoeffs):
+        fields.append(K)
+        return refine(coeffs, K, x, dcoeffs)
+
+    monkeypatch.setattr(localfield, "_newton_refine", counted)
+    return fields
 
 
 @pytest.fixture

@@ -100,6 +100,18 @@ by pi with a full product in L, e^2 products in U per digit: the reference
 for ``LocalFieldElement.digits``, which divides by pi with e products in U
 and so for ``sort_key``.
 
+``roots_by_digit_search`` is the one-pass root search: the digit
+recursion refines every simple residue root by Newton in L as it meets
+it, and counts the roots afterwards.  It is the reference for
+``localfield.roots_of_qpoly`` and ``roots_integral``, which decide the
+count on residues first, lift the Q_p roots with integers and take
+Galois conjugates as images of a lifted root.
+
+``vec_mul_reduced_per_product`` multiplies two elements of L on their
+vectors over U, reducing mod p^N after every integer product and every
+U-product: the reference for ``LocalField._vec_mul``, which sums the
+products unreduced and reduces each output coordinate once.
+
 ``geometric_power_class`` and ``kummer_genus_by_factorizations`` factor
 the equation anew for each invariant: the gcd of n and the exponents, and
 Riemann-Hurwitz after a power class check, three factorizations in all.
@@ -141,10 +153,13 @@ from superell.finitefield import (
 from superell.localfield import (
     INFINITE,
     LocalFieldElement,
+    _newton_refine,
     coeff_transport,
     galois_group,
+    gauss_reduce,
     poly_derivative,
     poly_eval,
+    poly_shift_scale,
     roots_integral,
     sort_key,
 )
@@ -933,6 +948,81 @@ def contains_field(M, L0):
         if roots_integral([transport(c) for c in L0.E], M):
             return True
     return False
+
+
+def _digit_search(coeffs, K, depth=0):
+    if depth > 6 * K.N:
+        raise PrecisionExhausted("root search recursion exceeded the "
+                                 "precision budget")
+    m, residues = gauss_reduce(coeffs, K)
+    red = FqPoly(K.residue_field, residues)
+    if red.degree() < 1:
+        return []
+    if m:
+        piinv_m = K.pi_inverse().pow_int(m)
+        coeffs = [c * piinv_m for c in coeffs]
+    dred = red.derivative()
+    dcoeffs = poly_derivative(coeffs, K)
+    out = []
+    for rbar in red.roots():
+        lift = K.from_residue(rbar)
+        if not dred.evaluate(rbar).is_zero():
+            out.append(_newton_refine(coeffs, K, lift, dcoeffs))
+            continue
+        shifted = poly_shift_scale(coeffs, K, lift, 1)
+        for s in _digit_search(shifted, K, depth + 1):
+            out.append(lift + K.pi() * s)
+    return out
+
+
+def roots_by_digit_search(K, qp):
+    """The roots in K of a squarefree polynomial over Q, in ``sort_key``
+    order: every simple residue root of the monic integral polynomial in
+    y = lead * x is refined by Newton in K as the recursion meets it, also
+    when qp does not split over K."""
+    ints, _ = qp.content_clear()
+    cs = [int(c) for c in ints.coeffs]
+    lead, n = cs[-1], len(cs) - 1
+    monic = [K.from_int(c * lead ** (n - 1 - i))
+             for i, c in enumerate(cs[:-1])] + [K.one()]
+    lead_inv = K.from_int(lead).invert()
+    roots = [y * lead_inv for y in _digit_search(monic, K)]
+    for r in roots:
+        val = poly_eval([K.from_fraction(c) for c in qp.coeffs], r) \
+            .valuation_or_none()
+        if val not in (None, INFINITE) and val < K.e * (K.N // 2):
+            raise PrecisionExhausted("root residual too large")
+    return sorted(roots, key=sort_key)
+
+
+def vec_mul_reduced_per_product(K, v1, v2):
+    """The product of two vectors over U of the field K, reduced mod p^N
+    after every integer product and every U-product."""
+    U, e, f, pN = K.U, K.e, K.f, K.U.pN
+
+    def umul(x, y):
+        res = [0] * (2 * f - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                res[i + j] = (res[i + j] + a * b) % pN
+        for i in range(2 * f - 2, f - 1, -1):
+            c, res[i] = res[i], 0
+            for j in range(f):
+                res[i - f + j] = (res[i - f + j] - c * U.modulus[j]) % pN
+        return tuple(res[:f])
+
+    def uadd(x, y):
+        return tuple((a + b) % pN for a, b in zip(x, y))
+
+    res = [U.zero] * (2 * e - 1)
+    for i, a in enumerate(v1):
+        for j, b in enumerate(v2):
+            res[i + j] = uadd(res[i + j], umul(a, b))
+    out = list(res[:e])
+    for j in range(e, 2 * e - 1):
+        out = [uadd(a, umul(res[j], b))
+               for a, b in zip(out, K._pi_table[j - e])]
+    return tuple(out)
 
 
 def has_nth_root_of_p(L, n):

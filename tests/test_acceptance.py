@@ -20,6 +20,7 @@ from superell.errors import (
     PrecisionExhausted,
     SuperellError,
 )
+from superell import fieldsearch
 from superell.fieldsearch import (
     SearchConfig,
     _SkipCandidate,
@@ -35,18 +36,20 @@ from superell.finitefield import (
     kummer_genus,
     power_class,
 )
+from superell.localfield import QpolyRootSearch
 from superell.pipeline import compute_with_retry
 from superell.qpoly import QPoly, parse_poly
 from superell.reduction import gauss_valuation_f
 from superell.tree import matrix_mul
 
-from conftest import node_orbit_data
+from conftest import eq_approx, node_orbit_data
 from oracles import (
     count_affine_brute,
     count_points_by_places,
     filtration_by_witness_search,
     node_orbit_data_by_label_field,
     places_at_infinity,
+    roots_by_digit_search,
     semistable_field_by_two_scans,
 )
 
@@ -430,20 +433,93 @@ def _shifted(f, c):
     return out
 
 
+class _SplitTests(list):
+    """(L, g, search) for every root search of a split test made while
+    recording, ``search.lifted`` the roots once the search is lifted."""
+
+    def record(self, mp):
+        search, lift = fieldsearch.roots_of_qpoly, QpolyRootSearch.lift
+
+        def recorded(L, g):
+            self.append((L, g, search(L, g)))
+            return self[-1][2]
+
+        def lifted(s, group=None):
+            s.lifted = lift(s, group)
+            return s.lifted
+
+        mp.setattr(fieldsearch, "roots_of_qpoly", recorded)
+        mp.setattr(QpolyRootSearch, "lift", lifted)
+
+
 @pytest.fixture(scope="module")
-def corpus24():
-    """(curve, result) for the corpus at max_degree 24, the result None
-    where the catalog is exhausted: computed once for the tests below,
-    which compare it with oracles."""
+def corpus24_run():
+    """((curve, result) for the corpus at max_degree 24, the result None
+    where the catalog is exhausted, and its split tests): computed once for
+    the tests below, which compare it with oracles."""
     config = SearchConfig(max_degree=24)
-    out = []
-    for n, f, p in _corpus():
-        curve = SuperellipticCurve(n, f, p)
-        try:
-            out.append((curve, compute_with_retry(curve, config)))
-        except CatalogExhausted:
-            out.append((curve, None))
-    return out
+    out, tests = [], _SplitTests()
+    with pytest.MonkeyPatch.context() as mp:
+        tests.record(mp)
+        for n, f, p in _corpus():
+            curve = SuperellipticCurve(n, f, p)
+            try:
+                out.append((curve, compute_with_retry(curve, config)))
+            except CatalogExhausted:
+                out.append((curve, None))
+    return out, tests
+
+
+@pytest.fixture(scope="module")
+def corpus24(corpus24_run):
+    return corpus24_run[0]
+
+
+def _assert_digit_search_agrees(tests):
+    """Each split test's search gives the one-pass digit search's split
+    answer and, where it was lifted, its roots in the same order, equal to
+    working precision.  Returns the (split, not split) counts."""
+    counts, seen = [0, 0], set()
+    for L, g, search in tests:
+        if (id(L), g) in seen:
+            continue
+        seen.add((id(L), g))
+        ref = roots_by_digit_search(L, g)
+        split = search.count == g.degree()
+        assert split == (len(ref) == g.degree()), (L.label, g)
+        if hasattr(search, "lifted"):
+            assert len(search.lifted) == len(ref), (L.label, g)
+            assert all(eq_approx(x, y) for x, y in zip(search.lifted, ref))
+        counts[not split] += 1
+    return counts
+
+
+class TestRootSearchOracle:
+    """The split tests of the two-pass root search (residues first, Q_p
+    roots by integers, conjugates by orbits) agree with the one-pass digit
+    search on the catalog fields the corpus and the workloads reach."""
+
+    def test_corpus(self, corpus24_run):
+        split, not_split = _assert_digit_search_agrees(corpus24_run[1])
+        assert split >= 100 and not_split >= 10
+
+    @pytest.mark.parametrize("workload",
+                             ["padic_tree", "point_count", "cold_cli"])
+    def test_workload_shapes(self, perfbench, workload, monkeypatch):
+        _, passes = perfbench.workloads.build(
+            workload, perfbench.reference.DEFAULT_SEED)
+        tests, shapes = _SplitTests(), set()
+        tests.record(monkeypatch)
+        for case in passes[0]:
+            if case.shape not in shapes:
+                shapes.add(case.shape)
+                try:
+                    compute_with_retry(
+                        SuperellipticCurve.from_json_dict(case.spec))
+                except SuperellError:
+                    pass
+        split, _ = _assert_digit_search_agrees(tests)
+        assert split >= len(shapes) - 2
 
 
 class TestGaloisActionOracles:

@@ -108,6 +108,10 @@ class TestCli:
         {"n": 2, "f": [["1/0", 1]], "p": 3},
         {"n": 2, "f": [["x^3+1", -1]], "p": 3},
         {"n": 2, "f": [["x^5+1", 1], ["x-2", 0]], "p": 3},
+        {"n": 2, "p": 5, "f": [0.1, 2, 3, 4, 5, 6]},
+        {"n": 2, "p": 5, "f": [1, 2, 3, 4, 5, True]},
+        {"n": 2, "p": 5, "f": [[[1, 0.5, 1], 1], ["x^3+2", 1]]},
+        {"n": 2, "p": 5, "f": [[[False, 1], 1], ["x^4+2", 1]]},
     ])
     def test_malformed_spec_exit_code(self, tmp_path, spec):
         proc = run_cli(tmp_path, spec)
@@ -120,6 +124,7 @@ class TestCli:
         ({"n": 2, "p": 3, "f": [["1/0", 1]]}, ()),
         (EX2, ("--precision", "3")),
         (EX2, ("--precision", "abc")),
+        ({"n": 2, "p": 5, "f": [0.1, 2, 3, 4, 5, 6]}, ()),
     ])
     def test_json_input_errors_are_json(self, tmp_path, spec, args):
         proc = run_cli(tmp_path, spec, "--json", *args)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from superell.errors import (
     NotMonogenicWitness,
     PrecisionExhausted,
     PrecisionTooLow,
+    SuperellError,
 )
 from superell.fieldsearch import (
     SearchConfig,
@@ -37,13 +39,15 @@ from superell.localfield import (
 from superell.pipeline import compute_with_retry
 from superell.qpoly import QPoly, parse_poly
 
-from conftest import as_vp1, element_order, eq_approx
+from conftest import SAMPLE_CURVES, as_vp1, element_order, eq_approx
 from oracles import (
     digits_by_field_products,
     filtration_by_witness_search,
     galois_table_by_scan,
     gauss_reduce_by_division,
+    roots_by_digit_search,
     taylor_shift_by_binomials,
+    vec_mul_reduced_per_product,
 )
 
 
@@ -326,6 +330,35 @@ class TestTaylorShift:
             ref = taylor_shift_by_binomials(coeffs, K, center, j)
             assert len(got) == len(ref)
             assert all(eq_approx(x, y) for x, y in zip(got, ref))
+
+
+class TestVecMul:
+    """The product with one reduction per output coordinate gives the
+    vectors of the product reduced after every integer product."""
+
+    @staticmethod
+    def _sparse(K, rng):
+        x = _random_element(K, rng)
+        keep = rng.sample(range(K.e), rng.randint(1, K.e))
+        return tuple(c if i in keep else K.U.zero
+                     for i, c in enumerate(x.vec))
+
+    def test_matches_per_product_reduction(self, padic_tree_pass0,
+                                           workload_pass0):
+        fields = {id(r.L): r.L
+                  for _, r in padic_tree_pass0 + workload_pass0("point_count")
+                  if not isinstance(r, SuperellError)}
+        fields = list(fields.values()) + [
+            field_example1(), field_example2(),
+            LocalField(5, 3, [-5, 1], 30)]
+        rng = random.Random(23)
+        assert any(K.e > 1 and K.f > 1 for K in fields)
+        assert any(K.e == 1 and K.f > 1 for K in fields)
+        for K in fields:
+            for _ in range(20):
+                v1, v2 = self._sparse(K, rng), self._sparse(K, rng)
+                assert K._vec_mul(v1, v2) == \
+                    vec_mul_reduced_per_product(K, v1, v2), K.label
 
 
 class TestInversionCounts:
@@ -729,6 +762,22 @@ class TestSearch:
             parse_poly("(x+1)^2-3"), 2, 3, config)]
         assert second == first and fields == []
 
+    def test_cached_not_galois_takes_no_newton_step(self, monkeypatch,
+                                                    newton_refines):
+        """The scan for an isomorphic copy skips an entry whose cached
+        group is NotGalois before any Newton step over it."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        config = SearchConfig(50, 8)
+        list(semistabilizing_candidates(parse_poly("x^2-3"), 2, 3, config))
+        entry = fieldsearch._CANDIDATE_CACHE[(3, 1, 0, 4, 0, 50)]
+        assert isinstance(entry[1], NotGalois)
+        assert any(K is entry[0] for K in newton_refines)
+        del newton_refines[:]
+        list(semistabilizing_candidates(parse_poly("(x+1)^2-3"), 2, 3,
+                                        config))
+        assert newton_refines
+        assert all(K is not entry[0] for K in newton_refines)
+
     def test_root_order_deterministic(self):
         f = parse_poly("(x^2-3)*(x^2+3)*(x^2-6*x-3)")
         L, roots1 = splitting_field(f, 3)
@@ -736,3 +785,104 @@ class TestSearch:
         keys1 = [r.digits(8) for r in roots1]
         keys2 = [r.digits(8) for r in roots2]
         assert keys1 == keys2
+
+
+P5_CBRT5 = {"n": 3, "p": 5, "f": [["x^3-5", 1], ["x-1", 1]]}
+
+
+def _curve(name):
+    if name == "p5_cbrt5":
+        return SuperellipticCurve.from_json_dict(P5_CBRT5)
+    return SuperellipticCurve.from_json_dict(
+        json.loads((SAMPLE_CURVES / f"{name}.json").read_text()))
+
+
+class TestRootSearch:
+    """The residue pass decides the split test before any Newton step;
+    roots in Q_p are lifted with integers; Galois conjugates are images
+    of a lifted root."""
+
+    def test_no_split_no_newton(self, newton_refines):
+        """Over Q_7(zeta_7), x^2 + 7 passes the residue test and x^2 - 7
+        does not: the split test fails with no Newton step, also for
+        x^2 + 7, which is tested first."""
+        L = construct_candidate(7, 1, 1, 1, 0, 50)
+        assert localfield.roots_of_qpoly(L, parse_poly("x^2-7")).count == 0
+        assert splits_in(L, [parse_poly("x^2+7"),
+                             parse_poly("x^2-7")]) is None
+        assert newton_refines == []
+        assert len(splits_in(L, [parse_poly("x^2+7")])[0]) == 2
+
+    def test_failed_split_tests_take_no_newton_step(self, perfbench,
+                                                    monkeypatch,
+                                                    newton_refines):
+        """On pass 0 of ``padic_tree``, with an empty field cache, every
+        Newton lift is over a field whose residue tests passed: a field
+        over which f does not split costs none."""
+        monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+        passed, failed = [], []
+        residue_tests = fieldsearch._residue_tests
+
+        def recorded(L, polys):
+            searches = residue_tests(L, polys)
+            (failed if searches is None else passed).append(id(L))
+            return searches
+
+        monkeypatch.setattr(fieldsearch, "_residue_tests", recorded)
+        _, passes = perfbench.workloads.build(
+            "padic_tree", perfbench.reference.DEFAULT_SEED)
+        for case in passes[0]:
+            compute_with_retry(SuperellipticCurve.from_json_dict(case.spec))
+        assert newton_refines and failed
+        assert {id(K) for K in newton_refines} <= set(passed)
+
+    @pytest.mark.parametrize("p, poly", [
+        (7, "(x-1)*(x-2)*(3*x-4)*(x-10)"),
+        (7, "(7*x-1)*(x-3)"),
+        (5, "(x-1)*(x+1)*(x-7)"),
+    ])
+    def test_qp_roots_take_no_l_newton(self, p, poly, newton_refines):
+        """Roots that reduce to simple roots mod p are lifted with integers
+        (also with a leading coefficient, a unit or not): no Newton step in
+        L, and the roots of the digit search."""
+        qp = parse_poly(poly)
+        for L in (construct_candidate(p, 2, 0, 2, 0, 50),
+                  construct_candidate(p, 1, 0, 1, 0, 50)):
+            search = localfield.roots_of_qpoly(L, qp)
+            assert search.count == qp.degree() and search.leaves == []
+            roots = search.lift()
+            ref = roots_by_digit_search(L, qp)
+            assert len(roots) == len(ref) == qp.degree()
+            assert all(eq_approx(x, y) for x, y in zip(roots, ref))
+        assert newton_refines == []
+
+    @pytest.mark.parametrize("name", ["ex2", "p5_cbrt5"])
+    def test_orbits_lift_fewer_leaves(self, name, newton_refines):
+        """With G, Newton lifts fewer leaves than there are, and the roots
+        are those of the digit search and of the lift without G."""
+        curve = _curve(name)
+        r = compute_with_retry(curve)
+        leaves = lifts = 0
+        for g, _ in curve.squarefree_decomposition():
+            search = localfield.roots_of_qpoly(r.L, g)
+            del newton_refines[:]
+            roots = search.lift(lambda: r.G)
+            leaves += len(search.leaves)
+            lifts += len(newton_refines)
+            for other in (search.lift(), roots_by_digit_search(r.L, g)):
+                assert len(other) == len(roots) == g.degree()
+                assert all(eq_approx(x, y) for x, y in zip(roots, other))
+        assert 0 < lifts < leaves
+
+    @pytest.mark.parametrize("name, lifts", [
+        ("ex1", 3), ("ex2", 1), ("good_reduction", 2), ("p5_cbrt5", 1)])
+    def test_newton_lifts_per_curve(self, name, lifts, newton_refines):
+        """The Newton lifts of the pipeline on a sample curve, its fields'
+        groups known: one per orbit of roots outside Q_p, over the final
+        field only."""
+        curve = _curve(name)
+        compute_with_retry(curve)
+        del newton_refines[:]
+        r = compute_with_retry(curve)
+        assert len(newton_refines) == lifts
+        assert all(K is r.L for K in newton_refines)

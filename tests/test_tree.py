@@ -151,7 +151,7 @@ class TestSmallTrees:
         L0, _ = splitting_field(f, 7)
         # divisor with 3 points: construct directly
         from superell.curve import BranchDivisor, BranchPoint
-        roots = roots_of_qpoly(L0, f)
+        roots = roots_of_qpoly(L0, f).lift()
         pts = [BranchPoint(r, 1) for r in roots]
         div = BranchDivisor(pts)
         tree = build_tree(div, L0)
