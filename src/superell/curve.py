@@ -70,7 +70,8 @@ class SuperellipticCurve:
             return violations
         if self.n < 2:
             violations.append(f"exponent n = {self.n} must be at least 2")
-        if self.n >= 2 and gcd(self.n, self.p) != 1:
+            return violations
+        if gcd(self.n, self.p) != 1:
             violations.append(
                 f"exponent n = {self.n} is not prime to p = {self.p}")
         decomp = self.squarefree_decomposition()
@@ -81,7 +82,7 @@ class SuperellipticCurve:
         if mults and gcd(self.n, gcd(*mults) if len(mults) > 1 else mults[0]) != 1:
             violations.append(
                 "gcd of n and the root multiplicities of f exceeds 1")
-        if self.n >= 2 and not violations:
+        if not violations:
             g = self.genus()
             if g < 2:
                 violations.append(f"genus {g} is less than 2")
@@ -111,6 +112,9 @@ class SuperellipticCurve:
         for key, val in (("n", n), ("p", p)):
             if not _is_int(val):
                 raise ValidationError(f"{key} must be an integer, not {val!r}")
+        # refused before f is read: multiplicities are reduced mod n below
+        if n < 2:
+            raise ValidationError(f"exponent n = {n} must be at least 2")
         if not isinstance(fspec, (list, tuple)):
             raise ValidationError(f"f must be a list, not {fspec!r}")
         if fspec and isinstance(fspec[0], (list, tuple)):
@@ -134,7 +138,7 @@ class SuperellipticCurve:
                         f"f has a factor which is an {n}-th power over Q")
                 # a constant c^mult enters as c^(mult mod n): y -> c^k y,
                 # k = mult // n, removes the n-th power c^(n k)
-                if base.degree() == 0 and n >= 2:
+                if base.degree() == 0:
                     mult %= n
                 f = f * base**mult
         else:

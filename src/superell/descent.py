@@ -33,8 +33,8 @@ its index in G is an inertia element.  Checked here: wild elements act by
 translations fixing y and the equation; every rewrite resubstitutes; the
 tame generator scales u; sheets and nodes map to sheets and nodes; the
 descent's stabilizer, Hilbert-90 solutions and Frobenius-fixed
-coefficients hold.  ``tree`` checks the cocycle rule on each stabilizer
-against its generators.  Failures raise NotInvariant/CocycleInconsistent
+coefficients hold.  ``tree`` checks each generator's chart transport at
+every direction of a vertex.  Failures raise NotInvariant/CocycleInconsistent
 rather than risking a wrong L-factor.  The same machinery restricted to
 subgroups of the wild inertia computes the quotient curves entering the
 Swan conductor.

@@ -954,18 +954,7 @@ class Automorphism:
         self.K = K
         self.a_img = a_img
         self.pi_img = pi_img
-        # basis images: a^j * pi^i
-        basis = []
-        a_pows = [K.one()]
-        for _ in range(K.f - 1):
-            a_pows.append(a_pows[-1] * a_img)
-        pi_pows = [K.one()]
-        for _ in range(K.e - 1):
-            pi_pows.append(pi_pows[-1] * pi_img)
-        for i in range(K.e):
-            row = [a_pows[j] * pi_pows[i] for j in range(K.f)]
-            basis.append(row)
-        self.basis_img = basis
+        self.basis_img = None  # built by the first ``apply``
         # residue action: res(sigma(a)) = res(a)^(p^j)
         ra = a_img.residue()
         base = K.residue_field.gen() if K.f > 1 else K.residue_field.one()
@@ -980,6 +969,13 @@ class Automorphism:
 
     def apply(self, x):
         K = self.K
+        if self.basis_img is None:  # basis images: a^j * pi^i
+            a_pows, pi_pows = [K.one()], [K.one()]
+            for _ in range(K.f - 1):
+                a_pows.append(a_pows[-1] * self.a_img)
+            for _ in range(K.e - 1):
+                pi_pows.append(pi_pows[-1] * self.pi_img)
+            self.basis_img = [[a * b for a in a_pows] for b in pi_pows]
         acc = K.zero()
         for i, c in enumerate(x.vec):
             for j, d in enumerate(c):

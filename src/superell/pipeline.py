@@ -7,10 +7,11 @@ candidate L, G over which the model is semistable is used; G carries its
 ramification filtration, computed once per catalog field.  Per candidate:
 branch_divisor(curve, roots), build_tree(div, L), galois_on_tree(G, tree),
 raw_gauss_values(curve, tree), semistable_check(raw, n),
-reduce_special_fiber(curve, tree, raw).  Both chart normalizations
-(``build_tree``'s and the tame one of ``galois_on_tree``) come before any
-chart is substituted into f, once per vertex.  Then
-build_inertial_curve(act, fiber), local_l_factor(inertial),
+reduce_special_fiber(curve, tree, raw).  ``galois_on_tree`` applies G's
+generators to branch points only and reads chart transports off residues.
+Both chart normalizations (``build_tree``'s and the tame one of
+``galois_on_tree``) come before any chart is substituted into f, once per
+vertex.  Then build_inertial_curve(act, fiber), local_l_factor(inertial),
 conductor_exponent(inertial) and verify_point_counts(inertial, p1).  Each
 stage reads its data off the objects it takes: the tree carries L, G
 carries the filtration, the action ``act`` carries G and the tree, the

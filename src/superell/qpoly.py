@@ -178,6 +178,13 @@ class QPoly:
         return QPoly([c // g for c in ints]), Fraction(m, g)
 
 
+# parse_poly refuses a power of higher degree before expanding it: no field
+# search or point count reaches such an f, and (x + 1)^512 alone takes over
+# a second to expand with Fraction coefficients
+MAX_POWER_DEGREE = 256
+# and a constant power of higher exponent: 2^1024 has 309 digits already
+MAX_CONSTANT_EXPONENT = 1024
+
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([xX])|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
 
 
@@ -261,7 +268,14 @@ def parse_poly(s):
             m3 = take()
             if not m3.group(1):
                 raise ValueError("exponent must be an integer")
-            base = base ** int(m3.group(1))
+            e = int(m3.group(1))
+            if base.degree() * e > MAX_POWER_DEGREE:
+                raise ValueError(f"power of degree {base.degree() * e} "
+                                 f"exceeds {MAX_POWER_DEGREE}")
+            if base.degree() == 0 and e > MAX_CONSTANT_EXPONENT:
+                raise ValueError(f"exponent {e} of a constant exceeds "
+                                 f"{MAX_CONSTANT_EXPONENT}")
+            base = base ** e
         return base
 
     out = parse_expr()

@@ -12,16 +12,19 @@ disc.
 The chart of a vertex sends the lexicographically first ordered triple of
 marked points in three distinct directions to (0, 1, oo).  Once per
 vertex, the partition of the marked points by direction is cross-checked
-against their partition into chart-reduction fibers.  Chart values in
-P^1(F_L) are ratios of leading residues, so no evaluation divides in L.
+against their partition into chart-reduction fibers, and the reductions
+are kept (``Vertex.red``); every later move of the chart is applied to
+them on residues.  Chart values in P^1(F_L) are ratios of leading
+residues, so no evaluation divides in L.
 
 Edges are cluster inclusion: the parent of a vertex is the smallest vertex
 whose member set strictly contains its own.  Every Galois element permutes
 the marked points isometrically, so it maps a vertex to the vertex whose
 members are the images of its members, and it never inverts an edge.
-Only the generators of Gal(L/Q_p) are applied, to the branch points and
-to the charts; the permutations and chart matrices of the other elements
-are composed along the words of the group.  ``galois_on_tree(G, tree)``
+Only the generators of Gal(L/Q_p) are applied, and only to the branch
+points; the permutations of the other elements are composed along the
+words of the group, and the chart transports are read off the residues
+of three marked points and of their images.  ``galois_on_tree(G, tree)``
 reads the wild inertia Gamma_1 off the filtration that G carries
 (``G.filt``).
 """
@@ -36,17 +39,18 @@ from .errors import (
     PrecisionExhausted,
 )
 from .finitefield import INF as INF_POINT  # the marked point at infinity
-from .localfield import INFINITE, KeyedImages, gauss_reduce, sort_key
+from .localfield import INFINITE, KeyedImages, sort_key
 
 
 class Vertex:
-    __slots__ = ("index", "chart", "disc_center", "disc_radius",
+    __slots__ = ("index", "chart", "red", "disc_center", "disc_radius",
                  "partition", "members", "marked", "parent", "children")
 
     def __init__(self, index, chart, disc_center, disc_radius, partition,
-                 members):
+                 members, red):
         self.index = index
         self.chart = chart              # 2x2 matrix (tuple of 4 L-elements)
+        self.red = red                  # point id -> chart value in P^1(F_L)
         self.disc_center = disc_center
         self.disc_radius = disc_radius  # pi-units
         self.partition = partition      # frozenset of frozensets of point ids
@@ -73,9 +77,8 @@ class MarkedTree:
 
     def direction_of_vertex(self, v, w):
         """Residue direction of the (smaller) disc of w on the component
-        of v."""
-        return moebius_eval(self.vertices[v].chart,
-                            self.vertices[w].disc_center, self.L)
+        of v: the chart value of any of its members."""
+        return self.vertices[v].red[min(self.vertices[w].members)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +127,12 @@ def moebius_eval(m, x, L):
     return num.unit_residue() / den.unit_residue()
 
 
-def _scale_matrix_integral(m, L):
-    """Gauss reduction of a matrix over L: its entries divided by pi^mu,
-    mu the least entry valuation, then reduced; raises MatrixNotIntegral
-    if the reduction is singular."""
-    _, red = gauss_reduce(m, L)
-    det = red[0] * red[3] - red[1] * red[2]
-    if det.is_zero():
-        raise MatrixNotIntegral("reduced chart-comparison matrix is singular")
-    return tuple(red)
+def residue_eval(m, x):
+    """Value at x in P^1(F_L) of the Moebius map of an invertible matrix
+    over F_L."""
+    a, b, c, d = m
+    num, den = (a, c) if x == INF_POINT else (a * x + b, c * x + d)
+    return INF_POINT if den.is_zero() else num / den
 
 
 def normalize_pgl2(red):
@@ -166,13 +166,11 @@ def _pairwise_valuations(points):
     return finite, val
 
 
-def _phi_partition(L, points, chart):
-    """Partition of the marked points by their chart-reduction fibers."""
+def _phi_partition(red):
+    """Partition of the marked points by their chart reductions ``red``."""
     fibers = {}
-    for j in range(len(points)):
-        val = moebius_eval(chart, points[j], L)
-        key = val if val == INF_POINT else ("pt", val.coeffs)
-        fibers.setdefault(key, []).append(j)
+    for j, val in enumerate(red):
+        fibers.setdefault(val, []).append(j)
     return frozenset(frozenset(f) for f in fibers.values())
 
 
@@ -181,7 +179,7 @@ def _cluster_vertices(L, points, finite, val):
     radius, then by the digits of the center, then by first triple."""
     m = len(points)
     seen = set()
-    classes = []  # (first triple, center, radius, partition, chart, members)
+    classes = []  # (triple, center, radius, partition, chart, members, red)
     for x, i in enumerate(finite):
         for j in finite[x + 1:]:
             r = val[i][j]
@@ -207,13 +205,14 @@ def _cluster_vertices(L, points, finite, val):
                      if any(val[k][l] == r for l in fin[y + 1:]))
             partition = frozenset(frozenset(f) for f in blocks.values())
             chart = triple_chart(L, points, t)
-            if _phi_partition(L, points, chart) != partition:
+            red = [moebius_eval(chart, x, L) for x in points]
+            if _phi_partition(red) != partition:
                 raise NotInvariant("disc model and chart-fiber model disagree")
-            classes.append((t, points[c], r, partition, chart, members))
+            classes.append((t, points[c], r, partition, chart, members, red))
     classes.sort(key=lambda c: c[0])
     classes.sort(key=lambda c: (c[2],) + sort_key(c[1]))
-    return [Vertex(idx, chart, center, r, partition, members)
-            for idx, (_, center, r, partition, chart, members)
+    return [Vertex(idx, chart, center, r, partition, members, red)
+            for idx, (_, center, r, partition, chart, members, red)
             in enumerate(classes)]
 
 
@@ -265,15 +264,18 @@ def build_tree(divisor, L):
         if len(v.marked) + deg < 3:
             raise NotInvariant(f"vertex {v.index} has valence < 3")
 
-    # normalize every chart so the direction toward infinity is at x = oo
+    # normalize every chart so the direction toward infinity is at x = oo,
+    # and move the chart values along by x -> 1 / (x - p1)
+    F = L.residue_field
     for v in vertices:
         p1 = moebius_eval(v.chart, INF_POINT, L)
         if p1 != INF_POINT:
-            lift = L.from_residue(p1)
-            mat = (L.zero(), L.one(), L.one(), -lift)
-            v.chart = matrix_mul(mat, v.chart)
+            v.chart = matrix_mul((L.zero(), L.one(), L.one(),
+                                  -L.from_residue(p1)), v.chart)
             if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
                 raise NoRationalFixedPoint("chart normalization failed")
+            mat = (F.zero(), F.one(), F.one(), -p1)
+            v.red = [residue_eval(mat, x) for x in v.red]
     return tree
 
 
@@ -285,25 +287,29 @@ class TreeGaloisAction:
     """Vertex/point permutations for every Galois element, stabilizers,
     and reduced chart-comparison matrices.
 
-    Only the generators of G are applied: to the branch points, and to the
-    four entries of a chart.  A point image is found by its coordinate key
-    (``localfield.KeyedImages``) at the least depth k <= N//2 that
-    separates the finite points, and the hit is confirmed by one
-    subtraction, so exactly one point lies within half precision of the
-    image.  Everything for another element is composed along the words of
-    G: pp[g o t] = pp[g] o pp[t] for points and vertices, and the cocycle
-    rule M(g o t, v) = g(M(t, v)) . M(g, t(v)) in PGL_2(F_L) for chart
-    matrices, g acting on residues by its Frobenius power."""
+    Only the generators of G are applied, and only to the branch points.
+    A point image is found by its coordinate key (``localfield.
+    KeyedImages``) at the least depth k <= N//2 that separates the finite
+    points, and the hit is confirmed by one subtraction, so exactly one
+    point lies within half precision of the image.  The permutations of
+    another element are composed along the words of G: pp[g o t] =
+    pp[g] o pp[t].  The chart transport M(g, v), with psi_g(x_v) =
+    M(x_{g(v)}) on reductions, sends red_{g v}(g P) to sigma_g(red_v(P))
+    for every marked point P, sigma_g acting on F_L by its Frobenius
+    power: it is read off the least points P of the first three
+    directions of v (``frames``) and checked, for each generator, at the
+    least point of every further direction.  The cocycle rule then holds
+    because the permutations compose and Frobenius powers add."""
 
     def __init__(self, G, tree):
         self.G = G
         self.tree = tree
-        L, points = tree.L, tree.points
+        L, points, vertices = tree.L, tree.points, tree.vertices
         finite = [j for j, x in enumerate(points) if x != INF_POINT]
         what = "Galois image of a branch point"
         keyed = KeyedImages([(points[j],) for j in finite], L.N // 2 + 1,
                             what, min([0] + [points[j].shift for j in finite]))
-        by_members = {v.members: v.index for v in tree.vertices}
+        by_members = {v.members: v.index for v in vertices}
         edge_set = set(tree.edges)
         gen_pp, gen_vp = {}, {}
         for g in G.generators:
@@ -315,7 +321,7 @@ class TreeGaloisAction:
                     raise PrecisionExhausted(f"cannot identify {what}")
             vp = gen_vp[g] = [by_members.get(frozenset(pp[j]
                                                        for j in v.members))
-                              for v in tree.vertices]
+                              for v in vertices]
             if None in vp:
                 raise PrecisionExhausted(
                     "cannot identify Galois image of a vertex")
@@ -324,64 +330,58 @@ class TreeGaloisAction:
             if any((vp[a], vp[b]) not in edge_set for a, b in tree.edges):
                 raise NotInvariant("Galois image of an edge is not an edge")
         self.point_perm = G.extend(gen_pp, len(points))
-        self.vertex_perm = G.extend(gen_vp, len(tree.vertices))
-        self.stabilizer = []
-        for v in tree.vertices:
-            self.stabilizer.append(sorted(
-                g for g in range(G.order())
-                if self.vertex_perm[g][v.index] == v.index))
-        self._matrix_cache = {}
+        self.vertex_perm = G.extend(gen_vp, len(vertices))
+        V = range(len(vertices))
+        self.stabilizer = [[g for g in range(G.order())
+                            if self.vertex_perm[g][v] == v] for v in V]
+        # the least point of each direction of v, in increasing order
+        self.frames = [sorted(min(b) for b in v.partition) for v in vertices]
         self._normalize_tame_charts()
+        self._matrices = [[self._transport(g, v) for v in V]
+                          for g in range(G.order())]
+        for g in G.generators:
+            for v in V:
+                src, dst = self._images(g, v, self.frames[v][3:])
+                if [residue_eval(self._matrices[g][v], x) for x in src] != dst:
+                    raise NotInvariant("chart transport disagrees with the "
+                                       "Galois image of a point")
 
     # -- chart transport ---------------------------------------------------
 
+    def _images(self, g, v, points):
+        """The lists red_{g v}(g P) and sigma_g(red_v(P)) over the marked
+        points P given."""
+        pp, sigma = self.point_perm[g], self.G.autos[g]
+        red_v = self.tree.vertices[v].red
+        red_gv = self.tree.vertices[self.vertex_perm[g][v]].red
+        return ([red_gv[pp[j]] for j in points],
+                [red_v[j] if red_v[j] == INF_POINT
+                 else sigma.residue_action(red_v[j]) for j in points])
+
+    def _transport(self, g, v):
+        """The normalized map of P^1(F_L) sending the first list of
+        ``_images`` to the second on the first three frame points of v."""
+        F = self.tree.L.residue_field
+        src, dst = self._images(g, v, self.frames[v][:3])
+        a, b, c, d = triple_chart(F, dst, (0, 1, 2))
+        return normalize_pgl2(matrix_mul((d, -b, -c, a),
+                                         triple_chart(F, src, (0, 1, 2))))
+
     def matrix(self, g, v):
         """Reduced matrix M with psi_g(x_v) = M(x_{g(v)}) on reductions."""
-        key = (g, v)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        G, tree = self.G, self.tree
-        F = tree.L.residue_field
-        if g == G.identity_index:
-            red = (F.one(), F.zero(), F.zero(), F.one())
-        elif g in G.generators:  # before words, which hold (g, 1) too
-            # sigma(A_v) . adj(A_{g v}), Gauss-reduced
-            sigma = G.autos[g]
-            gA = tuple(sigma.apply(x) for x in tree.vertices[v].chart)
-            a, b, c, d = tree.vertices[self.vertex_perm[g][v]].chart
-            red = normalize_pgl2(_scale_matrix_integral(
-                matrix_mul(gA, (d, -b, -c, a)), tree.L))
-        else:
-            h, x = G.words[g]
-            red = self._cocycle(h, x, v)
-        self._matrix_cache[key] = red
-        return red
-
-    def _cocycle(self, s, t, v):
-        """M(s o t, v) = s(M(t, v)) . M(s, t(v)), normalized."""
-        sigma = self.G.autos[s]
-        sM_t = tuple(sigma.residue_action(x) for x in self.matrix(t, v))
-        return normalize_pgl2(matrix_mul(
-            sM_t, self.matrix(s, self.vertex_perm[t][v])))
+        return self._matrices[g][v]
 
     def affine(self, g, v):
         """(a, b) with M(g, v) the affine map x -> a x + b; raises
         NoRationalFixedPoint when M(g, v) moves infinity."""
-        red = self.matrix(g, v)
-        if not red[2].is_zero():
-            raise NoRationalFixedPoint("non-affine chart transport")
-        d_inv = red[3].inverse()
-        return red[0] * d_inv, red[1] * d_inv
-
-    def inertia_stabilizer(self, v):
-        return sorted(set(self.stabilizer[v]) & set(self.G.inertia))
+        return _affine(self.matrix(g, v))
 
     def wild_stabilizer(self, v):
         return sorted(set(self.stabilizer[v]) & set(self.G.filt.gamma(1)))
 
     def tame_generator(self, v):
         """Smallest element of I_v whose image generates I_v / P_v."""
-        I_v = self.inertia_stabilizer(v)
+        I_v = sorted(set(self.stabilizer[v]) & set(self.G.inertia))
         P_v = set(self.wild_stabilizer(v))
         quot = len(I_v) // len(P_v)
         for g in I_v:
@@ -397,46 +397,28 @@ class TreeGaloisAction:
         """Move the second fixed point of the designated tame generator to
         x = 0 whenever it acts with multiplier != 1 (after this, every
         stabilizer element acts affinely and sigma-hat acts x -> a x)."""
-        tree = self.tree
-        L = tree.L
-        one = L.residue_field.one()
-        # M(g, v) for g in stab(v) depends only on the chart of v, so every
-        # translation is read off the original charts before any chart moves
-        moves = {}
-        for v in tree.vertices:
-            for g in self.stabilizer[v.index]:
-                self.affine(g, v.index)  # raises unless affine
-            a, b = self.affine(self.tame_generator(v.index), v.index)
-            if a != one and not b.is_zero():
-                moves[v.index] = L.from_residue(b / (one - a))
-        for i, c in moves.items():
-            v = tree.vertices[i]
-            v.chart = matrix_mul((L.one(), -c, L.zero(), L.one()), v.chart)
-        self._matrix_cache = {
-            (g, w): m for (g, w), m in self._matrix_cache.items()
-            if w not in moves and self.vertex_perm[g][w] not in moves}
-        # cocycle check on stab(v) x (generators of stab(v)): the composed
-        # M(s o t, v) follows the word of s o t, so it tests the generators'
-        # matrices, and by induction on word length the rule then holds for
-        # all pairs of stab(v)
-        for v in tree.vertices:
-            stab = self.stabilizer[v.index]
-            for t in self._generating_set(stab):
-                for s in stab:
-                    if self.matrix(self.G.compose(s, t), v.index) != \
-                            self._cocycle(s, t, v.index):
-                        raise NotInvariant("cocycle rule violated")
+        L, F = self.tree.L, self.tree.L.residue_field
+        for v in self.tree.vertices:
+            # M(g, v) for g in stab(v) reads only v.red; this raises unless
+            # every element of stab(v) acts affinely
+            maps = {g: _affine(self._transport(g, v.index))
+                    for g in self.stabilizer[v.index]}
+            a, b = maps[self.tame_generator(v.index)]
+            if a != F.one() and not b.is_zero():
+                c = b / (F.one() - a)
+                v.chart = matrix_mul((L.one(), -L.from_residue(c), L.zero(),
+                                      L.one()), v.chart)
+                v.red = [residue_eval((F.one(), -c, F.zero(), F.one()), x)
+                         for x in v.red]
 
-    def _generating_set(self, subgroup):
-        """Generators of ``subgroup``, taken greedily in index order: each
-        is the first element not in the span of those before it."""
-        mul, gens, span = self.G.compose, [], {self.G.identity_index}
-        for t in subgroup:
-            if t not in span:
-                gens.append(t)
-                while new := {mul(x, g) for x in span for g in gens} - span:
-                    span |= new
-        return gens
+
+def _affine(red):
+    """(a, b) with the reduced matrix ``red`` the affine map x -> a x + b;
+    raises NoRationalFixedPoint when it moves infinity."""
+    if not red[2].is_zero():
+        raise NoRationalFixedPoint("non-affine chart transport")
+    d_inv = red[3].inverse()
+    return red[0] * d_inv, red[1] * d_inv
 
 
 def _big(x, L):

@@ -11,8 +11,14 @@ from superell import finitefield, localfield, tree
 from superell.curve import SuperellipticCurve
 from superell.descent import _frobenius_orbits, orbits
 from superell.errors import SuperellError
+from superell.fieldsearch import SearchConfig
 from superell.finitefield import FqElement, FqField
-from superell.localfield import INFINITE, _MARGIN, LocalFieldElement
+from superell.localfield import (
+    INFINITE,
+    _MARGIN,
+    Automorphism,
+    LocalFieldElement,
+)
 from superell.pipeline import compute_with_retry
 
 REPO = Path(__file__).resolve().parents[1]
@@ -82,12 +88,34 @@ def ex1_non_integral_result():
         SuperellipticCurve.from_json_dict(EX1_NON_INTEGRAL_SPEC))
 
 
+@pytest.fixture(scope="session")
+def corpus_multi_vertex_results():
+    """The pipeline results, at max_degree 24, of the inputs among the
+    first 30 of the acceptance corpus whose trees have two or more
+    vertices."""
+    from test_acceptance import _corpus
+
+    config = SearchConfig(max_degree=24)
+    out = []
+    for n, f, p in _corpus()[:30]:
+        try:
+            r = compute_with_retry(SuperellipticCurve(n, f, p), config)
+        except SuperellError:
+            continue
+        if r.tree.vertex_count() >= 2:
+            out.append(r)
+    return out
+
+
 @pytest.fixture
 def results_named(request):
     """results_named(name): the pipeline results of a sample curve, of
-    ``"deg40"``, of ``"ex1_non_integral"``, or of the curves of
-    ``"padic_tree_pass0"`` that compute, as a list."""
+    ``"deg40"``, of ``"ex1_non_integral"``, of the curves of
+    ``"padic_tree_pass0"`` that compute, or of
+    ``"corpus_multi_vertex"``, as a list."""
     def results(name):
+        if name == "corpus_multi_vertex":
+            return request.getfixturevalue("corpus_multi_vertex_results")
         if name == "padic_tree_pass0":
             return [r for _, r in request.getfixturevalue(name)
                     if not isinstance(r, SuperellError)]
@@ -185,6 +213,21 @@ def moebius_calls(monkeypatch):
         return moebius_eval(m, x, L)
 
     monkeypatch.setattr(tree, "moebius_eval", counted)
+    return count
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """A one-element list counting the ``Automorphism.apply`` calls made
+    while the test runs."""
+    count = [0]
+    apply = Automorphism.apply
+
+    def counted(self, x):
+        count[0] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(Automorphism, "apply", counted)
     return count
 
 

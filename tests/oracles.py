@@ -55,11 +55,12 @@ which apply only generators, look images up by coordinate keys and
 compose permutations for the rest.
 
 ``chart_matrix_by_application`` applies an element to the four entries of
-a vertex chart and reduces sigma(A_v) . adj(A_{g v}); ``gamma_by_division``
-takes the residue of pi^k / g(pi^k) by a p-adic division.  They are the
-references for ``TreeGaloisAction.matrix``, which applies only generators
-and composes the other matrices by the cocycle rule, and for
-``ActionContext.gamma``, which reads the y-scaling off g(pi).
+a vertex chart and Gauss-reduces sigma(A_v) . adj(A_{g v})
+(``scale_matrix_integral``); ``gamma_by_division`` takes the residue of
+pi^k / g(pi^k) by a p-adic division.  They are the references for
+``TreeGaloisAction.matrix``, which applies nothing to a chart and reads
+the map off the chart values of three marked points and of their images,
+and for ``ActionContext.gamma``, which reads the y-scaling off g(pi).
 
 ``node_labels_by_edge_search`` searches, edge by edge, the least
 extension F_(q^m) of F_L in which the node labels root * mu_d of the edge
@@ -83,8 +84,10 @@ classes of all ordered triples of marked points, each class recorded by
 the disc it determines and compared with the known discs by p-adic
 subtraction; edges are disc inclusion.  Every repeated triple is
 cross-checked against the partition of its chart-reduction fibers, on the
-chart up to a scalar.  It is the reference for ``tree.build_tree``, which
-reads the vertices off the pairwise valuations.
+chart up to a scalar, and the chart values ``Vertex.red`` are evaluated
+on the final charts.  It is the reference for ``tree.build_tree``, which
+reads the vertices off the pairwise valuations and moves the chart values
+along with the charts on residues.
 
 ``semistable_field_by_two_scans`` is the two-scan field search: it scans
 the catalog for L0, the smallest field over which f splits
@@ -128,6 +131,7 @@ from superell.errors import (
     AdmissibilityViolation,
     GenusMismatch,
     IsProperPower,
+    MatrixNotIntegral,
     NoRationalFixedPoint,
     NotGalois,
     NotInvariant,
@@ -170,7 +174,6 @@ from superell.tree import (
     Vertex,
     _big,
     _phi_partition,
-    _scale_matrix_integral,
     build_tree,
     matrix_mul,
     moebius_eval,
@@ -685,15 +688,17 @@ def build_tree_by_triples(divisor, L):
         if hit is None:
             chart = triple_chart(L, points, t)
             classes.append((center, radius,
-                            _phi_partition(L, points, chart), chart))
-        elif _phi_partition(L, points, _chart_up_to_scalar(L, points, t)) \
+                            _phi_partition(_chart_values(L, points, chart)),
+                            chart))
+        elif _phi_partition(_chart_values(
+                L, points, _chart_up_to_scalar(L, points, t))) \
                 != classes[hit][2]:
             raise NotInvariant("disc model and chart-fiber model disagree")
     classes.sort(key=lambda c: (c[1],) + sort_key(c[0]))
     vertices = [
         Vertex(idx, chart, center, radius, part,
                frozenset(j for j in range(m) if points[j] != INF_POINT
-                         and _in_disc(points[j], center, radius)))
+                         and _in_disc(points[j], center, radius)), None)
         for idx, (center, radius, part, chart) in enumerate(classes)]
 
     psi = []
@@ -736,7 +741,23 @@ def build_tree_by_triples(divisor, L):
             v.chart = matrix_mul((L.zero(), L.one(), L.one(), -lift), v.chart)
             if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
                 raise NoRationalFixedPoint("chart normalization failed")
+        v.red = _chart_values(L, points, v.chart)
     return MarkedTree(L, points, vertices, psi, root, sorted(edges))
+
+
+def _chart_values(L, points, chart):
+    return [moebius_eval(chart, x, L) for x in points]
+
+
+def scale_matrix_integral(m, L):
+    """Gauss reduction of a matrix over L: its entries divided by pi^mu,
+    mu the least entry valuation, then reduced; raises MatrixNotIntegral
+    if the reduction is singular."""
+    _, red = gauss_reduce(m, L)
+    det = red[0] * red[3] - red[1] * red[2]
+    if det.is_zero():
+        raise MatrixNotIntegral("reduced chart-comparison matrix is singular")
+    return tuple(red)
 
 
 def chart_matrix_by_application(act, g, v):
@@ -746,7 +767,7 @@ def chart_matrix_by_application(act, g, v):
     sigma = act.G.autos[g]
     gA = tuple(sigma.apply(x) for x in tree.vertices[v].chart)
     a, b, c, d = tree.vertices[act.vertex_perm[g][v]].chart
-    return normalize_pgl2(_scale_matrix_integral(
+    return normalize_pgl2(scale_matrix_integral(
         matrix_mul(gA, (d, -b, -c, a)), tree.L))
 
 

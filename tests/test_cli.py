@@ -112,11 +112,40 @@ class TestCli:
         {"n": 2, "p": 5, "f": [1, 2, 3, 4, 5, True]},
         {"n": 2, "p": 5, "f": [[[1, 0.5, 1], 1], ["x^3+2", 1]]},
         {"n": 2, "p": 5, "f": [[[False, 1], 1], ["x^4+2", 1]]},
+        {"n": 2, "p": 5, "f": [["x^99999999999", 1]]},
+        {"n": 2, "p": 5, "f": [["(x+1)^100000", 1]]},
+        {"n": 2, "p": 5, "f": [["x^1000000", 1]]},
+        {"n": 2, "p": 5, "f": [["3^99999999999", 1], ["x^5+1", 1]]},
     ])
     def test_malformed_spec_exit_code(self, tmp_path, spec):
-        proc = run_cli(tmp_path, spec)
+        proc = run_cli(tmp_path, spec, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"n": 2, "p": 5, "f": [["x^99999999999", 1]]},
+         "bad polynomial 'x^99999999999': power of degree 99999999999 "
+         "exceeds 256"),
+        ({"n": 2, "p": 5, "f": [["(x+1)^100000", 1]]},
+         "bad polynomial '(x+1)^100000': power of degree 100000 exceeds 256"),
+        ({"n": 2, "p": 5, "f": [["3^99999999999", 1], ["x^5+1", 1]]},
+         "bad polynomial '3^99999999999': exponent 99999999999 of a "
+         "constant exceeds 1024"),
+        ({"n": 1, "f": [1, 0, 1], "p": 3},
+         "exponent n = 1 must be at least 2"),
+        ({"n": 1, "p": 5, "f": [["3", 10**30], ["x^3-2", 1]]},
+         "exponent n = 1 must be at least 2"),
+        ({"n": 0, "p": 5, "f": [["x^3-2", 2], ["x+1", 4]]},
+         "exponent n = 0 must be at least 2"),
+    ], ids=["x_power", "binomial_power", "constant_power", "n1", "n1_huge",
+            "n0"])
+    def test_refused_before_expanding(self, tmp_path, spec, message):
+        """A large power is refused before it is expanded, and an
+        exponent n < 2 before f is read; either would not end."""
+        proc = run_cli(tmp_path, spec, "--json", timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "error": "ValidationError", "exit_code": 2, "message": message}
 
     @pytest.mark.parametrize("spec, args", [
         ({"f": [1, 2], "p": 3}, ()),

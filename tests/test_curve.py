@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from superell.curve import SuperellipticCurve
 from superell.qpoly import QPoly, parse_poly
 
@@ -22,6 +24,15 @@ class TestParse:
     def test_power(self):
         assert parse_poly("(x+1)^3") == QPoly([1, 3, 3, 1])
 
+    def test_power_bounds(self):
+        """Degree 256 and a constant exponent 1024 are expanded; one more
+        is refused before expanding."""
+        assert parse_poly("(x^2)^128").degree() == 256
+        assert parse_poly("2^1024") == QPoly([2**1024])
+        for s in ("(x^2)^129", "x^257", "2^1025"):
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_poly(s)
+
 
 class TestValidation:
     def test_example1_ok(self):
@@ -42,6 +53,13 @@ class TestValidation:
         c = SuperellipticCurve(2, parse_poly("(x-1)^2*(x^3+x+1)"), 5)
         v = c.validate()
         assert any("power over Q" in msg for msg in v)
+
+    def test_exponent_below_two_alone(self):
+        """n < 2 is the only violation reported: the power and gcd clauses
+        are meaningless for it."""
+        for n in (1, 0):
+            c = SuperellipticCurve(n, parse_poly("(x^3-2)^2*(x+1)^4"), 5)
+            assert c.validate() == [f"exponent n = {n} must be at least 2"]
 
     def test_multiplicity_gcd(self):
         # all multiplicities even with n = 4: gcd(4, {2}) = 2

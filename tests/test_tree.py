@@ -21,22 +21,18 @@ from superell.fieldsearch import (
     splitting_field,
 )
 from superell.localfield import (
-    Automorphism,
     LocalField,
     LocalFieldElement,
     roots_of_qpoly,
 )
 from superell.pipeline import compute_with_retry
 from superell.qpoly import parse_poly
+from superell.reduction import raw_gauss_values, reduce_special_fiber
 from superell.tree import (
     INF_POINT,
-    TreeGaloisAction,
-    _scale_matrix_integral,
     build_tree,
     galois_on_tree,
-    matrix_mul,
     moebius_eval,
-    normalize_pgl2,
     triple_chart,
 )
 
@@ -46,6 +42,7 @@ from oracles import (
     build_tree_by_triples,
     chart_matrix_by_application,
     moebius_eval_by_division,
+    scale_matrix_integral,
     tree_action_by_scan,
 )
 
@@ -226,11 +223,11 @@ class TestGaloisAction:
         assert (act.point_perm, act.vertex_perm) == \
             tree_action_by_scan(result.G, result.tree)
 
-    @pytest.mark.parametrize("name", ACTION_CASES)
+    @pytest.mark.parametrize("name",
+                             ACTION_CASES + ("corpus_multi_vertex",))
     def test_matrices_match_application(self, results_named, name):
-        """Applied for the generators, composed along the words of G for
-        the other elements, and equal to direct application for every
-        (g, v)."""
+        """Read off three residues, and equal to direct application for
+        every (g, v)."""
         for result in results_named(name):
             act = result.inertial.ctx.act
             for g in range(act.G.order()):
@@ -238,73 +235,70 @@ class TestGaloisAction:
                     assert act.matrix(g, v) == \
                         chart_matrix_by_application(act, g, v)
 
-    @pytest.mark.parametrize("name",
-                             ("ex1", "ex2", "deg40", "padic_tree_pass0"))
-    def test_generator_matrices_computed_once(self, results_named, name,
-                                              monkeypatch):
-        """A generator matrix M(g, v) is computed once per pair of charts
-        of v and g(v): moving a chart drops only the matrices at it."""
-        computed = []
-        matrix = TreeGaloisAction.matrix
-
-        def recorded(self, g, v):
-            if g in self.G.generators and (g, v) not in self._matrix_cache:
-                charts = (self.tree.vertices[v].chart,
-                          self.tree.vertices[self.vertex_perm[g][v]].chart)
-                computed.append((g, v, charts))
-            return matrix(self, g, v)
-
-        monkeypatch.setattr(TreeGaloisAction, "matrix", recorded)
-        for r in results_named(name):
-            computed.clear()
-            galois_on_tree(r.G, build_tree(r.divisor, r.L))
-            keys = [(g, v, id(a), id(b)) for g, v, (a, b) in computed]
-            assert len(keys) == len(set(keys))
-
-    def test_composed_matrices_apply_nothing(self, deg40_result,
-                                             monkeypatch):
-        r = deg40_result
-        act = galois_on_tree(r.G, r.tree)
-        V = range(r.tree.vertex_count())
-        for g in r.G.generators:
-            for v in V:
-                act.matrix(g, v)
-        calls = [0]
-        apply = Automorphism.apply
-
-        def counted(self, x):
-            calls[0] += 1
-            return apply(self, x)
-
-        monkeypatch.setattr(Automorphism, "apply", counted)
-        others = [g for g in range(r.G.order())
-                  if g not in r.G.generators]
-        assert others
-        for g in others:
-            for v in V:
-                act.matrix(g, v)
-        assert calls[0] == 0
-
-    @pytest.mark.parametrize("name", ("ex1", "ex2", "deg40"))
-    def test_cocycle_check_catches_shifted_generators(self, results_named,
-                                                      name, monkeypatch):
-        """The cocycle rule is checked against a generating set of each
-        stabilizer only; composing every generator matrix of G with
-        x -> x + 1 still breaks it."""
+    @pytest.mark.parametrize("name", SAMPLES + ("deg40",))
+    def test_applies_generators_to_branch_points(self, results_named, name,
+                                                 applies):
+        """Each generator is applied once to each finite branch point,
+        and to nothing else."""
         [r] = results_named(name)
-        matrix = TreeGaloisAction.matrix
+        tree = build_tree(r.divisor, r.L)
+        applies[0] = 0
+        galois_on_tree(r.G, tree)
+        finite = [x for x in tree.points if x != INF_POINT]
+        assert applies[0] == len(r.G.generators) * len(finite)
 
-        def shifted(self, g, v):
-            red = matrix(self, g, v)
-            if g in self.G.generators and g != self.G.identity_index:
-                F = self.tree.L.residue_field
-                red = normalize_pgl2(matrix_mul(
-                    red, (F.one(), F.one(), F.zero(), F.one())))
-            return red
+    def test_composed_matrices_apply_nothing(self, deg40_result, applies):
+        r = deg40_result
+        act = galois_on_tree(r.G, build_tree(r.divisor, r.L))
+        applies[0] = 0
+        for g in range(r.G.order()):
+            for v in range(r.tree.vertex_count()):
+                act.matrix(g, v)
+        assert applies[0] == 0
 
-        monkeypatch.setattr(TreeGaloisAction, "matrix", shifted)
-        with pytest.raises(NotInvariant, match="cocycle rule violated"):
-            galois_on_tree(r.G, build_tree(r.divisor, r.L))
+    @pytest.mark.parametrize("name", SAMPLES + ("deg40", "padic_tree_pass0"))
+    def test_chart_values_match_charts(self, results_named, name):
+        """The chart values moved along on residues equal the values of
+        the final charts, after ``build_tree`` and after the tame moves of
+        ``galois_on_tree``."""
+        for r in results_named(name):
+            tree = build_tree(r.divisor, r.L)
+            for step in ("build_tree", "galois_on_tree"):
+                if step == "galois_on_tree":
+                    galois_on_tree(r.G, tree)
+                for v in tree.vertices:
+                    assert v.red == [moebius_eval(v.chart, x, r.L)
+                                     for x in tree.points], step
+
+    # from the acceptance corpus: (x^2-3)(x^2-5)(x^2-10) with n = 2 and
+    # (x^2-1)(x^2-2)(x^2+5) with n = 3, at p = 5
+    @pytest.mark.parametrize("spec", [
+        {"n": 2, "p": 5, "f": [-150, 0, 95, 0, -18, 0, 1]},
+        {"n": 3, "p": 5, "f": [10, 0, -13, 0, 2, 0, 1]},
+    ], ids=["n2", "n3"])
+    def test_further_direction_catches_corrupt_residue(self, spec):
+        """For a generator g and the least point P of a fourth or later
+        direction of a vertex w, a change of red_{g w}(g P) that no
+        transport reads breaks the check of g at w: M(g, w) sends the
+        true value to sigma_g(red_w(P))."""
+        r = compute_with_retry(SuperellipticCurve.from_json_dict(spec))
+        act = r.inertial.ctx.act
+        V = range(r.tree.vertex_count())
+        read = {(act.vertex_perm[h][u], act.point_perm[h][j])
+                for h in range(r.G.order()) for u in V
+                for j in act.frames[u][:3]}
+        g, w, j = next(
+            (g, w, j) for g in r.G.generators for w in V
+            for j in act.frames[w][3:]
+            if (act.vertex_perm[g][w], act.point_perm[g][j])
+            not in read | {(w, j)})
+        tree = build_tree(r.divisor, r.L)
+        red = tree.vertices[act.vertex_perm[g][w]].red
+        k = act.point_perm[g][j]
+        red[k] = r.L.residue_field.zero() if red[k] == INF_POINT \
+            else INF_POINT
+        with pytest.raises(NotInvariant, match="chart transport disagrees"):
+            galois_on_tree(r.G, tree)
 
     def test_edges_preserved(self):
         # implicitly asserted during construction; rerun both examples
@@ -352,27 +346,28 @@ class TestMoebius:
 
 
 class TestScaleMatrix:
-    """The Gauss reduction of a chart-comparison matrix."""
+    """The Gauss reduction of a chart-comparison matrix, as the oracle
+    ``chart_matrix_by_application`` takes it."""
 
     def test_least_valuation_below_zero(self):
         L = LocalField(3, 1, [-3, 1], 20)
         third = L.from_fraction(Fraction(1, 3))
         m = (third, L.from_int(2), L.zero(), third * L.from_int(4))
         F = L.residue_field
-        assert _scale_matrix_integral(m, L) == (
+        assert scale_matrix_integral(m, L) == (
             F.one(), F.zero(), F.zero(), F.one())
 
     def test_singular_reduction_raises(self):
         L = LocalField(3, 1, [-3, 1], 20)
         one = L.one()
         with pytest.raises(MatrixNotIntegral):
-            _scale_matrix_integral((one, one, one, one + L.pi()), L)
+            scale_matrix_integral((one, one, one, one + L.pi()), L)
 
     def test_zero_to_precision_raises_precision_exhausted(self):
         L = LocalField(3, 1, [-3, 1], 20)
         fuzzy = LocalFieldElement(L, L.zero().vec, 0, 5, False)
         with pytest.raises(PrecisionExhausted):
-            _scale_matrix_integral((fuzzy,) * 4, L)
+            scale_matrix_integral((fuzzy,) * 4, L)
 
 
 class TestInversionCounts:
@@ -429,7 +424,7 @@ def tree_key(tree):
         "edges": tree.edges, "psi": tree.psi, "root": tree.root,
         "vertices": [
             (v.index, v.disc_radius, element_key(v.disc_center),
-             tuple(element_key(x) for x in v.chart), v.partition,
+             tuple(element_key(x) for x in v.chart), v.red, v.partition,
              v.members, v.marked, v.parent, v.children)
             for v in tree.vertices],
     }
@@ -492,9 +487,12 @@ class TestClusterBuilder:
     def test_moebius_calls_per_vertex(self, sample_results, name,
                                       moebius_calls):
         """One chart-fiber partition per vertex and two normalization
-        evaluations: at most V (m + 2) calls."""
+        evaluations, and none in the Galois action or the special fiber:
+        at most V (m + 2) calls."""
         r = sample_results[name]
         tree = build_tree(r.divisor, r.L)
+        galois_on_tree(r.G, tree)
+        reduce_special_fiber(r.curve, tree, raw_gauss_values(r.curve, tree))
         m = len(tree.points)
         assert moebius_calls[0] <= tree.vertex_count() * (m + 2)
 
