@@ -20,7 +20,12 @@ from .errors import (
     ValidationError,
 )
 from .finitefield import is_prime, riemann_hurwitz_genus
-from .qpoly import QPoly, parse_poly
+from .qpoly import (
+    MAX_CONSTANT_EXPONENT,
+    MAX_POWER_DEGREE,
+    QPoly,
+    parse_poly,
+)
 
 
 class SuperellipticCurve:
@@ -140,6 +145,16 @@ class SuperellipticCurve:
                 # k = mult // n, removes the n-th power c^(n k)
                 if base.degree() == 0:
                     mult %= n
+                # the bounds of parse_poly, checked before base**mult is
+                # expanded
+                if base.degree() == 0 and mult > MAX_CONSTANT_EXPONENT:
+                    raise ValidationError(
+                        f"exponent {mult} of a constant exceeds "
+                        f"{MAX_CONSTANT_EXPONENT}")
+                degree = f.degree() + base.degree() * mult
+                if base.degree() > 0 and degree > MAX_POWER_DEGREE:
+                    raise ValidationError(
+                        f"f has degree {degree}, above {MAX_POWER_DEGREE}")
                 f = f * base**mult
         else:
             f = QPoly([_coefficient(c) for c in fspec])

@@ -20,7 +20,8 @@ indices comes in three kinds:
   GF(7^6) = 117,649, the largest residue field the tree and descent meet.
   The bound covers that field and no more: an F_{q^i} of point counting
   with at most 2^17 elements carries all three tables, although counting
-  reads only log, while a larger one gets none.  Tables are built with
+  reads only log, while a larger one gets none.  A small field (below)
+  fills its tables one power g^e at a time; a larger one fills them with
   numpy, by baby-step/giant-step digit-array products written block by
   block into the table buffers;
 * q > 2^17: schoolbook products of the base-p digits of the indices.
@@ -49,20 +50,31 @@ On top of the field arithmetic this module provides
 * ``normalize_kummer_equation``: strip nbar-th power factors without
   changing the function field of the cover.
 
-Bulk work runs on numpy digit arrays, (k, N) int64 arrays holding N
-elements as columns of base-p digits.  ``count_kummer_points`` evaluates
-h at all of F_{q^i}, a fixed chunk of points at a time, and decides
-n-th-power residuosity of the ordinary points by their discrete logs, read
-from the field's log table through a numpy view (a field above
-2^17 keeps a numpy log table alone: 4 bytes per element, at most about
-4 MB within ``DEFAULT_POINT_BUDGET``).  numpy is imported inside the
-functions that use it, so importing the package does not load it; the
-first table fill or point count does.
+``count_kummer_points`` evaluates h at all of F_{q^i} and decides
+n-th-power residuosity of the ordinary points by their discrete logs.
+
+numpy carries the bulk work on large fields only.  Importing it costs
+about 70 ms, more than all the GF(q) work on a field of at most
+``_PY_MAX`` = 2^12 elements, and every field that a curve of small genus
+counts over is that small.  So ``_numpy_pays`` sends a field to numpy only
+when it has more than 2^12 elements or numpy is loaded already; a fresh
+process whose fields all stay small never imports it.  A small field
+fills its tables in pure Python and counts by Horner on indices.  On a
+large field, work runs on numpy digit arrays, (k, N) int64 arrays holding
+N elements as columns of base-p digits: the tables are filled block by
+block, and ``count_kummer_points`` evaluates h a fixed chunk of points at
+a time and reads the discrete logs from the field's log table through a
+numpy view (a field above 2^17 keeps a numpy log table alone: 4 bytes per
+element, at most about 4 MB within ``DEFAULT_POINT_BUDGET``).  numpy is
+imported inside the functions that use it, so importing the package does
+not load it.  There is no floating point: the Weil check on a zeta
+numerator is a Sturm count over Q (``_weil_check``).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -92,6 +104,20 @@ _KUMMER_CHUNK = 8192
 
 #: fields with at most this many elements keep exp/log/Zech tables
 _TABLE_MAX = 1 << 17
+
+#: largest field whose tables and point counts are made in pure Python
+#: while numpy is not loaded.  Importing numpy costs about 70 ms; a pure
+#: table fill costs about 5-7 us per element up to k = 4 (17 us in
+#: GF(2^12)) and a pure count about 5 us per point of a quartic or quintic
+#: h (2-core x86-64, CPython 3.11), so the fields of up to 2,401 elements
+#: that point counting meets stay well under the import.
+_PY_MAX = 1 << 12
+
+
+def _numpy_pays(n):
+    """Whether GF(q) work over n elements goes through numpy: n is too
+    large for pure Python, or numpy is loaded already."""
+    return n > _PY_MAX or "numpy" in sys.modules
 
 
 def is_prime(n):
@@ -290,9 +316,10 @@ class FqField:
         if k == 1:
             return a * b % p
         res = [0] * (2 * k - 1)
+        db = self._to_digits(b)
         for i, x in enumerate(self._to_digits(a)):
             if x:
-                for j, y in enumerate(self._to_digits(b)):
+                for j, y in enumerate(db):
                     res[i + j] += x * y
         mod = self.modulus
         for i in range(2 * k - 2, k - 1, -1):
@@ -317,22 +344,34 @@ class FqField:
         above ``_TABLE_MAX``.  exp[e] is the index of g^e, log[i] the log of
         element i (-1 at zero) and zech[e] the log of 1 + g^e (-1 where that
         sum is zero), for the canonical generator g and 0 <= e < q - 1.
-        The buffers are filled block by block through numpy views."""
+        The buffers are filled one power at a time in a small field (see
+        ``_numpy_pays``), else block by block through numpy views."""
         if self._t is None and self.q <= _TABLE_MAX:
-            import numpy as np
             n, p = self.q - 1, self.p
             exp, zech = array("i", [0]) * n, array("i", [0]) * n
             log = array("i", [-1]) * self.q
-            ev, lv, zv = (np.frombuffer(t, dtype=np.intc)
-                          for t in (exp, log, zech))
-            for start, idx in self._power_blocks():
-                ev[start:start + len(idx)] = idx
-                lv[idx] = np.arange(start, start + len(idx), dtype=np.intc)
-            # 1 + x changes only the lowest digit of x
-            m = isqrt(n - 1) + 1
-            for start in range(0, n, m):
-                x = ev[start:start + m]
-                zv[start:start + m] = lv[x - x % p + (x + 1) % p]
+            # both fills read zech[e] = log[1 + g^e]: 1 + x changes only
+            # the lowest digit of x
+            if not _numpy_pays(self.q):
+                g, acc = self.multiplicative_generator().i, 1
+                for e in range(n):
+                    exp[e] = acc
+                    log[acc] = e
+                    acc = self._digit_mul(acc, g)
+                for e, x in enumerate(exp):
+                    zech[e] = log[x - x % p + (x + 1) % p]
+            else:
+                import numpy as np
+                ev, lv, zv = (np.frombuffer(t, dtype=np.intc)
+                              for t in (exp, log, zech))
+                for start, idx in self._power_blocks():
+                    ev[start:start + len(idx)] = idx
+                    lv[idx] = np.arange(start, start + len(idx),
+                                        dtype=np.intc)
+                m = isqrt(n - 1) + 1
+                for start in range(0, n, m):
+                    x = ev[start:start + m]
+                    zv[start:start + m] = lv[x - x % p + (x + 1) % p]
             self._t = (exp, log, zech)
             self._log_np = None
         return self._t
@@ -1071,12 +1110,12 @@ def count_kummer_points(nbar, h, i=1):
     the fiber of the normalization has as many rational points as w^d = u0
     has solutions.
 
-    The affine points are evaluated as digit arrays, ``_KUMMER_CHUNK`` at a
-    time.  Where h(x0) is nonzero, a = 0 and there are g = gcd(nbar, q^i - 1)
+    Where h(x0) is nonzero, a = 0 and there are g = gcd(nbar, q^i - 1)
     points above x0 if h(x0) is a g-th power, i.e. if log h(x0) = 0 mod g;
-    the zeros of h and infinity take the general rule above.
+    the zeros of h and infinity take the general rule above.  The affine
+    points are evaluated by Horner on indices in a small field (see
+    ``_numpy_pays``), else as digit arrays, ``_KUMMER_CHUNK`` at a time.
     """
-    import numpy as np
     if h.is_zero():
         raise ZeroFunction("cannot count points of z^n = 0")
     F = h.field
@@ -1090,9 +1129,43 @@ def count_kummer_points(nbar, h, i=1):
     emb = F.embedding(big)
     hh = h.map_coeffs(emb, big)
     g_full = gcd(nbar, big.q - 1)
+    if not _numpy_pays(big.q):
+        total, special = _count_affine_python(hh, g_full)
+    else:
+        total, special = _count_affine_numpy(hh, g_full)
+    for x0 in [big.from_index(j) for j in special] + [INF]:
+        d = gcd(nbar, hh.ord_at(x0))
+        total += kummer_solutions(d, hh.unit_value_at(x0))
+    return total
+
+
+def _count_affine_python(h, g_full):
+    """(points above the x0 in F with h(x0) != 0, the x0 with h(x0) = 0)
+    for z^nbar = h, g_full = gcd(nbar, q - 1): Horner on each index."""
+    F = h.field
+    log = F._tables()[1] if g_full > 1 else None
+    cs = h._c[::-1]
+    mul, add = F._mul, F._add
+    total, special = 0, []
+    for x in range(F.q):
+        acc = 0
+        for c in cs:
+            acc = add(mul(acc, x), c)
+        if not acc:
+            special.append(x)
+        elif log is None or log[acc] % g_full == 0:
+            total += g_full
+    return total, special
+
+
+def _count_affine_numpy(h, g_full):
+    """``_count_affine_python`` on digit arrays, ``_KUMMER_CHUNK`` points
+    at a time, reading discrete logs through a numpy view."""
+    import numpy as np
+    big = h.field
     log = big._log_table() if g_full > 1 else None
     cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
-            for c in reversed(hh.coeffs)]
+            for c in reversed(h.coeffs)]
     total = 0
     special = []
     for start in range(0, big.q, _KUMMER_CHUNK):
@@ -1110,30 +1183,66 @@ def count_kummer_points(nbar, h, i=1):
         if log is not None:
             ordinary &= log[hv] % g_full == 0
         total += g_full * int(np.count_nonzero(ordinary))
-    for x0 in [big.from_index(j) for j in special] + [INF]:
-        d = gcd(nbar, hh.ord_at(x0))
-        total += kummer_solutions(d, hh.unit_value_at(x0))
-    return total
+    return total, special
 
 
-def _weil_check(coeffs, q, genus, tol=1e-6):
-    import numpy as np
+def _weil_check(coeffs, q, genus):
+    """Check exactly that every reciprocal root of P has absolute value
+    sqrt(q), for the coefficients of ``zeta_numerator`` (c_(2g-j) =
+    q^(g-j) c_j).
 
+    With y = x + q/x, x^(-g) x^(2g) P(1/x) = h(y) = c_g + sum c_(g-k) D_k(y)
+    over k = 1..g, D_0 = 2, D_1 = y and D_k = y D_(k-1) - q D_(k-2).  The
+    roots x and q/x of x^2 - y x + q both have absolute value sqrt(q) if
+    and only if y is real in [-2 sqrt(q), 2 sqrt(q)].  So the squarefree
+    part of h, with its factors vanishing at the ends divided out, must
+    have all its roots inside; a Sturm chain counts them, its signs at
+    +-2 sqrt(q) read off as A + B sqrt(q) with A, B rational."""
     from .qpoly import QPoly
     if genus == 0:
         return
-    # multiple roots ruin the conditioning of numpy.roots: strip them
-    # exactly first (the root set is unchanged)
-    sf = QPoly(list(coeffs)).squarefree_part()
-    arr = np.array([float(c) for c in sf.coeffs][::-1], dtype=float)
-    roots = np.roots(arr)  # roots of P as polynomial in T
-    # reciprocal roots must have absolute value sqrt(q)
-    recips = 1.0 / roots
-    target = q**0.5
-    if not all(abs(abs(r) - target) < tol * max(1.0, target) for r in recips):
+    y = QPoly.x()
+    d_prev, d = QPoly([2]), y
+    h = QPoly([coeffs[genus]])
+    for k in range(1, genus + 1):
+        h = h + d * coeffs[genus - k]
+        d_prev, d = d, y * d - d_prev * q
+    sf = h.squarefree_part()
+    r = isqrt(q)
+    ends = ([QPoly([-2 * r, 1]), QPoly([2 * r, 1])] if r * r == q
+            else [QPoly([-4 * q, 0, 1])])
+    for end in ends:
+        if (sf % end).is_zero():
+            sf = sf // end
+    chain = [sf, sf.derivative()]
+    while chain[-1].degree() > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+
+    def changes(eps):
+        signs = [s for s in (_sign_at_edge(c, q, eps) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    outside = sf.degree() - (changes(-1) - changes(1))
+    if outside:
         raise CountsInconsistent(
-            f"Weil bound violated: |reciprocal roots| = "
-            f"{sorted(abs(r) for r in recips)}, expected sqrt({q})")
+            f"Weil bound violated: {outside} of the {sf.degree()} distinct "
+            f"pairs of reciprocal roots of {coeffs} have absolute value "
+            f"other than sqrt({q})")
+
+
+def _sign_at_edge(poly, q, eps):
+    """Sign of the rational polynomial poly at eps * 2 sqrt(q), eps = +-1,
+    from its value A + B sqrt(q): the even powers of y give A, the odd B."""
+    a = b = 0
+    for m, c in enumerate(poly.coeffs):
+        t = c * (2 * eps) ** m * q ** (m // 2)
+        if m % 2:
+            b += t
+        else:
+            a += t
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > b * b * q) - (a * a < b * b * q))
 
 
 def zeta_numerator(nbar, h, genus):

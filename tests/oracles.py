@@ -115,6 +115,12 @@ vectors over U, reducing mod p^N after every integer product and every
 U-product: the reference for ``LocalField._vec_mul``, which sums the
 products unreduced and reduces each output coordinate once.
 
+``weil_check_by_roots`` finds the roots of the zeta numerator P(T) in
+floating point (``numpy.roots`` on its exact squarefree part) and compares
+the absolute values of their reciprocals with sqrt(q) to a relative 1e-6.
+It is the reference for ``finitefield._weil_check``, which decides the
+same exactly with a Sturm chain over Q.
+
 ``geometric_power_class`` and ``kummer_genus_by_factorizations`` factor
 the equation anew for each invariant: the gcd of n and the exponents, and
 Riemann-Hurwitz after a power class check, three factorizations in all.
@@ -167,6 +173,7 @@ from superell.localfield import (
     roots_integral,
     sort_key,
 )
+from superell.qpoly import QPoly
 from superell.reduction import raw_gauss_values, semistable_check
 from superell.tree import (
     INF_POINT,
@@ -1136,3 +1143,18 @@ def kummer_genus_by_factorizations(n_c, h):
     if two_g % 2:
         raise GenusMismatch("Riemann-Hurwitz parity failure")
     return two_g // 2
+
+
+def weil_check_by_roots(coeffs, q, tol=1e-6):
+    """Whether every reciprocal root of the integer polynomial P(T) (low
+    to high) has absolute value sqrt(q) to a relative ``tol``, by
+    ``numpy.roots`` on the exact squarefree part of P (multiple roots ruin
+    its conditioning; the root set is unchanged)."""
+    import numpy as np
+    sf = QPoly(list(coeffs)).squarefree_part()
+    if sf.degree() < 1:
+        return True
+    roots = np.roots(np.array([float(c) for c in sf.coeffs][::-1]))
+    target = q**0.5
+    return all(abs(abs(1.0 / r) - target) < tol * max(1.0, target)
+               for r in roots)

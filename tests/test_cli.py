@@ -5,11 +5,17 @@ import importlib.util
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from superell import SuperellipticCurve, compute_with_retry
+from superell import (
+    SuperellipticCurve,
+    compute_with_retry,
+    fieldsearch,
+    finitefield,
+)
 from superell.cli import main
 from superell.errors import SuperellError
 
@@ -137,13 +143,20 @@ class TestCli:
          "exponent n = 1 must be at least 2"),
         ({"n": 0, "p": 5, "f": [["x^3-2", 2], ["x+1", 4]]},
          "exponent n = 0 must be at least 2"),
+        ({"n": 1000003, "p": 5, "f": [["x^2+1", 1000000]]},
+         "f has degree 2000000, above 256"),
+        ({"n": 1000000007, "p": 5,
+          "f": [["3", 1000000000], ["x^3-2", 1]]},
+         "exponent 1000000000 of a constant exceeds 1024"),
     ], ids=["x_power", "binomial_power", "constant_power", "n1", "n1_huge",
-            "n0"])
+            "n0", "factor_multiplicity", "constant_multiplicity"])
     def test_refused_before_expanding(self, tmp_path, spec, message):
-        """A large power is refused before it is expanded, and an
-        exponent n < 2 before f is read; either would not end."""
+        """A large power is refused before it is expanded, whether written
+        in a factor or as its multiplicity below n, and an exponent n < 2
+        before f is read; either would not end."""
         proc = run_cli(tmp_path, spec, "--json", timeout=60)
         assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout) == {
             "error": "ValidationError", "exit_code": 2, "message": message}
 
@@ -391,6 +404,26 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_small_fields_load_no_numpy(self, tmp_path):
+        """Curves whose GF(q) tables and point counts stay within 2^12
+        elements (here up to 2,197 and 2,401) run without numpy."""
+        specs = [REPO / "sample_curves" / "ex1.json",
+                 REPO / "sample_curves" / "ex2.json"]
+        for name, spec in (
+                ("corpus_p13", {"n": 3, "p": 13, "f": [-2, 3, 1, -3, 1]}),
+                ("corpus_p7_n4",
+                 {"n": 4, "p": 7, "f": [2, -5, 2, 4, -4, 1]})):
+            specs.append(tmp_path / f"{name}.json")
+            specs[-1].write_text(json.dumps(spec))
+        script = ("import sys; from superell.cli import main; "
+                  f"codes = [main([path, '--json']) for path in "
+                  f"{[str(s) for s in specs]!r}]; "
+                  "print(codes, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
     def test_in_process_main(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(EX2))
@@ -452,6 +485,31 @@ def test_pass0_reports_pinned(perfbench, workload_pass0, workload):
             text = reference.error_report(outcome)
         else:
             text = reference.canonical(outcome.to_json_dict())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == pinned[case.key], f"{case.shape}: report drift"
+
+
+@pytest.mark.parametrize("workload", ("padic_tree", "cold_cli"))
+def test_pass0_reports_pinned_pure(perfbench, monkeypatch, workload):
+    """Pass 0 of ``padic_tree`` and ``cold_cli`` gives the pinned reports
+    with every GF(q) table fill and point count in pure Python, the path a
+    fresh process takes on small fields while numpy is not loaded:
+    ``_numpy_pays`` is forced false on every field that keeps tables, and
+    fresh field and candidate caches make every table anew."""
+    monkeypatch.setattr(finitefield, "_numpy_pays",
+                        lambda n: n > finitefield._TABLE_MAX)
+    monkeypatch.setattr(finitefield, "_field_cache",
+                        lru_cache(maxsize=None)(finitefield.FqField))
+    monkeypatch.setattr(fieldsearch, "_CANDIDATE_CACHE", {})
+    reference = perfbench.reference
+    pinned = reference.load()["reports"]
+    _, passes = perfbench.workloads.build(workload, reference.DEFAULT_SEED)
+    for case in passes[0]:
+        try:
+            text = reference.canonical(compute_with_retry(
+                SuperellipticCurve.from_json_dict(case.spec)).to_json_dict())
+        except SuperellError as exc:
+            text = reference.error_report(exc)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == pinned[case.key], f"{case.shape}: report drift"
 

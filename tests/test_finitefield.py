@@ -1,5 +1,5 @@
 import random
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from oracles import (
     is_irreducible_by_trial_division,
     kummer_genus_by_factorizations,
     monic_polys,
+    weil_check_by_roots,
 )
 
 
@@ -591,6 +592,129 @@ class TestVectorizedCounting:
             assert gcd(nbar, 5**6 - 1) > 1
             assert (count_kummer_points(nbar, num * den ** (nbar - 1), 3)
                     == count_kummer_points_scalar(nbar, (num, den), 3))
+
+
+# every GF(p^k) with p <= 13 small enough for the pure-Python paths
+PURE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 13)
+               if p**k <= finitefield._PY_MAX]
+
+
+class TestPurePaths:
+    """The table fill and point count in pure Python, which a process
+    takes on fields of at most ``_PY_MAX`` elements while numpy is not
+    loaded, against the numpy kernels and the scalar reference.  numpy is
+    loaded here, so ``_numpy_pays`` is forced each way."""
+
+    @staticmethod
+    def force(monkeypatch, pays):
+        monkeypatch.setattr(finitefield, "_numpy_pays", lambda n: pays)
+
+    @pytest.mark.parametrize("p, k", PURE_FIELDS)
+    def test_tables_agree(self, monkeypatch, p, k):
+        tables = []
+        for pays in (False, True):
+            self.force(monkeypatch, pays)
+            F = FqField(p, k, fq_make(p, k).modulus)
+            tables.append([list(t) for t in F._tables()])
+        assert tables[0] == tables[1]
+
+    # (p, k, i, nbar, coefficients of h over GF(p^k) as indices): q^i at
+    # and below _PY_MAX = 2^12, then above it; gcd(nbar, q^i - 1) = 1 in
+    # the GF(5^5) and GF(2^13) cases
+    @pytest.mark.parametrize("p, k, i, nbar, ints", [
+        (2, 1, 12, 3, (0, 1, 1, 1, 0, 1, 1, 0, 1)),
+        (2, 4, 3, 5, (0, 2, 1, 0, 1)),
+        (3, 1, 7, 2, (0, 1, 1, 2, 2, 1)),
+        (5, 1, 5, 3, (1, 0, 3, 1)),
+        (7, 1, 4, 4, (2, -5, 2, 4, -4, 1)),
+        (13, 1, 3, 3, (-2, 3, 1, -3, 1)),
+        (2, 1, 13, 3, (0, 1, 1, 0, 1)),
+        (5, 2, 3, 4, (0, 7, 1, 1)),
+    ])
+    def test_count_agrees_with_scalar(self, monkeypatch, p, k, i, nbar, ints):
+        F = fq_make(p, k)
+        h = FqPoly._make(F, [c % F.q for c in ints])
+        counts = []
+        for pays in (False, True):
+            self.force(monkeypatch, pays)
+            counts.append(count_kummer_points(nbar, h, i))
+        assert counts[0] == counts[1] == count_kummer_points_scalar(nbar, h, i)
+
+
+def _weil_poly(factors):
+    """P(T) = prod of the integer factors, low to high."""
+    out = [1]
+    for g in factors:
+        nxt = [0] * (len(out) + len(g) - 1)
+        for a, x in enumerate(out):
+            for b, y in enumerate(g):
+                nxt[a + b] += x * y
+        out = nxt
+    return out
+
+
+def _exact_weil_holds(P, q):
+    try:
+        finitefield._weil_check(P, q, (len(P) - 1) // 2)
+    except CountsInconsistent as exc:
+        assert str(exc).startswith("Weil bound violated")
+        return False
+    return True
+
+
+class TestWeilCheck:
+    """The exact Weil check against the float roots of P."""
+
+    @pytest.mark.parametrize("P, q, holds", [
+        ([1, 0, -2 * 5, 0, 5**2], 5, True),  # (1 - 5T^2)^2: y^2 - 4q
+        ([1, -6, 9], 9, True),  # 1 - 2 sqrt(q) T + q T^2
+        ([1, 6, 9], 9, True),
+        ([1, -12, 54, -108, 81], 9, True),  # (1 - 3T)^4
+        ([1, 0, -18, 0, 81], 9, True),  # (1 - 9T^2)^2: both ends
+        ([1, -4, 5], 5, True),  # y = 4 < 2 sqrt(5)
+        ([1, -5, 5], 5, False),  # y = 5 > 2 sqrt(5)
+        ([1, -7, 9], 9, False),  # y = 7 > 6
+        ([1, 0, 0, 0, 25], 5, True),  # 1 + 25 T^4: y^2 - 10
+        ([1, 5, 0, 25, 25], 5, False),  # y^2 + 5y - 10: one root out
+    ])
+    def test_cases(self, P, q, holds):
+        assert _exact_weil_holds(P, q) == holds == weil_check_by_roots(P, q)
+
+    def test_seeded_against_roots(self):
+        """Products of Weil factors 1 - aT + qT^2 (|a| <= 2 sqrt(q)),
+        1 -+ sqrt(q) T for square q, repeated at random, and the same with
+        one of c_1..c_g moved by 1 to 3 (c_(2g-j) = q^(g-j) c_j kept)."""
+        rng = random.Random(26)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            q = rng.choice((2, 3, 4, 5, 7, 9, 13, 25, 49))
+            r, bound = isqrt(q), isqrt(4 * q)
+            factors, size = [], rng.randint(1, 3)
+            while len(factors) < size:
+                if r * r == q and rng.random() < 0.2:
+                    sign = rng.choice((1, -1))
+                    factors += [[1, sign * r]] * 2
+                    continue
+                a = rng.randint(-bound, bound)
+                factors += [[1, -a, q]] * rng.choice((1, 1, 2))
+            P = _weil_poly(factors)
+            g = (len(P) - 1) // 2
+            assert _exact_weil_holds(P, q) and weil_check_by_roots(P, q)
+            seen[True] += 1
+            j = rng.randint(1, g)
+            P[j] += rng.choice((1, -1)) * rng.randint(1, 3)
+            P[2 * g - j] = q ** (g - j) * P[j]
+            holds = _exact_weil_holds(P, q)
+            assert holds == weil_check_by_roots(P, q), (P, q)
+            seen[holds] += 1
+        assert seen[False] > 50
+
+    def test_zeta_numerator_passes(self):
+        # the genus-3 curve z^4 = h of the corpus_p7_n4 benchmark shape
+        F = fq_make(7)
+        h = poly(F, 2, -5, 2, 4, -4, 1)
+        P = zeta_numerator(4, h, 3)
+        assert _exact_weil_holds(P, 7) and weil_check_by_roots(P, 7)
 
 
 class TestZeta:
