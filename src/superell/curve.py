@@ -10,6 +10,7 @@ p-adic work.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -158,6 +159,9 @@ class SuperellipticCurve:
                 f = f * base**mult
         else:
             f = QPoly([_coefficient(c) for c in fspec])
+            if f.degree() > MAX_POWER_DEGREE:
+                raise ValidationError(
+                    f"f has degree {f.degree()}, above {MAX_POWER_DEGREE}")
         return cls(n, f, p)
 
 
@@ -172,10 +176,15 @@ def _parse_factor(s):
         raise ValidationError(f"bad polynomial {s!r}: {exc}") from None
 
 
+_COEFFICIENT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
 def _coefficient(c):
-    # a JSON float is already rounded and a bool is not a number: only
-    # integers and "a/b" strings are read exactly
-    if isinstance(c, (bool, float)):
+    # a JSON float is already rounded, a bool is not a number and Fraction
+    # would expand a string such as "1e9999999": only integers and "a/b"
+    # strings are read
+    if isinstance(c, (bool, float)) or (isinstance(c, str)
+                                        and not _COEFFICIENT.fullmatch(c)):
         raise ValidationError(f"bad coefficient {c!r}: coefficients are "
                               "integers or \"a/b\" strings")
     try:

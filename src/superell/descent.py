@@ -31,13 +31,11 @@ On labels, inertia acts with the p^0-power and Frobenius with the p-th
 power, t -> p^j t plus lambda of an F_L-scalar, also when f(L) = 1 and
 its index in G is an inertia element.  Checked here: wild elements act by
 translations fixing y and the equation; every rewrite resubstitutes; the
-tame generator scales u; sheets and nodes map to sheets and nodes; the
-descent's stabilizer, Hilbert-90 solutions and Frobenius-fixed
-coefficients hold.  ``tree`` checks each generator's chart transport at
-every direction of a vertex.  Failures raise NotInvariant/CocycleInconsistent
-rather than risking a wrong L-factor.  The same machinery restricted to
-subgroups of the wild inertia computes the quotient curves entering the
-Swan conductor.
+tame generator scales u; nodes map to nodes; the descent's stabilizer,
+Hilbert-90 solutions and Frobenius-fixed coefficients hold.  ``tree``
+checks each generator's chart transport at every direction of a vertex.
+Failures raise NotInvariant/CocycleInconsistent rather than risking a
+wrong L-factor.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .errors import (
 from .finitefield import (
     FqPoly,
     fq_make,
-    kummer_genus,
     normalize_kummer_equation,
     power_class,
 )
@@ -96,8 +93,8 @@ def rewrite_in_power(poly, m):
 
 
 def _constant_ratio(a, b):
-    """The constant c with a = c * b, for nonzero polynomials a and b that
-    are witnesses of the same sheets, one of them transported."""
+    """The constant c with a = c * b, for nonzero polynomials a and b;
+    NotInvariant when there is none."""
     c = a.lead() / b.lead()
     if a != b * c:
         raise NotInvariant("witness transport ratio is not constant")
@@ -116,7 +113,7 @@ def _mult_order(x):
 
 class ActionContext:
     """Bundles tree, Galois action and reduction data, and provides the
-    induced actions on y-scalings, Kummer sheets, and node labels."""
+    induced actions on y-scalings and node labels."""
 
     def __init__(self, act, fiber):
         self.act = act
@@ -137,35 +134,6 @@ class ActionContext:
         unit^-k."""
         k = self.fiber.reductions[v].scaling_exponent
         return self.G.autos[g].pi_img.unit_residue() ** -k
-
-    # -- sheets (components of Ybar) ----------------------------------------
-
-    def sheets(self, v):
-        """Component labels of Ybar_v: mu_(d_max) in canonical order."""
-        return self.L.residue_field.roots_of_unity(
-            self.fiber.reductions[v].d_max)
-
-    def sheet_action(self, g, v, zeta):
-        """Image component label of the sheet (v, zeta) under g."""
-        red_v = self.fiber.reductions[v]
-        w = self.act.vertex_perm[g][v]
-        red_w = self.fiber.reductions[w]
-        a, b = self.act.affine(g, v)
-        F = self.L.residue_field
-        lin = FqPoly(F, [b, a])
-        sigma = self.G.autos[g]
-        moved = red_v.witness.map_coeffs(sigma.residue_action).compose(lin)
-        const = _constant_ratio(moved, red_w.witness)
-        gam = self.gamma(g, v)
-        zeta_new = sigma.residue_action(zeta) * const \
-            * (gam.inverse() ** red_v.n_v)
-        if zeta_new ** red_w.d_max != F.one():
-            raise NotInvariant("sheet image is not a component label")
-        return (w, zeta_new)
-
-    def all_sheets(self):
-        return [(v, zeta) for v in sorted(self.fiber.reductions)
-                for zeta in self.sheets(v)]
 
     # -- nodes ---------------------------------------------------------------
 
@@ -603,33 +571,3 @@ class InertialCurve:
 def build_inertial_curve(act, fiber):
     return InertialCurve(ActionContext(act, fiber))
 
-
-# ---------------------------------------------------------------------------
-# quotients by the higher ramification groups (for the Swan conductor)
-# ---------------------------------------------------------------------------
-
-def quotient_genus_by_wild_subgroup(ctx, subgroup):
-    """Arithmetic genus of Ybar / H for a subgroup H of the wild inertia.
-
-    H acts by translations on every component it stabilizes (trivially on
-    y), so per component the quotient is computed by rewriting the sheet
-    equation in the invariant polynomial of the stabilizer's translations.
-    """
-    sheets = ctx.all_sheets()
-    sheet_orbits = orbits(sheets, subgroup,
-                          lambda g, s: ctx.sheet_action(g, s[0], s[1]))
-    total_genus = 0
-    for orb in sheet_orbits:
-        v, zeta = orb[0]
-        red = ctx.fiber.reductions[v]
-        stab = [g for g in subgroup
-                if ctx.sheet_action(g, v, zeta) == (v, zeta)]
-        sheet_eq = red.power_class.sheet_equation(zeta)
-        _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
-        total_genus += kummer_genus(red.n_v, quotient_eq)
-    # graph quotient
-    node_orbs = orbits(ctx.nodes(), subgroup,
-                       lambda g, x: ctx.node_action(g, x, 0))
-    V = len(sheet_orbits)
-    E = len(node_orbs)
-    return total_genus + E - V + 1

@@ -8,13 +8,15 @@ whose field of definition has degree d_j over F_p.
 
 The conductor exponent is f = epsilon + delta with
 epsilon = 2 g(Y) - dim H^1 of the inertial reduction, and delta the Swan
-conductor: the weighted sum of genus drops of the quotients by the higher
-ramification groups (zero in the tame case).
+conductor sum_(i >= 1) |Gamma_i|/|Gamma_0| D_i over the higher
+ramification groups, with D_i = sum (n - gcd(n, a_O)) (|O| - 1) over the
+Gamma_i-orbits O of the roots of f, a_O their multiplicity in f.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DegreeMismatch,
@@ -22,7 +24,6 @@ from .errors import (
     NonIntegralSwan,
 )
 from .finitefield import zeta_numerator
-from .descent import quotient_genus_by_wild_subgroup
 from .qpoly import QPoly
 
 # polynomials in T are multiplied and divided as QPoly; P1 and its factors
@@ -101,37 +102,46 @@ def local_l_factor(inertial):
 
 
 class ConductorResult:
+    """f = epsilon + delta; quotient_genera[i] = g - D_i/2 is the genus of
+    Ybar/Gamma_i for each i >= 1 with Gamma_i != 1."""
+
     def __init__(self, epsilon, delta, quotient_genera, bound):
         self.epsilon = epsilon
         self.delta = delta
         self.conductor = epsilon + delta
-        self.quotient_genera = quotient_genera  # {i: genus of Ybar/Gamma_i}
+        self.quotient_genera = quotient_genera
         self.bound = bound
 
 
 def conductor_exponent(inertial):
     """f = epsilon + delta.
 
-    epsilon = 2 g(Y) - dim H^1(inertial reduction); delta is the Swan sum
-    over the higher ramification groups, computed from the arithmetic
-    genera of the quotients Ybar/Gamma_i (wild translation quotients), and
-    accumulated exactly before the integrality assertion.  The curve is
-    that of ``inertial.ctx`` and the filtration that of its group.
+    epsilon = 2 g(Y) - dim H^1(inertial reduction).  As p does not divide
+    n, Gamma_i (i >= 1) acts on H^1 through the roots it permutes, and
+    dim H^1 - dim H^1^(Gamma_i) is D_i = sum (n - gcd(n, a_O)) (|O| - 1)
+    over the Gamma_i-orbits O of the finite branch points, a_O the
+    multiplicity of f at O; delta = sum |Gamma_i|/|Gamma_0| D_i (Serre,
+    Local Fields, ch. VI), summed exactly before the integrality check.
+    The curve is that of ``inertial.ctx``, the filtration that of its group.
     """
     ctx, filt = inertial.ctx, inertial.ctx.G.filt
+    n, perm, mults = ctx.curve.n, ctx.act.point_perm, ctx.tree.multiplicities
     g = ctx.curve.genus()
     epsilon = 2 * g - inertial.dim_h1
     gamma0 = filt.gamma(0)
-    by_subgroup, genera_by_jump = {}, {}
+    genera_by_jump = {}
     delta = Fraction(0)
     i = 1
     while len(filt.gamma(i)) > 1:
         subgroup = filt.gamma(i)
-        key = tuple(subgroup)
-        if key not in by_subgroup:
-            by_subgroup[key] = quotient_genus_by_wild_subgroup(ctx, subgroup)
-        g_i = genera_by_jump[i] = by_subgroup[key]
-        delta += Fraction(len(subgroup), len(gamma0)) * (2 * g - 2 * g_i)
+        orbits = {frozenset(perm[h][j] for h in subgroup)
+                  for j, a in enumerate(mults) if a is not None}
+        drop = sum((n - gcd(n, mults[min(o)])) * (len(o) - 1)
+                   for o in orbits)
+        if drop % 2:
+            raise NonIntegralSwan(f"odd genus drop {drop} at jump {i}")
+        genera_by_jump[i] = g - drop // 2
+        delta += Fraction(len(subgroup), len(gamma0)) * drop
         i += 1
     if delta.denominator != 1:
         raise NonIntegralSwan(f"Swan conductor {delta} is not an integer")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 
 class QPoly:
@@ -24,10 +25,6 @@ class QPoly:
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     def degree(self):
         return -1 if self.is_zero() else len(self.coeffs) - 1
@@ -187,16 +184,50 @@ MAX_CONSTANT_EXPONENT = 1024
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([xX])|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
 
+# parse_poly computes on (numerators, d): the polynomial sum a_i x^i / d
+# with integers a_i, the last nonzero unless it is the only one; the
+# Fraction coefficients are made once, at the end
+
+
+def _trim(nums):
+    while len(nums) > 1 and not nums[-1]:
+        nums.pop()
+    return nums
+
+
+def _add(u, v):
+    m = lcm(u[1], v[1])
+    out = [0] * max(len(u[0]), len(v[0]))
+    for nums, d in (u, v):
+        for i, a in enumerate(nums):
+            out[i] += a * (m // d)
+    return _trim(out), m
+
+
+def _mul(u, v):
+    out = [0] * (len(u[0]) + len(v[0]) - 1)
+    for i, a in enumerate(u[0]):
+        if a:
+            for j, b in enumerate(v[0]):
+                out[i + j] += a * b
+    return _trim(out), u[1] * v[1]
+
+
+_MINUS_ONE = ([-1], 1)
+
 
 def parse_poly(s):
-    """Parse expressions like ``x^2 - 6*x - 3`` or ``(x^2-3)*(x^2+3)``."""
+    """Parse expressions like ``x^2 - 6*x - 3`` or ``(x^2-3)*(x^2+3)``.
+
+    A product or power of degree above MAX_POWER_DEGREE, a constant power
+    above MAX_CONSTANT_EXPONENT and parentheses nested past the recursion
+    limit raise ValueError before anything is expanded; the zero
+    polynomial counts as a constant."""
     pos = 0
     n = len(s)
 
     def peek():
-        nonlocal pos
-        m = _TOKEN.match(s, pos)
-        return m
+        return _TOKEN.match(s, pos)
 
     def take():
         nonlocal pos
@@ -207,54 +238,39 @@ def parse_poly(s):
         return m
 
     def parse_expr():
-        terms = [parse_term()]
-        while True:
-            m = peek()
-            if m is None:
-                break
-            if m.group(5):
-                take()
-                terms.append(parse_term())
-            elif m.group(6):
-                take()
-                terms.append(-parse_term())
-            else:
-                break
-        acc = QPoly([0])
-        for t in terms:
-            acc = acc + t
+        acc = parse_term()
+        while (m := peek()) is not None and (m.group(5) or m.group(6)):
+            take()
+            t = parse_term()
+            acc = _add(acc, t if m.group(5) else _mul(_MINUS_ONE, t))
         return acc
 
     def parse_term():
-        factors = [parse_factor()]
-        while True:
-            m = peek()
-            if m is None:
-                break
+        acc = parse_factor()
+        # implicit multiplication before x and (
+        while (m := peek()) is not None and (m.group(4) or m.group(2)
+                                             or m.group(7)):
             if m.group(4):
                 take()
-                factors.append(parse_factor())
-            elif m.group(2) or m.group(7):  # implicit multiplication
-                factors.append(parse_factor())
-            else:
-                break
-        acc = QPoly([1])
-        for f in factors:
-            acc = acc * f
+            f = parse_factor()
+            degree = len(acc[0]) + len(f[0]) - 2
+            if degree > MAX_POWER_DEGREE:
+                raise ValueError(f"product of degree {degree} exceeds "
+                                 f"{MAX_POWER_DEGREE}")
+            acc = _mul(acc, f)
         return acc
 
     def parse_factor():
         m = take()
         if m.group(6):  # unary minus
-            return -parse_factor()
+            return _mul(_MINUS_ONE, parse_factor())
         if m.group(1):
-            try:
-                base = QPoly.constant(Fraction(m.group(1)))
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"zero denominator in {m.group(1)!r}") from None
+            num, _, den = m.group(1).partition("/")
+            base = ([int(num)], int(den or 1))
+            if not base[1]:
+                raise ValueError(f"zero denominator in {m.group(1)!r}")
         elif m.group(2):
-            base = QPoly.x()
+            base = ([0, 1], 1)
         elif m.group(7):
             base = parse_expr()
             closing = take()
@@ -269,16 +285,25 @@ def parse_poly(s):
             if not m3.group(1):
                 raise ValueError("exponent must be an integer")
             e = int(m3.group(1))
-            if base.degree() * e > MAX_POWER_DEGREE:
-                raise ValueError(f"power of degree {base.degree() * e} "
+            deg = len(base[0]) - 1
+            if deg * e > MAX_POWER_DEGREE:
+                raise ValueError(f"power of degree {deg * e} "
                                  f"exceeds {MAX_POWER_DEGREE}")
-            if base.degree() == 0 and e > MAX_CONSTANT_EXPONENT:
+            if deg == 0 and e > MAX_CONSTANT_EXPONENT:
                 raise ValueError(f"exponent {e} of a constant exceeds "
                                  f"{MAX_CONSTANT_EXPONENT}")
-            base = base ** e
+            power = ([1], 1)
+            for bit in bin(e)[2:]:
+                power = _mul(power, power)
+                if bit == "1":
+                    power = _mul(power, base)
+            base = power
         return base
 
-    out = parse_expr()
+    try:
+        nums, d = parse_expr()
+    except RecursionError:
+        raise ValueError("parentheses nested too deeply") from None
     if pos != n and s[pos:].strip():
         raise ValueError(f"trailing input: {s[pos:]!r}")
-    return out
+    return QPoly([Fraction(a, d) for a in nums])

@@ -64,9 +64,10 @@ class Vertex:
 
 
 class MarkedTree:
-    def __init__(self, L, points, vertices, psi, root, edges):
+    def __init__(self, L, points, multiplicities, vertices, psi, root, edges):
         self.L = L
         self.points = points        # list: LocalFieldElement or INF_POINT
+        self.multiplicities = multiplicities  # in f; None for infinity
         self.vertices = vertices
         self.psi = psi              # point index -> vertex index
         self.root = root
@@ -256,7 +257,8 @@ def build_tree(divisor, L):
         raise NotInvariant("no maximal disc")
     if len(edges) != len(vertices) - 1:
         raise NotInvariant("edge relation is not a tree")
-    tree = MarkedTree(L, points, vertices, psi, root, sorted(edges))
+    tree = MarkedTree(L, points, [bp.multiplicity for bp in divisor.points],
+                      vertices, psi, root, sorted(edges))
 
     # valence >= 3 for a stably marked tree
     for v in vertices:

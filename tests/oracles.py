@@ -73,6 +73,13 @@ are the references for ``ActionContext.nodes`` and
 ``ActionContext.node_action``, which take the labels as points of Q/Z
 and build no field.
 
+``quotient_genus_by_wild_subgroup`` computes the genus of Ybar/H for a
+wild subgroup H on the special fiber: the orbits of H on the sheets
+(``sheet_image``) and nodes, and per sheet orbit the Kummer genus of the
+sheet equation rewritten in the invariant of the stabilizer's
+translations.  It is the reference for ``lzeta.conductor_exponent``,
+which reads the genus drop D off the permutation of the branch points.
+
 ``filtration_by_witness_search`` finds a generator theta of O_L over Z_p
 among pi, pi + a and pi plus a Teichmueller lift, applies every
 automorphism to it and accepts it by Hilbert's formula.  It is the
@@ -133,6 +140,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from superell.curve import branch_divisor
+from superell.descent import _constant_ratio, _translation_quotient, orbits
 from superell.errors import (
     AdmissibilityViolation,
     GenusMismatch,
@@ -157,6 +165,7 @@ from superell.finitefield import (
     FqPoly,
     factor_poly,
     fq_make,
+    kummer_genus,
     kummer_solutions,
     power_class,
 )
@@ -749,7 +758,8 @@ def build_tree_by_triples(divisor, L):
             if moebius_eval(v.chart, INF_POINT, L) != INF_POINT:
                 raise NoRationalFixedPoint("chart normalization failed")
         v.red = _chart_values(L, points, v.chart)
-    return MarkedTree(L, points, vertices, psi, root, sorted(edges))
+    return MarkedTree(L, points, [bp.multiplicity for bp in divisor.points],
+                      vertices, psi, root, sorted(edges))
 
 
 def _chart_values(L, points, chart):
@@ -864,6 +874,52 @@ def node_orbit_data_by_label_field(ctx):
             sizes.append(size)
     return (len(classes), sorted(sizes),
             [len(orbits_under(H)) for H in G.filt.groups])
+
+
+def sheet_image(ctx, g, v, zeta):
+    """The image (g v, zeta') of the sheet (v, zeta) of Ybar under g: the
+    component labels of Ybar_v are mu_(d_max), and zeta' is sigma_g(zeta)
+    times the ratio of the transported witness of v to that of g v, over
+    the y-scaling to the power n_v."""
+    red_v = ctx.fiber.reductions[v]
+    w = ctx.act.vertex_perm[g][v]
+    red_w = ctx.fiber.reductions[w]
+    a, b = ctx.act.affine(g, v)
+    F = ctx.L.residue_field
+    sigma = ctx.G.autos[g]
+    moved = red_v.witness.map_coeffs(sigma.residue_action).compose(
+        FqPoly(F, [b, a]))
+    const = _constant_ratio(moved, red_w.witness)
+    zeta_new = sigma.residue_action(zeta) * const \
+        * (ctx.gamma(g, v).inverse() ** red_v.n_v)
+    if zeta_new ** red_w.d_max != F.one():
+        raise NotInvariant("sheet image is not a component label")
+    return (w, zeta_new)
+
+
+def quotient_genus_by_wild_subgroup(ctx, subgroup):
+    """Arithmetic genus of Ybar / H for a subgroup H of the wild inertia:
+    H acts by translations on every sheet it stabilizes (trivially on y),
+    so each sheet orbit contributes the genus of its sheet equation
+    rewritten in the invariant polynomial of the stabilizer's
+    translations, and the dual graph its H-orbits of sheets and nodes."""
+    sheets = [(v, zeta) for v in sorted(ctx.fiber.reductions)
+              for zeta in ctx.L.residue_field.roots_of_unity(
+                  ctx.fiber.reductions[v].d_max)]
+    sheet_orbits = orbits(sheets, subgroup,
+                          lambda g, s: sheet_image(ctx, g, *s))
+    total_genus = 0
+    for orb in sheet_orbits:
+        v, zeta = orb[0]
+        red = ctx.fiber.reductions[v]
+        stab = [g for g in subgroup
+                if sheet_image(ctx, g, v, zeta) == (v, zeta)]
+        sheet_eq = red.power_class.sheet_equation(zeta)
+        _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
+        total_genus += kummer_genus(red.n_v, quotient_eq)
+    node_orbs = orbits(ctx.nodes(), subgroup,
+                       lambda g, x: ctx.node_action(g, x, 0))
+    return total_genus + len(node_orbs) - len(sheet_orbits) + 1
 
 
 def filtration_by_witness_search(G):

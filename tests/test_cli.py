@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -197,6 +198,33 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             reports.append(proc.stdout)
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"n": 3, "p": 5, "f": [1] * 5000}, "f has degree 4999, above 256"),
+        ({"n": 3, "p": 5, "f": [["*".join(["(x+1)"] * 3000), 1]]},
+         "product of degree 257 exceeds 256"),
+        ({"n": 3, "p": 5, "f": [["(" * 5000 + "x^3+1" + ")" * 5000, 1]]},
+         "parentheses nested too deeply"),
+        ({"n": 3, "p": 5, "f": [["+".join(["x^200"] * 2000), 1]]},
+         "f has a factor which is an 3-th power over Q"),
+        ({"n": 3, "p": 5, "f": ["1e10000000", 0, 0, 1]},
+         "bad coefficient '1e10000000': coefficients are integers or "
+         "\"a/b\" strings"),
+    ], ids=["long_list", "long_product", "deep_nesting", "long_sum",
+            "exponent_coefficient"])
+    def test_large_inputs_refused_at_once(self, tmp_path, capsys, spec,
+                                          message):
+        """A long coefficient list, a long product, deep parentheses, a
+        long sum of large powers and a coefficient with a huge decimal
+        exponent exit 2 within a second."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        assert main([str(path), "--json"]) == 2
+        assert time.perf_counter() - start < 1
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"] == "ValidationError"
+        assert diag["message"].endswith(message)
 
     def test_bad_option_text_is_argparse_usage(self, tmp_path):
         proc = run_cli(tmp_path, EX2, "--precision", "abc")

@@ -1,8 +1,12 @@
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from superell.curve import SuperellipticCurve
+from superell.errors import ValidationError
 from superell.qpoly import QPoly, parse_poly
 
 
@@ -105,3 +109,74 @@ class TestBranchData:
             {"n": 4, "f": [["x^2-3", 1], ["x^2+3", 1], ["x^2-6*x-3", 1]],
              "p": 3})
         assert c.f == make_f_example1()
+
+
+# spec parts for the property tests: values of the wrong type, odd tokens,
+# deep nesting, large exponents and long products
+_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                     st.text(max_size=6), st.integers(-10**30, 10**30))
+_COEFFS = st.one_of(st.integers(-10**30, 10**30), _SCALARS, st.sampled_from(
+    ["1/2", "-3/4", "1/0", "1e10000000", "1.5", "x", " 7 ", "", "0"]))
+_TOKENS = st.sampled_from(
+    ["x", "X", "^", "*", "+", "-", "(", ")", "/", "0", "1", "2", "3/2", "1/0",
+     "256", "1024", "99999999999", " ", ".", "y", "**", "e5"])
+_POLYS = st.one_of(
+    st.lists(_TOKENS, max_size=40).map("".join),
+    st.integers(0, 3000).map(lambda k: "(" * k + "x^3+1" + ")" * k),
+    st.tuples(st.sampled_from(["x", "(x+1)", "(x^2-3)", "2", "1/3", "x^7"]),
+              st.integers(1, 300)).map(lambda t: "*".join([t[0]] * t[1])),
+    st.tuples(st.sampled_from(["x", "(x+1)", "(x^3+x)", "2", "(1/2)"]),
+              st.integers(0, 10**12)).map(lambda t: f"{t[0]}^{t[1]}"),
+    st.tuples(st.sampled_from(["x^200", "(x+1)^100", "x", "1/7*x^3"]),
+              st.integers(1, 500)).map(lambda t: "+".join([t[0]] * t[1])))
+_MULTS = st.one_of(st.integers(-2, 40), st.integers(-10**30, 10**30),
+                   _SCALARS)
+_FACTORS = st.lists(st.one_of(
+    st.tuples(st.one_of(_POLYS, st.lists(_COEFFS, max_size=8)),
+              _MULTS).map(list),
+    _SCALARS, st.lists(_SCALARS, max_size=3)), min_size=1, max_size=5)
+# n and p beyond 10^6 are left out: clearing a denominator of f takes an
+# n-th power of it
+_INTS = st.one_of(st.integers(-3, 40), st.integers(-3, 10**6))
+_SPECS = st.fixed_dictionaries({
+    "n": st.one_of(_INTS, _SCALARS), "p": st.one_of(_INTS, _SCALARS),
+    "f": st.one_of(st.lists(_COEFFS, max_size=40), _FACTORS, _SCALARS)})
+_SPECS = st.one_of(
+    _SPECS,
+    _SPECS.flatmap(lambda d: st.sampled_from(sorted(d)).map(
+        lambda k: {key: v for key, v in d.items() if key != k})),
+    _SCALARS, st.lists(_SCALARS, max_size=3))
+_CHECKED = settings(max_examples=100, deadline=timedelta(seconds=1),
+                    derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMalformedSpecs:
+    """Every spec gives a curve or a ValidationError, each within the
+    deadline."""
+
+    @staticmethod
+    def curve_or_refusal(spec):
+        try:
+            curve = SuperellipticCurve.from_json_dict(spec)
+        except ValidationError:
+            return
+        assert isinstance(curve, SuperellipticCurve)
+
+    @_CHECKED
+    @given(_SPECS)
+    def test_any_spec(self, spec):
+        self.curve_or_refusal(spec)
+
+    @_CHECKED
+    @given(st.integers(2, 12), st.integers(2, 40),
+           st.lists(_COEFFS, max_size=400))
+    @example(3, 5, ["1e10000000", 0, 0, 1])
+    def test_coefficient_lists(self, n, p, f):
+        self.curve_or_refusal({"n": n, "p": p, "f": f})
+
+    @_CHECKED
+    @given(st.integers(2, 12), st.integers(2, 40), _POLYS,
+           st.integers(1, 12))
+    def test_polynomial_strings(self, n, p, poly, mult):
+        self.curve_or_refusal({"n": n, "p": p, "f": [[poly, mult]]})

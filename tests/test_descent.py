@@ -5,7 +5,6 @@ from superell.curve import SuperellipticCurve, branch_divisor
 from superell.descent import (
     ActionContext,
     build_inertial_curve,
-    quotient_genus_by_wild_subgroup,
     rewrite_in_power,
     rewrite_in_subalgebra,
     solve_add_h90,
@@ -25,6 +24,7 @@ from oracles import (
     gamma_by_division,
     node_labels_by_edge_search,
     node_orbit_data_by_label_field,
+    quotient_genus_by_wild_subgroup,
 )
 
 ACTION_CASES = ("ex1", "ex2", "good_reduction", "deg40", "ex1_non_integral",

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from superell.lzeta import (
 )
 from superell.pipeline import compute_with_retry, verify_point_counts
 from superell.qpoly import QPoly, parse_poly
+
+from oracles import quotient_genus_by_wild_subgroup
 
 
 class TestGraphCharpoly:
@@ -156,3 +159,49 @@ class TestFrobeniusOnNodeLabels:
     def test_sextic_twists_sum_to_zero(self):
         f = parse_poly("2*x^3 - 6*x^2 - 4*x + 12")
         assert sum(_p1(6, f * QPoly([u]), 7)[1] for u in range(1, 7)) == 0
+
+
+# (n, p, f) with wild inertia at p = 2 and 3, one with a triple root
+WILD_FAMILY = [
+    (3, 2, "(x^2+2)*(x^2-2)"),
+    (3, 2, "(x^2-2)*(x^2+1)"),
+    (5, 2, "(x^2-2)*(x-1)"),
+    (4, 3, "x^3-3"),
+    (4, 3, "(x^3-3)*(x-1)"),
+    (4, 3, "(x^3-3)*(x+1)"),
+    (4, 3, "(x^3-3)^3*(x-1)"),
+]
+
+
+def swan_by_quotients(result):
+    """(delta, {i: genus of Ybar/Gamma_i}) from the quotients of the
+    special fiber by the wild groups Gamma_i != 1."""
+    ctx, filt = result.inertial.ctx, result.G.filt
+    g = result.curve.genus()
+    genera, delta, i = {}, Fraction(0), 1
+    while len(filt.gamma(i)) > 1:
+        genera[i] = quotient_genus_by_wild_subgroup(ctx, filt.gamma(i))
+        delta += Fraction(len(filt.gamma(i)), len(filt.gamma(0))) \
+            * (2 * g - 2 * genera[i])
+        i += 1
+    return delta, genera
+
+
+class TestSwanFormula:
+    """delta and the genus of Ybar/Gamma_i at every jump, read off the
+    permutation of the branch points, agree with the quotients of the
+    special fiber."""
+
+    @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction",
+                                      "corpus_multi_vertex"))
+    def test_samples_and_corpus(self, results_named, name):
+        for r in results_named(name):
+            assert swan_by_quotients(r) == (r.conductor.delta,
+                                            r.conductor.quotient_genera)
+
+    @pytest.mark.parametrize("n, p, f", WILD_FAMILY)
+    def test_wild_family(self, n, p, f):
+        r = compute_with_retry(SuperellipticCurve(n, parse_poly(f), p))
+        assert len(r.G.filt.gamma(1)) > 1
+        assert swan_by_quotients(r) == (r.conductor.delta,
+                                        r.conductor.quotient_genera)
