@@ -29,6 +29,12 @@ from .qpoly import (
 )
 
 
+# f is made integral by m^n, m the lcm of its denominators; a larger scale
+# is refused before it is computed: n = 10^8 and m = 2 would make a
+# 10^8-bit coefficient
+MAX_SCALE_BITS = 1 << 16
+
+
 class SuperellipticCurve:
     """y^n = f(x), considered over Q_p for the given prime p.
 
@@ -47,6 +53,10 @@ class SuperellipticCurve:
         m = 1
         for c in f.coeffs:
             m = lcm(m, c.denominator)
+        if m > 1 and self.n * m.bit_length() > MAX_SCALE_BITS:
+            raise ValidationError(
+                f"clearing the denominator {m} of f takes {m}^{self.n}, "
+                f"above {MAX_SCALE_BITS} bits")
         self.f = f * Fraction(m**self.n)
         if any(c.denominator != 1 for c in self.f.coeffs):
             raise NonIntegralFactor("rescaled f is not integral")

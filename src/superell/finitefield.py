@@ -10,21 +10,21 @@ where c_j is the coefficient of a^j; ``coeffs`` gives the digit tuple and
 indices comes in three kinds:
 
 * k = 1: plain integers mod p;
-* q <= 2^17: three ``array('i')`` tables per field, built on first use from
-  the canonical generator g (the element of order q - 1 with the smallest
-  index): exp[e] = g^e, log[i] (-1 at zero) and the Zech logarithms
-  zech[e] = log(1 + g^e) (-1 where that sum vanishes; Huber, IEEE Trans. IT
-  36, 1990).  A product, inverse, power or Frobenius is one lookup, a sum
-  is exp[la + zech[lb - la]] (exponents mod q - 1), and -x adds (q - 1)/2
-  to the log for odd p.  The tables take 12 bytes per element, 1.4 MB for
-  GF(7^6) = 117,649, the largest residue field the tree and descent meet.
-  The bound covers that field and no more: an F_{q^i} of point counting
-  with at most 2^17 elements carries all three tables, although counting
-  reads only log, while a larger one gets none.  A small field (below)
-  fills its tables one power g^e at a time; a larger one fills them with
-  numpy, by baby-step/giant-step digit-array products written block by
-  block into the table buffers;
-* q > 2^17: schoolbook products of the base-p digits of the indices.
+* q <= ``_TABLE_MAX`` = 10^6 (``DEFAULT_POINT_BUDGET``, so every field
+  that point counting may enumerate): three ``array('i')`` tables per
+  field, built on first use from the canonical generator g (the element of
+  order q - 1 with the smallest index): exp[e] = g^e, log[i] (-1 at zero)
+  and the Zech logarithms zech[e] = log(1 + g^e) (-1 where that sum
+  vanishes; Huber, IEEE Trans. IT 36, 1990).  A product, inverse, power or
+  Frobenius is one lookup, a sum is exp[la + zech[lb - la]] (exponents mod
+  q - 1), and -x adds (q - 1)/2 to the log for odd p.  The tables take 12
+  bytes per element: 1.4 MB for GF(7^6) = 117,649, the largest residue
+  field the tree and descent meet, and at most 12 MB for a counting field.
+  A small field (below) fills its tables one power g^e at a time; a larger
+  one fills them with numpy, by baby-step/giant-step digit-array products
+  written block by block into the table buffers;
+* q > 10^6: schoolbook products of the base-p digits of the indices, and
+  a discrete log by baby steps and giant steps.
 
 ``FqPoly`` keeps its coefficients as a tuple of indices, and its loops call
 the field's scalar operations on ints without creating elements.
@@ -50,8 +50,14 @@ On top of the field arithmetic this module provides
 * ``normalize_kummer_equation``: strip nbar-th power factors without
   changing the function field of the cover.
 
-``count_kummer_points`` evaluates h at all of F_{q^i} and decides
-n-th-power residuosity of the ordinary points by their discrete logs.
+``count_kummer_points`` counts z^nbar = h over F_{q^i}.  When gcd(nbar,
+q^i - 1) = 1, x -> x^nbar is a bijection of F_{q^i}, every fiber has one
+rational point and the count is q^i + 1, read off without building
+F_{q^i}.  Otherwise it evaluates h at every x = g^e by Horner on discrete
+logs: multiplying by x adds e to the log of the running value, and adding
+a coefficient is one Zech lookup.  An ordinary point is counted by its
+log mod gcd(nbar, q^i - 1), and the roots of h, where the log becomes -1,
+take the general rule at a zero.
 
 numpy carries the bulk work on large fields only.  Importing it costs
 about 70 ms, more than all the GF(q) work on a field of at most
@@ -59,16 +65,14 @@ about 70 ms, more than all the GF(q) work on a field of at most
 counts over is that small.  So ``_numpy_pays`` sends a field to numpy only
 when it has more than 2^12 elements or numpy is loaded already; a fresh
 process whose fields all stay small never imports it.  A small field
-fills its tables in pure Python and counts by Horner on indices.  On a
-large field, work runs on numpy digit arrays, (k, N) int64 arrays holding
-N elements as columns of base-p digits: the tables are filled block by
-block, and ``count_kummer_points`` evaluates h a fixed chunk of points at
-a time and reads the discrete logs from the field's log table through a
-numpy view (a field above 2^17 keeps a numpy log table alone: 4 bytes per
-element, at most about 4 MB within ``DEFAULT_POINT_BUDGET``).  numpy is
-imported inside the functions that use it, so importing the package does
-not load it.  There is no floating point: the Weil check on a zeta
-numerator is a Sturm count over Q (``_weil_check``).
+fills its tables and runs the Horner loop on logs in pure Python.  On a
+large field the tables are filled block by block from digit arrays, (k,
+N) int64 arrays holding N elements as columns of base-p digits, and
+``count_kummer_points`` runs the Horner loop on ``_KUMMER_CHUNK``
+exponents at a time through numpy views of the tables.  numpy is imported
+inside the functions that use it, so importing the package does not load
+it.  There is no floating point: the Weil check on a zeta numerator is a
+Sturm count over Q (``_weil_check``).
 """
 
 from __future__ import annotations
@@ -102,15 +106,17 @@ INF = "inf"  # marker for the point at infinity of P^1
 #: points of F_{q^i} evaluated per numpy pass in ``count_kummer_points``
 _KUMMER_CHUNK = 8192
 
-#: fields with at most this many elements keep exp/log/Zech tables
-_TABLE_MAX = 1 << 17
+#: fields with at most this many elements keep exp/log/Zech tables: every
+#: field that point counting may enumerate
+_TABLE_MAX = DEFAULT_POINT_BUDGET
 
 #: largest field whose tables and point counts are made in pure Python
 #: while numpy is not loaded.  Importing numpy costs about 70 ms; a pure
 #: table fill costs about 5-7 us per element up to k = 4 (17 us in
-#: GF(2^12)) and a pure count about 5 us per point of a quartic or quintic
-#: h (2-core x86-64, CPython 3.11), so the fields of up to 2,401 elements
-#: that point counting meets stay well under the import.
+#: GF(2^12)) and a pure count on discrete logs about 0.6-1 us per point
+#: of an h of degree 4 to 8 (2-core x86-64, CPython 3.11), so the fields
+#: of up to 2,401 elements that point counting meets stay well under the
+#: import.
 _PY_MAX = 1 << 12
 
 
@@ -224,7 +230,6 @@ class FqField:
         self._zero = FqElement(self, 0)
         self._one = FqElement(self, 1)
         self._t = None  # (exp, log, zech) once built
-        self._log_np = None  # numpy log table while _t is not built
         self._gen = None
         self._embeddings = {}
 
@@ -288,10 +293,24 @@ class FqField:
     def dlog(self, u):
         """Discrete log of u with respect to the canonical generator."""
         t = self._tables()
-        e = t[1][u.i] if t is not None else int(self._log_table()[u.i])
-        if e < 0:
-            raise KeyError(f"discrete log of zero in {self!r}")
-        return e
+        if t is not None:
+            if u.i:
+                return t[1][u.i]
+        elif u.i:
+            # above _TABLE_MAX: baby steps g^j (j < m), giant steps u g^(-mt)
+            n = self.q - 1
+            m = isqrt(n - 1) + 1
+            g = self.multiplicative_generator().i
+            baby, acc = {}, 1
+            for j in range(m):
+                baby.setdefault(acc, j)
+                acc = self._digit_mul(acc, g)
+            step, x = self._digit_pow(acc, n - 1), u.i
+            for t in range(m):
+                if x in baby:
+                    return t * m + baby[x]
+                x = self._digit_mul(x, step)
+        raise KeyError(f"discrete log of zero in {self!r}")
 
     # -- canonical indices: the base-p digits of element number i are its
     # coefficients of a^0, ..., a^(k-1) (the order of ``from_index``).
@@ -373,7 +392,6 @@ class FqField:
                     x = ev[start:start + m]
                     zv[start:start + m] = lv[x - x % p + (x + 1) % p]
             self._t = (exp, log, zech)
-            self._log_np = None
         return self._t
 
     def _power_blocks(self):
@@ -395,23 +413,6 @@ class FqField:
             yield start, self._indices(block[:, :min(m, n - start)])
             if start + m < n:
                 block = self._mul_digits(block, giant)
-
-    def _log_table(self):
-        """numpy int32 array of length q: index -> discrete log, -1 at zero.
-
-        A view of the ``_tables`` log buffer when those are built; else a
-        log table of its own, without exp and Zech, which point counting
-        never reads.
-        """
-        import numpy as np
-        if self._t is not None:
-            return np.frombuffer(self._t[1], dtype=np.intc)
-        if self._log_np is None:
-            table = np.full(self.q, -1, dtype=np.intc)
-            for start, idx in self._power_blocks():
-                table[idx] = np.arange(start, start + len(idx), dtype=np.intc)
-            self._log_np = table
-        return self._log_np
 
     # -- scalar arithmetic on indices: plain ``% p`` in a prime field,
     # table lookups up to _TABLE_MAX, digit arithmetic above it.
@@ -474,14 +475,6 @@ class FqField:
     # Digit arrays: (k, N) int64 arrays whose column c holds the base-p
     # digits of one element, row j the coefficient of a^j (the order of
     # ``from_index``).
-
-    def _digits(self, idx):
-        """Digit array of an int64 array of canonical indices."""
-        import numpy as np
-        out = np.empty((self.k, len(idx)), dtype=np.int64)
-        for j in range(self.k):
-            idx, out[j] = np.divmod(idx, self.p)
-        return out
 
     def _indices(self, digits):
         """Canonical indices of the columns of a digit array."""
@@ -1112,9 +1105,11 @@ def count_kummer_points(nbar, h, i=1):
 
     Where h(x0) is nonzero, a = 0 and there are g = gcd(nbar, q^i - 1)
     points above x0 if h(x0) is a g-th power, i.e. if log h(x0) = 0 mod g;
-    the zeros of h and infinity take the general rule above.  The affine
-    points are evaluated by Horner on indices in a small field (see
-    ``_numpy_pays``), else as digit arrays, ``_KUMMER_CHUNK`` at a time.
+    the zeros of h and infinity take the general rule above.  When g = 1,
+    every fiber has exactly one rational point, so the count is q^i + 1
+    without building F_{q^i}.  Otherwise h is evaluated at every x = g^e
+    by Horner on discrete logs (``_affine_logs_python`` on a small field,
+    see ``_numpy_pays``, else ``_affine_logs_numpy``).
     """
     if h.is_zero():
         raise ZeroFunction("cannot count points of z^n = 0")
@@ -1122,67 +1117,84 @@ def count_kummer_points(nbar, h, i=1):
     if gcd(nbar, F.p) != 1:
         raise CharacteristicDividesExponent(
             f"exponent {nbar} not prime to characteristic {F.p}")
-    if F.q**i > DEFAULT_POINT_BUDGET:
+    qi = F.q**i
+    if qi > DEFAULT_POINT_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"q^i = {F.q ** i} exceeds budget {DEFAULT_POINT_BUDGET}")
+            f"q^i = {qi} exceeds budget {DEFAULT_POINT_BUDGET}")
+    g_full = gcd(nbar, qi - 1)
+    if g_full == 1:
+        return qi + 1
     big = fq_make(F.p, F.k * i)
-    emb = F.embedding(big)
-    hh = h.map_coeffs(emb, big)
-    g_full = gcd(nbar, big.q - 1)
-    if not _numpy_pays(big.q):
-        total, special = _count_affine_python(hh, g_full)
-    else:
-        total, special = _count_affine_numpy(hh, g_full)
+    hh = h.map_coeffs(F.embedding(big), big)
+    exp, log, zech = big._tables()
+    logs = [log[c] for c in reversed(hh._c)]  # high to low, -1 at zero
+    kernel = (_affine_logs_numpy if _numpy_pays(big.q)
+              else _affine_logs_python)
+    total, special = kernel(logs, g_full, exp, zech)
+    if logs[-1] < 0:
+        special.append(0)
+    elif logs[-1] % g_full == 0:
+        total += g_full
     for x0 in [big.from_index(j) for j in special] + [INF]:
         d = gcd(nbar, hh.ord_at(x0))
         total += kummer_solutions(d, hh.unit_value_at(x0))
     return total
 
 
-def _count_affine_python(h, g_full):
-    """(points above the x0 in F with h(x0) != 0, the x0 with h(x0) = 0)
-    for z^nbar = h, g_full = gcd(nbar, q - 1): Horner on each index."""
-    F = h.field
-    log = F._tables()[1] if g_full > 1 else None
-    cs = h._c[::-1]
-    mul, add = F._mul, F._add
+# Horner on discrete logs.  With x = g^e and the running value acc = h's
+# partial Horner sum kept as its log L (-1 at zero), acc * x + c is
+# c * (1 + acc * x / c), whose log is log c + zech[L + e - log c], one
+# lookup; a zero acc gives c, a zero c adds e to L.  L stays unreduced:
+# g_full divides q - 1, so L mod g_full needs no reduction mod q - 1.
+
+def _affine_logs_python(logs, g_full, exp, zech):
+    """(points above the x0 = g^e with h(x0) != 0, the indices of the x0 =
+    g^e with h(x0) = 0) for the coefficient logs of h, high to low."""
+    n = len(exp)
+    lead, rest = logs[0], logs[1:]
     total, special = 0, []
-    for x in range(F.q):
-        acc = 0
-        for c in cs:
-            acc = add(mul(acc, x), c)
-        if not acc:
-            special.append(x)
-        elif log is None or log[acc] % g_full == 0:
+    for e in range(n):
+        L = lead
+        for lc in rest:
+            if L < 0:
+                L = lc
+            elif lc < 0:
+                L += e
+            else:
+                L = zech[(L + e - lc) % n]
+                if L >= 0:
+                    L += lc
+        if L < 0:
+            special.append(exp[e])
+        elif L % g_full == 0:
             total += g_full
     return total, special
 
 
-def _count_affine_numpy(h, g_full):
-    """``_count_affine_python`` on digit arrays, ``_KUMMER_CHUNK`` points
-    at a time, reading discrete logs through a numpy view."""
+def _affine_logs_numpy(logs, g_full, exp, zech):
+    """``_affine_logs_python`` on ``_KUMMER_CHUNK`` exponents at a time,
+    with the zeros of the running value kept as a (short) index array."""
     import numpy as np
-    big = h.field
-    log = big._log_table() if g_full > 1 else None
-    cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
-            for c in reversed(h.coeffs)]
-    total = 0
-    special = []
-    for start in range(0, big.q, _KUMMER_CHUNK):
-        idx = np.arange(start, min(start + _KUMMER_CHUNK, big.q),
-                        dtype=np.int64)
-        x = big._digits(idx)
-        acc = np.broadcast_to(cols[0], x.shape)
-        for col in cols[1:]:
-            acc = big._mul_digits(acc, x)
-            acc += col
-            acc %= big.p
-        hv = big._indices(acc)
-        ordinary = hv != 0
-        special.extend(idx[~ordinary].tolist())
-        if log is not None:
-            ordinary &= log[hv] % g_full == 0
-        total += g_full * int(np.count_nonzero(ordinary))
+    ev, zv = (np.frombuffer(t, dtype=np.intc) for t in (exp, zech))
+    n = len(ev)
+    total, special = 0, []
+    for start in range(0, n, _KUMMER_CHUNK):
+        e = np.arange(start, min(start + _KUMMER_CHUNK, n), dtype=np.int64)
+        L = np.full(len(e), logs[0], dtype=np.int64)
+        zero = np.empty(0, dtype=np.int64)
+        for lc in logs[1:]:
+            L += e
+            if lc < 0:
+                continue
+            L -= lc
+            z = np.take(zv, L, mode="wrap")
+            z[zero] = 0
+            np.add(z, lc, out=L)
+            zero = np.flatnonzero(z < 0)
+        ok = L % g_full == 0
+        ok[zero] = False
+        total += g_full * int(np.count_nonzero(ok))
+        special.extend(ev[start + zero].tolist())
     return total, special
 
 

@@ -23,7 +23,12 @@ affine model is smooth.
 
 ``count_kummer_points_scalar`` is the package's counting rule evaluated one
 point at a time with ``FqElement`` arithmetic: the reference for the
-vectorized ``count_kummer_points``.
+vectorized ``count_kummer_points``.  ``count_kummer_points_by_digit_arrays``
+enumerates every field, also where gcd(nbar, q^i - 1) = 1, and evaluates
+h as numpy digit arrays, a chunk of points at a time, by column-wise digit
+products (``FqField._mul_digits``), reading the discrete logs of the values
+from the log table: the reference for the Horner on discrete logs of
+``count_kummer_points``.
 
 These counting oracles, ``gauss_valuation_by_expansion`` and the genus
 oracles below take a rational function as an explicit (num, den) pair.
@@ -559,6 +564,40 @@ def count_kummer_points_scalar(nbar, h, i=1):
             continue
         total += _fiber_points(big, nbar, num, den, x0)
     return total + _fiber_points(big, nbar, num, den, INF)
+
+
+def count_kummer_points_by_digit_arrays(nbar, h, i=1, chunk=8192):
+    """``count_kummer_points`` of the polynomial h, with the affine points
+    evaluated by Horner on (k, N) numpy arrays of base-p digits."""
+    import numpy as np
+    F = h.field
+    big = fq_make(F.p, F.k * i)
+    hh = h.map_coeffs(F.embedding(big), big)
+    g_full = gcd(nbar, big.q - 1)
+    log = np.frombuffer(big._tables()[1], dtype=np.intc)
+    cols = [np.array(c.coeffs, dtype=np.int64)[:, None]
+            for c in reversed(hh.coeffs)]
+    total, special = 0, []
+    for start in range(0, big.q, chunk):
+        idx = np.arange(start, min(start + chunk, big.q), dtype=np.int64)
+        x = np.empty((big.k, len(idx)), dtype=np.int64)
+        rest = idx
+        for j in range(big.k):
+            rest, x[j] = np.divmod(rest, big.p)
+        acc = np.broadcast_to(cols[0], x.shape)
+        for col in cols[1:]:
+            acc = big._mul_digits(acc, x)
+            acc += col
+            acc %= big.p
+        hv = big._indices(acc)
+        ordinary = hv != 0
+        special.extend(idx[~ordinary].tolist())
+        ordinary &= log[hv] % g_full == 0
+        total += g_full * int(np.count_nonzero(ordinary))
+    for x0 in [big.from_index(j) for j in special] + [INF]:
+        d = gcd(nbar, hh.ord_at(x0))
+        total += kummer_solutions(d, hh.unit_value_at(x0))
+    return total
 
 
 def _fiber_points(big, nbar, num, den, x0):

@@ -16,6 +16,7 @@ from superell.errors import (
     CatalogExhausted,
     EnumerationBudgetExceeded,
     GenusMismatch,
+    NonIntegralFactor,
     NotInvariant,
     PrecisionExhausted,
     SuperellError,
@@ -607,15 +608,15 @@ def _compute_pinned_abort(curve, message):
     different failure is not taken for the known one."""
     try:
         compute_with_retry(curve)
-    except (NotInvariant, GenusMismatch) as exc:
+    except (NotInvariant, GenusMismatch, NonIntegralFactor) as exc:
         assert str(exc) == message
         raise
 
 
 class TestKnownDefects:
-    """Squarefree curves with p not dividing n that abort with exit 5
-    today.  A fix makes these strict xfails pass, which fails the suite
-    until the marker is removed."""
+    """Curves with p not dividing n that abort with exit 5 today.  A fix
+    makes these strict xfails pass, which fails the suite until the marker
+    is removed."""
 
     @pytest.mark.xfail(strict=True, raises=NotInvariant,
                        reason="infinity is unmarked and the two vertex "
@@ -632,3 +633,19 @@ class TestKnownDefects:
             SuperellipticCurve(2, parse_poly("(x^2-3)*(x^2-12)*(x-1)"), 3),
             "arithmetic genus 3 of the special fiber differs from the "
             "curve genus 2")
+
+    @pytest.mark.xfail(strict=True, raises=NotInvariant,
+                       reason="ROADMAP item 5: the disc family of a repeated "
+                              "quadratic factor at p = 2 is disconnected")
+    def test_repeated_factor_disc_family_at_two(self):
+        _compute_pinned_abort(
+            SuperellipticCurve(3, parse_poly("(x^2+2)^2*(x^2-2)"), 2),
+            "disconnected disc family")
+
+    @pytest.mark.xfail(strict=True, raises=NonIntegralFactor,
+                       reason="ROADMAP item 15: the graph factor of a "
+                              "repeated wild cubic factor is not integral")
+    def test_repeated_wild_factor_graph_assembly(self):
+        _compute_pinned_abort(
+            SuperellipticCurve(4, parse_poly("(x^3-3)^2*(x+1)"), 3),
+            "graph factor assembly is not integral")

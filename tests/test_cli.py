@@ -210,8 +210,11 @@ class TestCli:
         ({"n": 3, "p": 5, "f": ["1e10000000", 0, 0, 1]},
          "bad coefficient '1e10000000': coefficients are integers or "
          "\"a/b\" strings"),
+        ({"n": 10**8, "p": 3, "f": ["1/2", 0, 0, 1]},
+         "clearing the denominator 2 of f takes 2^100000000, above 65536 "
+         "bits"),
     ], ids=["long_list", "long_product", "deep_nesting", "long_sum",
-            "exponent_coefficient"])
+            "exponent_coefficient", "huge_denominator_power"])
     def test_large_inputs_refused_at_once(self, tmp_path, capsys, spec,
                                           message):
         """A long coefficient list, a long product, deep parentheses, a

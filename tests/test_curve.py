@@ -135,9 +135,9 @@ _FACTORS = st.lists(st.one_of(
     st.tuples(st.one_of(_POLYS, st.lists(_COEFFS, max_size=8)),
               _MULTS).map(list),
     _SCALARS, st.lists(_SCALARS, max_size=3)), min_size=1, max_size=5)
-# n and p beyond 10^6 are left out: clearing a denominator of f takes an
-# n-th power of it
-_INTS = st.one_of(st.integers(-3, 40), st.integers(-3, 10**6))
+# n and p up to 10^12: a denominator of f whose n-th power would pass
+# MAX_SCALE_BITS is refused before that power is taken
+_INTS = st.one_of(st.integers(-3, 40), st.integers(-3, 10**12))
 _SPECS = st.fixed_dictionaries({
     "n": st.one_of(_INTS, _SCALARS), "p": st.one_of(_INTS, _SCALARS),
     "f": st.one_of(st.lists(_COEFFS, max_size=40), _FACTORS, _SCALARS)})

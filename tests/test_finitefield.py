@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -29,6 +30,7 @@ from superell.finitefield import (
 
 from oracles import (
     DigitField,
+    count_kummer_points_by_digit_arrays,
     count_kummer_points_scalar,
     count_points_by_places,
     geometric_power_class,
@@ -138,7 +140,8 @@ class TestLogTable:
         for F in (fq_make(3, 3), fq_make(7)):
             a = np.repeat(np.arange(F.q, dtype=np.int64), F.q)
             b = np.tile(np.arange(F.q, dtype=np.int64), F.q)
-            x, y = F._digits(a), F._digits(b)
+            x, y = (np.array([t // F.p**j % F.p for j in range(F.k)])
+                    for t in (a, b))
             assert list(F._indices(x)) == list(a)
             prod = F._indices(F._mul_digits(x, y))
             assert list(prod) == [(F.from_index(i) * F.from_index(j)).index()
@@ -224,9 +227,10 @@ class TestTableArithmetic:
             for d in ell))
         assert F.multiplicative_generator().index() == first
 
-    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5)))
+    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5), (1009, 2)))
     def test_random_pairs(self, p, k):
-        # 7^6 builds its tables with numpy; 11^5 is above the table bound
+        # 7^6 and 11^5 build their tables with numpy; 1009^2 is above the
+        # table bound
         F = fq_make(p, k)
         R = DigitField(F)
         rng = random.Random(p * 100 + k)
@@ -299,26 +303,52 @@ class TestTableGuards:
         F = fq_make(7, 6)
         tables = F._tables()
         assert sum(t.itemsize * len(t) for t in tables) <= 12 * F.q
-        assert np.shares_memory(F._log_table(),
-                                np.frombuffer(tables[1], dtype=np.intc))
-
-    def test_log_table_alone(self):
-        # a fresh field: a log read builds no exp or Zech table, and a
-        # later table fill replaces the lone log by a view of its own
-        F = FqField(5, 4, fq_make(5, 4).modulus)
-        log = F._log_table().copy()
-        assert F._t is None and F._log_np is not None
-        tables = F._tables()
-        assert F._log_np is None
-        assert np.shares_memory(F._log_table(),
-                                np.frombuffer(tables[1], dtype=np.intc))
-        assert (F._log_table() == log).all()
 
     def test_no_table_above_bound(self):
-        F = fq_make(11, 5)
-        x, y = F.from_index(12345), F.from_index(67890)
+        F = fq_make(1009, 2)
+        assert F.q > finitefield._TABLE_MAX
+        x, y = F.from_index(12345), F.from_index(678901)
         x * y + x / y
+        g = F.multiplicative_generator()
+        assert F.dlog(g**654321) == 654321
         assert F._tables() is None and F._t is None
+
+    def test_count_makes_no_digit_products(self, monkeypatch):
+        # once GF(13^4) has its tables, evaluating h on discrete logs
+        # multiplies no digits, on either kernel
+        F, big = fq_make(13), fq_make(13, 4)
+        big._tables()
+        F.embedding(big)
+        h = poly(F, 2, -3, 1, 0, 1)
+        assert gcd(3, big.q - 1) == 3
+        expected = count_kummer_points_by_digit_arrays(3, h, 4)
+        calls = {"_mul_digits": 0, "_digit_mul": 0}
+        for name in calls:
+            method = getattr(FqField, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(FqField, name, counted)
+        for pays in (False, True):
+            monkeypatch.setattr(finitefield, "_numpy_pays",
+                                lambda n, pays=pays: pays)
+            assert count_kummer_points(3, h, 4) == expected
+        assert calls == {"_mul_digits": 0, "_digit_mul": 0}
+
+    def test_coprime_count_builds_no_field(self, monkeypatch):
+        # gcd(3, 11^5 - 1) = 1: the count of the p = 11 genus-4 anchor
+        # z^3 = x^5 - x^3 - 6x over F_{11^5} is 11^5 + 1, read off without
+        # making or embedding into that field
+        F = fq_make(11)
+        h = poly(F, 0, -6, 0, -1, 0, 1)
+        embeddings = dict(F._embeddings)
+        cache = lru_cache(maxsize=None)(FqField)
+        monkeypatch.setattr(finitefield, "_field_cache", cache)
+        assert count_kummer_points(3, h, 5) == 11**5 + 1
+        assert cache.cache_info().currsize == 0
+        assert F._embeddings == embeddings
 
 
 class TestFactorization:
@@ -361,9 +391,10 @@ class TestFactorization:
                     prod = prod * fac**e
                 assert prod == g.monic()
 
-    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5)))
+    @pytest.mark.parametrize("p, k", ((7, 6), (11, 5), (1009, 2)))
     def test_polynomials_on_both_sides_of_table_bound(self, p, k):
-        # GF(7^6) has tables, GF(11^5) is above the table bound
+        # GF(7^6) and GF(11^5) have tables, GF(1009^2) is above the table
+        # bound
         F = fq_make(p, k)
         rng = random.Random(p + k)
         roots = sorted({rng.randrange(F.q) for _ in range(4)})
@@ -619,8 +650,9 @@ class TestPurePaths:
         assert tables[0] == tables[1]
 
     # (p, k, i, nbar, coefficients of h over GF(p^k) as indices): q^i at
-    # and below _PY_MAX = 2^12, then above it; gcd(nbar, q^i - 1) = 1 in
-    # the GF(5^5) and GF(2^13) cases
+    # and below _PY_MAX = 2^12, then above it; gcd(nbar, q^i - 1) = 1, so
+    # the count is q^i + 1 without enumeration, in the GF(5^5) and
+    # GF(2^13) cases
     @pytest.mark.parametrize("p, k, i, nbar, ints", [
         (2, 1, 12, 3, (0, 1, 1, 1, 0, 1, 1, 0, 1)),
         (2, 4, 3, 5, (0, 2, 1, 0, 1)),
@@ -639,6 +671,107 @@ class TestPurePaths:
             self.force(monkeypatch, pays)
             counts.append(count_kummer_points(nbar, h, i))
         assert counts[0] == counts[1] == count_kummer_points_scalar(nbar, h, i)
+
+
+def _ints_poly(p, k, ints):
+    F = fq_make(p, k)
+    return FqPoly._make(F, [c % F.q for c in ints])
+
+
+def _times(F, *factors):
+    """Product of polynomials over GF(p) given as integer lists."""
+    out = poly(F, 1)
+    for f in factors:
+        out = out * poly(F, *f)
+    return out
+
+
+class TestCoprimeShortcut:
+    """gcd(nbar, q^i - 1) = 1: x -> x^nbar is a bijection of F_{q^i}, every
+    fiber has one rational point, and the count is q^i + 1 whatever h is;
+    the oracles enumerate every point."""
+
+    @pytest.mark.parametrize("p, nbar, i, factors", [
+        # reducible h over GF(11), i = 1 and 3
+        (11, 3, 1, ((1, 1), (2, 1), (1, 0, 1))),
+        (11, 3, 3, ((1, 1), (2, 1), (1, 0, 1))),
+        # roots of multiplicity 1, 2, 3 = nbar and 4 > nbar
+        (5, 3, 1, ((-1, 1),) + ((-2, 1),) * 2 + ((-3, 1),) * 3
+         + ((-4, 1),) * 4),
+        (11, 3, 3, ((-1, 1),) + ((-2, 1),) * 2 + ((-3, 1),) * 3
+         + ((-4, 1),) * 4),
+        # p = 2, odd i
+        (2, 3, 3, ((1, 1), (1, 1), (1, 1, 1))),
+        (2, 3, 5, ((1, 1, 0, 1),)),
+        (2, 7, 4, ((1, 1), (0, 1, 1, 1, 1))),
+        # h(0) = 0
+        (11, 3, 1, ((0, 1), (0, 1), (3, 1))),
+        (7, 5, 2, ((0, 1), (1, 2, 1))),
+    ])
+    def test_count_is_q_plus_one(self, p, nbar, i, factors):
+        F = fq_make(p)
+        h = _times(F, *factors)
+        assert gcd(nbar, p**i - 1) == 1
+        assert (count_kummer_points(nbar, h, i) == p**i + 1
+                == count_kummer_points_scalar(nbar, h, i)
+                == count_kummer_points_by_digit_arrays(nbar, h, i))
+
+
+class TestLogKernels:
+    """Horner on discrete logs, on either kernel (``_numpy_pays`` forced
+    each way), against the one-point reference and the digit-array
+    kernel."""
+
+    @staticmethod
+    def counts(monkeypatch, nbar, h, i):
+        out = []
+        for pays in (False, True):
+            monkeypatch.setattr(finitefield, "_numpy_pays",
+                                lambda n, pays=pays: pays)
+            out.append(count_kummer_points(nbar, h, i))
+        return out
+
+    @pytest.mark.parametrize("p, nbar, i, factors", [
+        # constant h, a non-square and a square
+        (5, 2, 1, ((2,),)),
+        (5, 2, 2, ((2,),)),
+        (13, 4, 1, ((3,),)),
+        # linear h
+        (5, 4, 1, ((1, 3),)),
+        (7, 3, 2, ((0, 1),)),
+        # repeated roots, also at x = 0
+        (5, 4, 2, ((-1, 1), (-1, 1), (2, 1), (2, 1), (2, 1))),
+        (13, 3, 1, ((0, 1), (0, 1), (5, 1), (1, 0, 1))),
+        # x^3 - 2 is irreducible over GF(7): roots only over F_{7^3}
+        (7, 2, 1, ((-2, 0, 0, 1),)),
+        (7, 2, 2, ((-2, 0, 0, 1),)),
+        (7, 6, 3, ((-2, 0, 0, 1), (1, 1))),
+        # g_full = nbar
+        (7, 3, 1, ((1, 2, 0, 1), (3, 1))),
+        (3, 4, 2, ((1, 0, 1), (0, 1), (2, 1, 1))),
+        (13, 12, 1, ((1, 1, 1, 1), (-2, 1))),
+    ])
+    def test_small_cases(self, monkeypatch, p, nbar, i, factors):
+        F = fq_make(p)
+        h = _times(F, *factors)
+        assert gcd(nbar, p**i - 1) > 1
+        expected = count_kummer_points_scalar(nbar, h, i)
+        assert count_kummer_points_by_digit_arrays(nbar, h, i) == expected
+        assert self.counts(monkeypatch, nbar, h, i) == [expected] * 2
+
+    # q^i below and above _PY_MAX = 2^12 and the old table bound 2^17
+    @pytest.mark.parametrize("p, k, i, nbar, ints", [
+        (3, 1, 7, 2, (1, 0, 2, 1, 0, 1)),
+        (5, 1, 6, 4, (2, 1, 0, 3, 1)),
+        (7, 2, 3, 3, (5, 0, 1, 0, 12, 1)),
+        (11, 1, 5, 5, (0, -6, 0, -1, 0, 1)),
+    ])
+    def test_kernels_either_side_of_bounds(self, monkeypatch, p, k, i, nbar,
+                                           ints):
+        h = _ints_poly(p, k, ints)
+        assert gcd(nbar, p**(k * i) - 1) > 1
+        assert self.counts(monkeypatch, nbar, h, i) \
+            == [count_kummer_points_by_digit_arrays(nbar, h, i)] * 2
 
 
 def _weil_poly(factors):
