@@ -230,6 +230,7 @@ class FqField:
         self._zero = FqElement(self, 0)
         self._one = FqElement(self, 1)
         self._t = None  # (exp, log, zech) once built
+        self._bsgs = None  # (baby steps, giant step) of dlog above the tables
         self._gen = None
         self._embeddings = {}
 
@@ -298,19 +299,27 @@ class FqField:
                 return t[1][u.i]
         elif u.i:
             # above _TABLE_MAX: baby steps g^j (j < m), giant steps u g^(-mt)
-            n = self.q - 1
-            m = isqrt(n - 1) + 1
-            g = self.multiplicative_generator().i
-            baby, acc = {}, 1
-            for j in range(m):
-                baby.setdefault(acc, j)
-                acc = self._digit_mul(acc, g)
-            step, x = self._digit_pow(acc, n - 1), u.i
+            baby, step = self._baby_steps()
+            m, x = len(baby), u.i
             for t in range(m):
                 if x in baby:
                     return t * m + baby[x]
                 x = self._digit_mul(x, step)
         raise KeyError(f"discrete log of zero in {self!r}")
+
+    def _baby_steps(self):
+        """({index of g^j: j} for j < m = ceil(sqrt(q - 1)), index of
+        g^(-m)), the baby-step table of ``dlog`` above ``_TABLE_MAX``,
+        built by its first call."""
+        if self._bsgs is None:
+            n = self.q - 1
+            g = self.multiplicative_generator().i
+            baby, acc = {}, 1
+            for j in range(isqrt(n - 1) + 1):
+                baby[acc] = j
+                acc = self._digit_mul(acc, g)
+            self._bsgs = (baby, self._digit_pow(acc, n - 1))
+        return self._bsgs
 
     # -- canonical indices: the base-p digits of element number i are its
     # coefficients of a^0, ..., a^(k-1) (the order of ``from_index``).

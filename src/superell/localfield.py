@@ -34,7 +34,7 @@ helpers: ``poly_mul`` (skipping exact zeros only, so that an inexact zero
 keeps its error term), ``poly_eval`` (Horner), ``poly_shift_scale`` (a
 Taylor shift by synthetic division) and ``gauss_reduce``, which returns the
 Gauss valuation m of a list and the residues of its entries over pi^m from
-leading residues.  The root search, the chart substitution of the
+leading residues.  The root search, the branch-point linear forms of the
 reduction and the chart comparisons of the tree all reduce through
 ``gauss_reduce``, so they share one rule for a coefficient that is zero to
 working precision: it reduces to 0 when known one digit past pi^m, and

@@ -10,8 +10,8 @@ raw_gauss_values(curve, tree), semistable_check(raw, n),
 reduce_special_fiber(curve, tree, raw).  ``galois_on_tree`` applies G's
 generators to branch points only and reads chart transports off residues.
 Both chart normalizations (``build_tree``'s and the tame one of
-``galois_on_tree``) come before any chart is substituted into f, once per
-vertex.  Then build_inertial_curve(act, fiber), local_l_factor(inertial),
+``galois_on_tree``) come before the Gauss values of the charts, read once
+per vertex.  Then build_inertial_curve(act, fiber), local_l_factor(inertial),
 conductor_exponent(inertial) and verify_point_counts(inertial, p1).  Each
 stage reads its data off the objects it takes: the tree carries L, G
 carries the filtration, the action ``act`` carries G and the tree, the
@@ -55,8 +55,8 @@ class PipelineResult:
         curve, tree, L = self.curve, self.tree, self.L
         red, ic = self.fiber, self.inertial
         verts = []
-        # fbar is a polynomial (``gauss_valuation_f`` rejects any other
-        # reduced denominator), so the report's denominator is always 1
+        # fbar is a polynomial (``gauss_valuation_f`` rejects a reduced
+        # pole form that is not constant), so the report's denominator is 1
         fbar_den = [list(L.residue_field.one().coeffs)]
         for v in tree.vertices:
             r = red.reductions[v.index]

@@ -181,6 +181,10 @@ class QPoly:
 MAX_POWER_DEGREE = 256
 # and a constant power of higher exponent: 2^1024 has 309 digits already
 MAX_CONSTANT_EXPONENT = 1024
+# and an input once the factors it has expanded, at every depth, hold more
+# nonzero coefficients than this: a dense power costs about its count
+# squared, and 300 terms (x + 1)^256 in one 3 KB string took a second
+MAX_EXPANDED_COEFFICIENTS = 4096
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([xX])|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
 
@@ -222,9 +226,12 @@ def parse_poly(s):
     A product or power of degree above MAX_POWER_DEGREE, a constant power
     above MAX_CONSTANT_EXPONENT and parentheses nested past the recursion
     limit raise ValueError before anything is expanded; the zero
-    polynomial counts as a constant."""
+    polynomial counts as a constant.  A factor that takes the nonzero
+    coefficients of the factors read so far, at every depth, past
+    MAX_EXPANDED_COEFFICIENTS raises ValueError once it is expanded."""
     pos = 0
     n = len(s)
+    expanded = 0  # nonzero coefficients of the factors read so far
 
     def peek():
         return _TOKEN.match(s, pos)
@@ -261,6 +268,7 @@ def parse_poly(s):
         return acc
 
     def parse_factor():
+        nonlocal expanded
         m = take()
         if m.group(6):  # unary minus
             return _mul(_MINUS_ONE, parse_factor())
@@ -298,6 +306,10 @@ def parse_poly(s):
                 if bit == "1":
                     power = _mul(power, base)
             base = power
+        expanded += sum(1 for a in base[0] if a)
+        if expanded > MAX_EXPANDED_COEFFICIENTS:
+            raise ValueError(f"factors with {expanded} nonzero coefficients "
+                             f"exceed {MAX_EXPANDED_COEFFICIENTS}")
         return base
 
     try:

@@ -1,22 +1,20 @@
 """Per-vertex Kummer reduction data and the special fiber of the model.
 
-For each vertex v of the marked tree, substituting the inverse chart into f
-and taking the Gauss valuation gives N_v = eta_v(f) (stored in pi-units,
-where divisibility by n is the semistability criterion) and the reduced
-equation fbar_v.  Each chart is substituted once, after ``tree`` has fixed
-it: raw_gauss_values(curve, tree) works over tree.L, and
-semistable_check(raw, n) and reduce_special_fiber(curve, tree, raw) both
-read its values.  The substitution runs Horner's rule in the
-numerator of the chart alongside the powers of its denominator, O(m^2)
-products for deg f = m, and ``localfield.gauss_reduce`` reads N_v and
-fbar_v off both sides.  fbar_v is a polynomial: the chart sends the pole
-of f to infinity, so the reduced denominator is a nonzero constant, and
-any other reduced denominator raises ``NotInvariant``.  The vertex scaling
-is the deterministic pi^(N_v/n); any unit change of that scaling twists
-fbar_v by an n-th-power-compatible unit and is checked (in the tests) to
-leave all derived data unchanged.  One factorization of fbar_v
-(``power_class``) gives the number of components above v, the witness and
-the genus of each component.
+For each vertex v of the marked tree, the Gauss valuation of f on the chart
+of v is N_v = eta_v(f) (in pi-units, where divisibility by n is the
+semistability criterion), and its reduction is the equation fbar_v of the
+component above v.  Both are read off one linear form per finite branch
+point (``gauss_valuation_f``): fbar_v is a constant times
+prod (t - rbar)^(a_r) over the points r that reduce to a finite point rbar
+of the chart (``Vertex.red``), and the chart sends the pole of f to
+infinity, so a pole form that does not reduce to a constant raises
+``NotInvariant``.  raw_gauss_values(curve, tree) reduces each chart once,
+after ``tree`` has fixed it, and semistable_check(raw, n) and
+reduce_special_fiber(curve, tree, raw) both read its values.  The vertex
+scaling is the deterministic pi^(N_v/n); a unit change of it twists fbar_v
+by an n-th-power-compatible unit, which the tests check leaves all derived
+data unchanged.  One factorization of fbar_v (``power_class``) gives the
+number of components above v, the witness and the genus of each component.
 
 Nodes above an edge are computed on the child side, where the node sits at
 x = infinity of the normalized chart: with a = ord_infinity(fbar_child) and
@@ -37,36 +35,34 @@ from .errors import (
     NotInvariant,
 )
 from .finitefield import INF, FqPoly, power_class
-from .localfield import gauss_reduce, poly_mul
+from .localfield import gauss_reduce
 
 
-def gauss_valuation_f(curve, L, chart):
-    """N_v (pi-units) and fbar_v for the chart of one vertex.
+def gauss_valuation_f(curve, tree, chart):
+    """N_v (pi-units) and fbar_v for the chart (a, b, c, d) of one vertex.
 
-    With the chart (a, b, c, d), f((d x - b)/(-c x + a)) is num / den with
-    num = sum_i q_i (d x - b)^i (-c x + a)^(m - i) and den = (-c x + a)^m,
-    m = deg f.  Horner's rule in (d x - b) builds num alongside the powers
-    of (-c x + a), the last of which is den.  The reduction of den must
-    be a nonzero constant, and fbar_v is the reduction of num divided by
-    it."""
+    With f = lead * prod (x - r)^(a_r) over the finite marked points r of
+    the tree and m = deg f, f((d t - b)/(a - c t)) is
+    lead * prod l_r^(a_r) / (a - c t)^m with l_r = (d + c r) t - (b + a r).
+    The Gauss valuation and the reduction by leading residues are
+    multiplicative, so N_v = v(lead) + sum a_r mu(l_r) - m mu(a - c t),
+    and fbar_v is the product of the reduced factors.  The reduction of
+    a - c t must be a nonzero constant."""
+    L = tree.L
     a, b, c, d = chart
-    P1, P2 = [-b, d], [a, -c]
-    q = curve.f.coeffs
-    m = len(q) - 1
-    num, den = [L.from_fraction(q[m])], [L.one()]
-    for i in range(m - 1, -1, -1):
-        num = poly_mul(num, P1, L)
-        den = poly_mul(den, P2, L)
-        if q[i]:
-            qi = L.from_fraction(q[i])
-            num = [x if y.exact_zero else x + qi * y
-                   for x, y in zip(num, den)]
-    mu_n, red_n = gauss_reduce(num, L)
-    mu_d, red_d = gauss_reduce(den, L)
-    if any(not r.is_zero() for r in red_d[1:]):
+    m = curve.f.degree()
+    mu_d, (a_bar, c_bar) = gauss_reduce([a, -c], L)
+    if not c_bar.is_zero():
         raise NotInvariant("reduced equation has an unexpected pole")
-    fbar = FqPoly(L.residue_field, red_n) * red_d[0].inverse()
-    return mu_n - mu_d, fbar
+    N, (lead,) = gauss_reduce([L.from_fraction(curve.f.coeffs[-1])], L)
+    fbar = FqPoly(L.residue_field, [lead * a_bar.inverse() ** m])
+    for r, mult in zip(tree.points, tree.multiplicities):
+        if mult is None:  # infinity
+            continue
+        mu, ell = gauss_reduce([-(b + a * r), d + c * r], L)
+        N += mult * mu
+        fbar = fbar * FqPoly(L.residue_field, ell) ** mult
+    return N - m * mu_d, fbar
 
 
 class VertexReduction:
@@ -190,5 +186,5 @@ def reduce_special_fiber(curve, tree, raw):
 def raw_gauss_values(curve, tree):
     """{vertex: (N_v, fbar_v)} in the final charts of the tree, over its
     field L, without assuming divisibility (for ``semistable_check``)."""
-    return {v.index: gauss_valuation_f(curve, tree.L, v.chart)
+    return {v.index: gauss_valuation_f(curve, tree, v.chart)
             for v in tree.vertices}

@@ -45,9 +45,10 @@ and the residues after multiplying by pi^-mu;
 ``gauss_valuation_by_expansion`` expands every term of f on a chart,
 O(m^3) products, and reduces both sides that way; and
 ``taylor_shift_by_binomials`` shifts a polynomial over L by the binomial
-expansion.  They are the references for ``localfield.gauss_reduce``, the
-Horner chart substitution of ``reduction.gauss_valuation_f`` and the
-synthetic-division ``localfield.poly_shift_scale``.
+expansion.  They are the references for ``localfield.gauss_reduce``,
+``reduction.gauss_valuation_f``, which reads N_v and fbar_v off the linear
+forms of the branch points on the chart, and the synthetic-division
+``localfield.poly_shift_scale``.
 
 ``galois_table_by_scan`` fills the composition table of Gal(L/Q_p) by
 applying every automorphism to the generator images of every other, 2|G|^2

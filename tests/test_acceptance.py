@@ -303,7 +303,8 @@ class TestCriterion5:
                 a = L.from_int(rng.randrange(1, p))
                 b = L.from_int(rng.randrange(p)) * L.pi()
                 N2, fb2 = gauss_valuation_f(
-                    curve, L, matrix_mul((a, b, L.zero(), L.one()), v.chart))
+                    curve, r.tree,
+                    matrix_mul((a, b, L.zero(), L.one()), v.chart))
                 assert N2 == base.N_v
                 pc2 = power_class(fb2, n)
                 assert pc2.n_v == base.n_v

@@ -68,6 +68,9 @@ def sample_report_sha256(name, *python_flags):
 
 EX1 = {"n": 4, "f": [["x^2-3", 1], ["x^2+3", 1], ["x^2-6*x-3", 1]], "p": 3}
 EX2 = {"n": 3, "f": [1, 0, -1, 0, 1], "p": 2}
+# 300 dense powers, as a sum and as a product with zero
+DENSE_SUM = "+".join(["(x+1)^256"] * 300)
+ZEROED_PRODUCT = "*".join(["(x+1)^256*0"] * 300)
 
 
 class TestCli:
@@ -149,12 +152,21 @@ class TestCli:
         ({"n": 1000000007, "p": 5,
           "f": [["3", 1000000000], ["x^3-2", 1]]},
          "exponent 1000000000 of a constant exceeds 1024"),
+        ({"n": 2, "p": 5, "f": [[DENSE_SUM, 1]]},
+         f"bad polynomial {DENSE_SUM!r}: factors with 4144 nonzero "
+         f"coefficients exceed 4096"),
+        ({"n": 2, "p": 5, "f": [[ZEROED_PRODUCT, 1]]},
+         f"bad polynomial {ZEROED_PRODUCT!r}: factors with 4144 nonzero "
+         f"coefficients exceed 4096"),
     ], ids=["x_power", "binomial_power", "constant_power", "n1", "n1_huge",
-            "n0", "factor_multiplicity", "constant_multiplicity"])
+            "n0", "factor_multiplicity", "constant_multiplicity",
+            "dense_sum", "zeroed_dense_product"])
     def test_refused_before_expanding(self, tmp_path, spec, message):
         """A large power is refused before it is expanded, whether written
         in a factor or as its multiplicity below n, and an exponent n < 2
-        before f is read; either would not end."""
+        before f is read; either would not end.  Dense powers are refused
+        once their expansions hold too many coefficients, whether summed
+        or multiplied by zero; each costs milliseconds."""
         proc = run_cli(tmp_path, spec, "--json", timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -315,7 +327,7 @@ class TestCli:
             assert data["conductor_exponent"] == 11
             assert data["P1"] == [1, 1, 3, 3]
 
-    @pytest.mark.parametrize("precision", [8, 10, 12])
+    @pytest.mark.parametrize("precision", [8, 10])
     def test_field_tower_precision_exhausted_is_final(
             self, tmp_path, monkeypatch, capsys, precision):
         """An explicit field keeps its own precision, so running the
@@ -338,6 +350,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 4 and calls[0] == 1
         assert "PrecisionExhausted" in err and "retrying" not in err
+
+    def test_field_tower_precision_12_completes(self, tmp_path, capsys):
+        """At precision 12 the tower's digits suffice: the report is the
+        one at precision 50 apart from ``report.field.precision``."""
+        reports = {}
+        for precision in (12, 50):
+            tower = {"p": 3, "unramified_modulus": [1, 0, 1],
+                     "eisenstein": [[-3, 0, 0, 0, 1]], "precision": precision}
+            assert main_tower(tmp_path, tower, "--json") == 0
+            reports[precision] = json.loads(capsys.readouterr().out)
+        assert reports[12]["report"]["field"].pop("precision") == 12
+        assert reports[50]["report"]["field"].pop("precision") == 50
+        assert reports[12] == reports[50]
 
     @pytest.mark.parametrize("precision", [2, 5, 7, 8])
     def test_field_tower_precision_floor(self, tmp_path, capsys, precision):

@@ -313,6 +313,25 @@ class TestTableGuards:
         assert F.dlog(g**654321) == 654321
         assert F._tables() is None and F._t is None
 
+    def test_baby_steps_once_above_bound(self, monkeypatch):
+        """Above the table bound, the first ``dlog`` builds the m baby
+        steps; a second makes only its giant steps, log // m products."""
+        F = FqField(1009, 2, fq_make(1009, 2).modulus)
+        g = F.multiplicative_generator()
+        u1, u2 = g**654321, g**98765
+        calls = [0]
+        digit_mul = FqField._digit_mul
+
+        def counted(self, a, b):
+            calls[0] += 1
+            return digit_mul(self, a, b)
+
+        monkeypatch.setattr(FqField, "_digit_mul", counted)
+        m = isqrt(F.q - 2) + 1
+        assert F.dlog(u1) == 654321 and calls[0] > m
+        calls[0] = 0
+        assert F.dlog(u2) == 98765 and calls[0] == 98765 // m < m
+
     def test_count_makes_no_digit_products(self, monkeypatch):
         # once GF(13^4) has its tables, evaluating h on discrete logs
         # multiplies no digits, on either kernel

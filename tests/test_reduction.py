@@ -12,7 +12,8 @@ from superell.fieldsearch import (
     splits_in,
 )
 from superell.finitefield import INF as FINF
-from superell.qpoly import QPoly, parse_poly
+from superell.localfield import gauss_reduce
+from superell.qpoly import parse_poly
 from superell.reduction import (
     gauss_valuation_f,
     raw_gauss_values,
@@ -36,7 +37,7 @@ def setup_example(n, fs, p):
 
 
 def special_fiber(curve, tree):
-    """The special fiber over the final tree, from one substitution of
+    """The special fiber over the final tree, from one Gauss reduction of
     each chart."""
     return reduce_special_fiber(curve, tree, raw_gauss_values(curve, tree))
 
@@ -80,13 +81,14 @@ class TestGaussValuation:
         rng = random.Random(99)
         from superell.finitefield import kummer_genus, power_class
         for v in tree.vertices:
-            base_N, base_fbar = gauss_valuation_f(curve, L, v.chart)
+            base_N, base_fbar = gauss_valuation_f(curve, tree, v.chart)
             for _ in range(2):
                 # affine unit matrix: x -> a x + b with a a unit, b integral
                 a = L.from_int(rng.randrange(1, L.p))
                 b = L.from_int(rng.randrange(L.p)) * L.pi()
                 m = (a, b, L.zero(), L.one())
-                N2, fbar2 = gauss_valuation_f(curve, L, matrix_mul(m, v.chart))
+                N2, fbar2 = gauss_valuation_f(curve, tree,
+                                              matrix_mul(m, v.chart))
                 assert N2 == base_N
                 pc1 = power_class(base_fbar, curve.n)
                 pc2 = power_class(fbar2, curve.n)
@@ -158,19 +160,19 @@ class TestOneSubstitution:
     def test_each_chart_once(self, request, name, monkeypatch):
         """``gauss_valuation_f`` runs once per vertex of each tree whose
         Gauss values the pipeline takes: the semistability check and the
-        special fiber read the same substitutions."""
+        special fiber read the same values."""
         if name == "padic_tree_pass0":
             curves = [SuperellipticCurve.from_json_dict(case.spec)
                       for case, _ in request.getfixturevalue(name)]
         else:
             curves = [request.getfixturevalue("sample_results")[name].curve]
         calls, vertices = [0], [0]
-        substitute = reduction.gauss_valuation_f
+        gauss_values = reduction.gauss_valuation_f
         raw_values = pipeline.raw_gauss_values
 
         def counted(*args):
             calls[0] += 1
-            return substitute(*args)
+            return gauss_values(*args)
 
         def recorded(curve, tree):
             vertices[0] += tree.vertex_count()
@@ -186,25 +188,47 @@ class TestOneSubstitution:
         assert vertices[0] > 0 and calls[0] == vertices[0]
 
 
-class TestHornerSubstitution:
+def unit_affine_charts(tree, name):
+    """Every vertex chart of the tree, and each composed with two random
+    unit affine matrices x -> a x + b (a a unit, b in pi O_L)."""
+    L = tree.L
+    rng = random.Random(name)
+    for v in tree.vertices:
+        yield v.chart
+        for _ in range(2):
+            a = L.from_int(rng.randrange(1, L.p))
+            b = L.from_int(rng.randrange(L.p)) * L.pi()
+            yield matrix_mul((a, b, L.zero(), L.one()), v.chart)
+
+
+class TestBranchPointProduct:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "good_reduction"])
     def test_vertex_charts_match_expansion(self, sample_results, name):
-        """On every vertex chart of a sample, the Horner substitution gives
-        the N_v and fbar_v of the term-by-term expansion, whose reduced
-        num/den has a constant den, for f and for random integral
-        polynomials."""
+        """On every vertex chart of a sample, and on those charts moved by
+        unit affine matrices, the product over the branch points gives the
+        N_v and fbar_v of the term-by-term expansion of f, whose reduced
+        num/den has a constant den."""
         r = sample_results[name]
-        rng = random.Random(name)
-        curves = [r.curve]
-        for deg in (1, 3, 6):
-            coeffs = [rng.randrange(-40, 41) for _ in range(deg)]
-            coeffs.append(rng.choice([1, -1, r.L.p, 7 * r.L.p ** 2]))
-            curves.append(SuperellipticCurve(r.curve.n, QPoly(coeffs),
-                                             r.L.p))
-        for v in r.tree.vertices:
-            for curve in curves:
-                N, fbar = gauss_valuation_f(curve, r.L, v.chart)
-                N2, (num, den) = gauss_valuation_by_expansion(
-                    curve.f, r.L, v.chart)
-                assert den.degree() == 0
-                assert (N, fbar * den) == (N2, num)
+        for chart in unit_affine_charts(r.tree, name):
+            N, fbar = gauss_valuation_f(r.curve, r.tree, chart)
+            N2, (num, den) = gauss_valuation_by_expansion(
+                r.curve.f, r.L, chart)
+            assert den.degree() == 0
+            assert (N, fbar * den) == (N2, num)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "good_reduction"])
+    def test_linear_form_roots_are_vertex_reductions(self, sample_results,
+                                                     name):
+        """On a vertex chart (a, b, c, d), the reduced linear form of the
+        finite point r, (d + c r) t - (b + a r), has the root ``v.red[r]``
+        (infinity when it reduces to a constant)."""
+        r = sample_results[name]
+        tree, L = r.tree, r.L
+        for v in tree.vertices:
+            a, b, c, d = v.chart
+            for j, x in enumerate(tree.points):
+                if x == FINF:
+                    continue
+                _, (u0, u1) = gauss_reduce([-(b + a * x), d + c * x], L)
+                root = FINF if u1.is_zero() else -u0 / u1
+                assert root == v.red[j]
