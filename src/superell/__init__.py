@@ -14,8 +14,6 @@ from .finitefield import (
     count_kummer_points,
     factor_poly,
     fq_make,
-    kummer_genus,
-    normalize_kummer_equation,
     power_class,
     zeta_numerator,
 )
@@ -26,10 +24,10 @@ from .qpoly import QPoly, parse_poly
 __all__ = [
     "SuperellipticCurve", "branch_divisor", "SuperellError", "SearchConfig",
     "build_tower", "semistabilizing_field", "splitting_field", "FqPoly",
-    "count_kummer_points", "factor_poly", "fq_make", "kummer_genus",
-    "normalize_kummer_equation", "power_class", "zeta_numerator",
-    "LocalField", "galois_group", "ramification_filtration", "compute",
-    "compute_with_retry", "QPoly", "parse_poly",
+    "count_kummer_points", "factor_poly", "fq_make", "power_class",
+    "zeta_numerator", "LocalField", "galois_group",
+    "ramification_filtration", "compute", "compute_with_retry", "QPoly",
+    "parse_poly",
 ]
 
 __version__ = "0.1.0"

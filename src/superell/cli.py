@@ -17,6 +17,12 @@ from .errors import SuperellError, ValidationError
 from .fieldsearch import SearchConfig, build_tower
 from .pipeline import compute_with_retry
 
+# the largest --max-degree and --precision (or tower "precision") accepted:
+# the catalog is listed up to the degree bound before its first entry is
+# tried, and a precision retry works at four times the precision
+MAX_DEGREE = 1024
+MAX_PRECISION = 1000
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises ``ValidationError`` where argparse would print its usage and
@@ -36,10 +42,10 @@ def _parser():
                                   "('-' for stdin)")
     ap.add_argument("--precision", type=int, default=50,
                     help="p-adic working precision in digits (default 50, "
-                         "minimum 8)")
+                         f"minimum 8, maximum {MAX_PRECISION})")
     ap.add_argument("--max-degree", type=int, default=64,
                     help="catalog bound on the field degree (default 64, "
-                         "minimum 1)")
+                         f"minimum 1, maximum {MAX_DEGREE})")
     ap.add_argument("--field-tower", metavar="PATH", default=None,
                     help="JSON spec of an explicit field tower to use "
                          "instead of the catalog search")
@@ -57,12 +63,21 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _out_of_range(name, value, low, high):
+    """The refusal of an option value outside [low, high], else None."""
+    if value < low:
+        return f"{name} must be at least {low}"
+    if value > high:
+        return f"{name} must be at most {high}"
+    return None
+
+
 def _explicit_field(tower, curve, precision):
     """The field of a ``--field-tower`` spec, {"p": 3,
     "unramified_modulus": [1, 0, 1], "eisenstein": [[-3, 0, 1]],
     "precision": 40}, after checking its fields against their types, its
-    precision against the floor of 8 and its p against the curve's
-    (``pipeline.compute`` checks that f splits over it)."""
+    precision against the bounds of ``--precision`` and its p against the
+    curve's (``pipeline.compute`` checks that f splits over it)."""
     if not isinstance(tower, dict):
         raise ValidationError("field tower must be a JSON object")
     p, modulus = tower["p"], tower.get("unramified_modulus")
@@ -72,8 +87,9 @@ def _explicit_field(tower, curve, precision):
         if not _is_int(val):
             raise ValidationError(f"tower {key} must be an integer, "
                                   f"not {val!r}")
-    if precision < 8:
-        raise ValidationError("precision must be at least 8")
+    refusal = _out_of_range("precision", precision, 8, MAX_PRECISION)
+    if refusal:
+        raise ValidationError(refusal)
     if p != curve.p:
         raise ValidationError(f"tower p = {p} differs from the curve's "
                               f"p = {curve.p}")
@@ -168,10 +184,10 @@ def main(argv=None):
             w.startswith("--j") and "--json".startswith(w) for w in words))
         return _fail(args, "ValidationError", str(exc), 2,
                      f"{parser.format_usage()}{parser.prog}: error: {exc}")
-    floor = ("precision must be at least 8" if args.precision < 8 else
-             "max-degree must be at least 1" if args.max_degree < 1 else None)
-    if floor:
-        return _fail(args, "ValidationError", floor, 2, f"error: {floor}")
+    refusal = (_out_of_range("precision", args.precision, 8, MAX_PRECISION)
+               or _out_of_range("max-degree", args.max_degree, 1, MAX_DEGREE))
+    if refusal:
+        return _fail(args, "ValidationError", refusal, 2, f"error: {refusal}")
     config = SearchConfig(precision=args.precision,
                           max_degree=args.max_degree)
     trace = sys.stderr if args.trace else None

@@ -5,7 +5,7 @@ no factor of f is an n-th power, the multiplicities of the roots of f are
 coprime to n as a set, n is at least 2 and prime to p, and the genus is at
 least 2.  The genus and the shape of the branch divisor only depend on the
 multiplicity structure of f, so both are computed here over Q without any
-p-adic work.
+p-adic work, from the squarefree decomposition that ``f`` keeps.
 """
 
 from __future__ import annotations
@@ -60,15 +60,9 @@ class SuperellipticCurve:
         self.f = f * Fraction(m**self.n)
         if any(c.denominator != 1 for c in self.f.coeffs):
             raise NonIntegralFactor("rescaled f is not integral")
-        self._sqfree = None
 
     def __repr__(self):
         return f"y^{self.n} = {self.f_input!r}  (p = {self.p})"
-
-    def squarefree_decomposition(self):
-        if self._sqfree is None:
-            self._sqfree = self.f.squarefree_decomposition()
-        return self._sqfree
 
     def degree(self):
         return self.f.degree()
@@ -90,7 +84,7 @@ class SuperellipticCurve:
         if gcd(self.n, self.p) != 1:
             violations.append(
                 f"exponent n = {self.n} is not prime to p = {self.p}")
-        decomp = self.squarefree_decomposition()
+        decomp = self.f.squarefree_decomposition()
         if any(m >= self.n for _, m in decomp):
             violations.append(
                 f"f has a factor which is an {self.n}-th power over Q")
@@ -107,7 +101,7 @@ class SuperellipticCurve:
     def genus(self):
         """Genus of the smooth projective model, by Riemann-Hurwitz."""
         branch = [(g_i.degree(), m)
-                  for g_i, m in self.squarefree_decomposition()]
+                  for g_i, m in self.f.squarefree_decomposition()]
         total = sum(deg * m for deg, m in branch)
         if total != self.degree():
             raise DegreeMismatch(f"squarefree decomposition has degree "
@@ -234,11 +228,11 @@ def branch_divisor(curve, roots):
     plus infinity when n does not divide deg f.
 
     ``roots`` has one list of roots in L per squarefree factor of f, in
-    ``curve.squarefree_decomposition()`` order (``splits_in`` finds them),
+    ``curve.f.squarefree_decomposition()`` order (``splits_in`` finds them),
     so every root carries its exact multiplicity.
     """
     points = []
-    for (g_i, mult), rs in zip(curve.squarefree_decomposition(), roots,
+    for (g_i, mult), rs in zip(curve.f.squarefree_decomposition(), roots,
                                strict=True):
         if len(rs) != g_i.degree():
             raise RootMultiplicityMismatch(

@@ -18,6 +18,13 @@ The flow per inertia orbit of tree vertices, at a representative v:
    d_geo over the algebraic closure, the genus of a geometric piece and
    the equation of every piece.
 
+Each Kummer equation is factored once, by the stage that makes it.  The
+inertia quotient keeps the vertex's ``VertexReduction.power_class`` when
+it leaves (n, fbar_v) as it was, factors h_raw otherwise, and reads its
+normal form h_norm off that power class.  A component defined over F_L
+(r_v = 1) keeps the quotient's power class; only for r_v > 1, where the
+coordinate change and the twist make a new h', is h' factored.
+
 build_inertial_curve(act, fiber) reads G, its filtration and the tree off
 the action ``act`` (a ``tree.TreeGaloisAction``) and the curve and L off
 the special fiber; the y-scaling of g at v is read off g(pi).  The node
@@ -50,7 +57,6 @@ from .errors import (
 from .finitefield import (
     FqPoly,
     fq_make,
-    normalize_kummer_equation,
     power_class,
 )
 
@@ -220,7 +226,7 @@ class InertiaQuotient:
     """Invariant data of Ybar_v / I_v in the coordinates (w, z)."""
 
     __slots__ = ("vertex", "translations", "u_poly", "g_wild", "gamma", "m",
-                 "mu", "s", "nbar", "h_raw", "h_norm", "flagged")
+                 "mu", "s", "nbar", "h_raw", "pc", "h_norm", "flagged")
 
     def __init__(self, ctx, v):
         self.vertex = v
@@ -269,7 +275,10 @@ class InertiaQuotient:
                 "function is not invariant under the scaling action")
         self.h_raw = rewrite_in_power(FqPoly(F, c[j0:]), m) \
             * FqPoly.x(F) ** (k % self.nbar)
-        self.h_norm = normalize_kummer_equation(self.nbar, self.h_raw)
+        # the vertex's power class when the quotient left fbar as it was
+        self.pc = red.power_class if (self.nbar, self.h_raw) == (n, red.fbar) \
+            else power_class(self.h_raw, self.nbar)
+        self.h_norm = self.pc.normal_form()
         self.flagged = (mu // m) == n
 
 
@@ -457,7 +466,6 @@ class DescendedComponent:
         r_v = F.k // d_v if d_v and F.k % d_v == 0 else None
         if r_v is None:
             raise CocycleInconsistent("orbit size does not divide [F_L:F_p]")
-        h = iq.h_norm
         if r_v > 1:
             g = stab_generator
             if ctx.G.autos[g].res_power != d_v % F.k:
@@ -470,12 +478,16 @@ class DescendedComponent:
             # w = alpha w' + beta is the invariant coordinate change; it
             # maps the factors of h to factors with the same exponents, so
             # h2 stays in normal form
-            h2 = h.compose(FqPoly(F, [beta, alpha]))
+            h2 = iq.h_norm.compose(FqPoly(F, [beta, alpha]))
             self.h_prime = _fix_coefficients(h2, self.nbar, power)
+            pcL = power_class(self.h_prime, self.nbar)
         else:
-            self.h_prime = h
+            # h' = h_norm, whose power class is that of h_raw: the sheet
+            # equations reduce exponents mod n_v, and the p^(d_v)-power is
+            # the identity on F_L
+            self.h_prime = iq.h_norm
+            pcL = iq.pc
         # geometric splitting over F_L
-        pcL = power_class(self.h_prime, self.nbar)
         if pcL.d_max != pcL.d_geo:
             raise NotInvariant("component does not split over F_L as the "
                                "theory requires")

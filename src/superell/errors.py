@@ -64,10 +64,6 @@ class WitnessMismatch(InternalError):
     """A power-class witness g does not satisfy g^d = h."""
 
 
-class IsProperPower(ValidationError):
-    pass
-
-
 class EnumerationBudgetExceeded(ValidationError):
     """A point count would exceed the configured affine-evaluation budget."""
 

@@ -38,17 +38,18 @@ On top of the field arithmetic this module provides
   ``unit_value_at``;
 * ``factor_poly``: squarefree + distinct-degree + Cantor-Zassenhaus equal
   degree splitting, derandomized by seeding the splitting PRNG from the
-  input polynomial;
+  input polynomial.  ``FqPoly.roots`` does not factor: gcd(h, x^q - x) is
+  a product of distinct linear factors, and one equal-degree split at
+  degree 1, seeded the same way, separates them;
 * ``power_class``: the largest d | n such that a polynomial h is a d-th
   power, with an explicit polynomial witness, and, from the same
   ``factor_poly`` of h, the power class d_geo over the algebraic closure,
   the genus of one geometric component of z^n = h
   (``riemann_hurwitz_genus``, the one Riemann-Hurwitz formula of the
-  package) and the normal forms of its sheets;
+  package), the normal form of h (its n-th power factors stripped) and
+  the normal forms of its sheets;
 * ``count_kummer_points`` / ``zeta_numerator``: rational point counts on the
-  normalization of z^nbar = h(w) and the numerator of its zeta function;
-* ``normalize_kummer_equation``: strip nbar-th power factors without
-  changing the function field of the cover.
+  normalization of z^nbar = h(w) and the numerator of its zeta function.
 
 ``count_kummer_points`` counts z^nbar = h over F_{q^i}.  When gcd(nbar,
 q^i - 1) = 1, x -> x^nbar is a bijection of F_{q^i}, every fiber has one
@@ -89,7 +90,6 @@ from .errors import (
     CountsInconsistent,
     EnumerationBudgetExceeded,
     GenusMismatch,
-    IsProperPower,
     NonPrime,
     NotDivisible,
     ReducibleModulus,
@@ -914,11 +914,12 @@ class FqPoly:
             raise ZeroPolynomial("zero polynomial has every root")
         F = self.field
         x = FqPoly.x(F)
+        # g is the product of the distinct x - r: one equal-degree split
         g = self.gcd(x.powmod(F.q, self) - x)
-        out = []
-        for fac, _ in factor_poly(g):
-            if fac.degree() == 1:
-                out.append(F._neg(fac._c[0]))
+        if g.degree() < 1:
+            return []
+        out = [F._neg(fac._c[0]) for fac in _equal_degree_split(
+            g.monic(), 1, random.Random(_cz_seed(g)))]
         return [FqElement(F, r) for r in sorted(out)]
 
     def squarefree_decomposition(self):
@@ -1042,6 +1043,12 @@ class PowerClassData:
 
     def __repr__(self):
         return f"PowerClassData(n={self.n}, d_max={self.d_max}, n_v={self.n_v})"
+
+    def normal_form(self):
+        """The normal form of h, lead(h) * prod f^(e mod n): h divided by
+        an n-th power, so z^n = h keeps its function field."""
+        return _normal_form(self.n, self.witness.lead() ** self.d_max,
+                            self.factors)
 
     def sheet_equation(self, zeta):
         """The normal form of z^n_v = zeta * witness (zeta a unit), from the
@@ -1339,34 +1346,3 @@ def _normal_form(nbar, unit, factors):
         if r:
             out = out * f**r
     return out
-
-
-def normalize_kummer_equation(nbar, h):
-    """Replace the polynomial h by h / g^nbar so that every irreducible
-    factor of the result has exponent in [1, nbar-1].  The Kummer cover
-    z^nbar = h is unchanged up to isomorphism.
-    """
-    if h.is_zero():
-        raise ZeroFunction("cannot normalize zero")
-    return _normal_form(nbar, h.lead(), factor_poly(h))
-
-
-def kummer_genus(n_c, h):
-    """Geometric genus of one geometric component of z^n_c = h, by
-    Riemann-Hurwitz over the algebraic closure.
-
-    The input must not be a proper power over the base field (split off
-    power classes with ``power_class`` first); if it is a proper power over
-    the closure only, the component count n_c splits accordingly and the
-    genus of a single component is returned.
-    """
-    if h.is_zero():
-        raise ZeroFunction("genus of z^n = 0")
-    F = h.field
-    if gcd(n_c, F.p) != 1:
-        raise CharacteristicDividesExponent(
-            f"{n_c} not prime to characteristic {F.p}")
-    pc = power_class(h, n_c)
-    if pc.d_max != 1:
-        raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
-    return pc.genus

@@ -188,7 +188,7 @@ def compute(curve, config=None, explicit_field=None, trace=None):
 
     if explicit_field is not None:
         roots = splits_in(explicit_field,
-                          [g for g, _ in curve.squarefree_decomposition()])
+                          [g for g, _ in curve.f.squarefree_decomposition()])
         if roots is None:
             raise ValidationError("f does not split over the tower field "
                                   f"{explicit_field.label}")

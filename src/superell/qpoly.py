@@ -2,6 +2,9 @@
 
 Just enough algebra for curve validation: arithmetic, gcd, squarefree
 decomposition, and a small parser for strings like "x^2 - 6*x - 3".
+A polynomial keeps its squarefree decomposition once computed, so the
+curve's validation, genus and branch divisor and the catalog scan all read
+the one decomposition of f.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from math import lcm
 
 
 class QPoly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sqfree")
 
     def __init__(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -21,6 +24,7 @@ class QPoly:
         if not coeffs:
             coeffs = [Fraction(0)]
         self.coeffs = tuple(coeffs)
+        self._sqfree = None
 
     @classmethod
     def x(cls):
@@ -134,24 +138,27 @@ class QPoly:
         return acc
 
     def squarefree_decomposition(self):
-        """Yun's algorithm: [(squarefree g_i, i)] with f = lc * prod g_i^i."""
+        """Yun's algorithm: ((squarefree g_i, i), ...) with f = lc * prod
+        g_i^i, computed on the first call and kept."""
+        if self._sqfree is not None:
+            return self._sqfree
         f = self.monic()
         out = []
-        if f.degree() < 1:
-            return out
-        d = f.derivative()
-        a = f.gcd(d)
-        b = f // a
-        c = d // a - b.derivative()
-        i = 1
-        while b.degree() > 0:
-            g = b.gcd(c)
-            if g.degree() > 0:
-                out.append((g.monic(), i))
-            b = b // g
-            c = c // g - b.derivative()
-            i += 1
-        return out
+        if f.degree() > 0:
+            d = f.derivative()
+            a = f.gcd(d)
+            b = f // a
+            c = d // a - b.derivative()
+            i = 1
+            while b.degree() > 0:
+                g = b.gcd(c)
+                if g.degree() > 0:
+                    out.append((g.monic(), i))
+                b = b // g
+                c = c // g - b.derivative()
+                i += 1
+        self._sqfree = tuple(out)
+        return self._sqfree
 
     def squarefree_part(self):
         out = QPoly([1])

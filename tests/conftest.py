@@ -1,13 +1,14 @@
 import importlib.util
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from superell import finitefield, localfield, tree
+from superell import fieldsearch, finitefield, localfield, tree
 from superell.curve import SuperellipticCurve
 from superell.descent import _frobenius_orbits, orbits
 from superell.errors import SuperellError
@@ -233,21 +234,19 @@ def applies(monkeypatch):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """A one-element list counting the ``factor_poly`` calls that
-    ``power_class`` and ``normalize_kummer_equation`` make while the test
-    runs (root finding, which also factors, is not counted)."""
-    count = [0]
+    """A Counter of the ``factor_poly`` calls made while the test runs,
+    by the name of the calling function (``power_class``,
+    ``residue_degree_bound``, ...)."""
+    counts = Counter()
     factor_poly = finitefield.factor_poly
-    callers = {finitefield.power_class.__code__,
-               finitefield.normalize_kummer_equation.__code__}
 
     def counted(g):
-        if sys._getframe(1).f_code in callers:
-            count[0] += 1
+        counts[sys._getframe(1).f_code.co_name] += 1
         return factor_poly(g)
 
     monkeypatch.setattr(finitefield, "factor_poly", counted)
-    return count
+    monkeypatch.setattr(fieldsearch, "factor_poly", counted)
+    return counts
 
 
 @pytest.fixture

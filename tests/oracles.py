@@ -150,7 +150,6 @@ from superell.descent import _constant_ratio, _translation_quotient, orbits
 from superell.errors import (
     AdmissibilityViolation,
     GenusMismatch,
-    IsProperPower,
     MatrixNotIntegral,
     NoRationalFixedPoint,
     NotGalois,
@@ -171,7 +170,6 @@ from superell.finitefield import (
     FqPoly,
     factor_poly,
     fq_make,
-    kummer_genus,
     kummer_solutions,
     power_class,
 )
@@ -956,7 +954,7 @@ def quotient_genus_by_wild_subgroup(ctx, subgroup):
                 if sheet_image(ctx, g, v, zeta) == (v, zeta)]
         sheet_eq = red.power_class.sheet_equation(zeta)
         _, _, quotient_eq = _translation_quotient(ctx, stab, v, sheet_eq)
-        total_genus += kummer_genus(red.n_v, quotient_eq)
+        total_genus += power_class(quotient_eq, red.n_v).genus
     node_orbs = orbits(ctx.nodes(), subgroup,
                        lambda g, x: ctx.node_action(g, x, 0))
     return total_genus + len(node_orbs) - len(sheet_orbits) + 1
@@ -1180,7 +1178,7 @@ def semistable_field_by_two_scans(curve, config):
     model is semistable; None when there is none."""
     n, p = curve.n, curve.p
     L0, _ = splitting_field(curve.f, p, config)
-    factors = [g for g, _ in curve.squarefree_decomposition()]
+    factors = [g for g, _ in curve.f.squarefree_decomposition()]
     for deg, f0, s, e, u_idx in catalog_entries(p, config):
         if deg % L0.degree or f0 % L0.f or (deg // f0) % n \
                 or (p**f0 - 1) % n:
@@ -1225,7 +1223,7 @@ def kummer_genus_by_factorizations(n_c, h):
     field, by Riemann-Hurwitz over the algebraic closure."""
     num, den = _fraction(h)
     if power_class(num * den ** (n_c - 1), n_c).d_max != 1:
-        raise IsProperPower(f"h is a proper power modulo {n_c}-th powers")
+        raise ValueError(f"h is a proper power modulo {n_c}-th powers")
     d = geometric_power_class(h, n_c)
     n_comp = n_c // d
     two_g = -2 * n_comp + 2

@@ -2,14 +2,18 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
 
 from superell import (
     SuperellipticCurve,
@@ -17,8 +21,10 @@ from superell import (
     fieldsearch,
     finitefield,
 )
-from superell.cli import main
+from superell.cli import MAX_DEGREE, MAX_PRECISION, main
 from superell.errors import SuperellError
+
+from test_curve import _CHECKED, _SPECS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -386,7 +392,7 @@ class TestCli:
         from superell import fieldsearch, localfield, pipeline
         from superell.curve import SuperellipticCurve
         factors = [g for g, _ in SuperellipticCurve.from_json_dict(
-            EX1).squarefree_decomposition()]
+            EX1).f.squarefree_decomposition()]
         calls = [0]
         original = localfield.roots_of_qpoly
 
@@ -506,6 +512,54 @@ class TestCli:
         assert main([str(path), "--max-degree", "-3"]) == 2
         assert capsys.readouterr().err == \
             "error: max-degree must be at least 1\n"
+
+    @pytest.mark.parametrize("option", ("--max-degree", "--precision",
+                                        "tower"))
+    def test_upper_bounds_refused_at_once(self, tmp_path, capsys, option):
+        """A --max-degree, --precision or tower precision above its bound
+        exits 2 before any work; at 10^8 each ran for more than 20 s."""
+        name, high = (("max-degree", MAX_DEGREE) if option == "--max-degree"
+                      else ("precision", MAX_PRECISION))
+        for value in (high + 1, 10**8):
+            t0 = time.perf_counter()
+            if option == "tower":
+                code = main_tower(tmp_path, {
+                    "p": 3, "unramified_modulus": [1, 0, 1],
+                    "eisenstein": [[-3, 0, 0, 0, 1]], "precision": value},
+                    "--json")
+            else:
+                path = tmp_path / "c.json"
+                path.write_text(json.dumps(EX1))
+                code = main([str(path), "--json", option, str(value)])
+            assert time.perf_counter() - t0 < 1
+            assert code == 2
+            assert json.loads(capsys.readouterr().out) == {
+                "error": "ValidationError", "exit_code": 2,
+                "message": f"{name} must be at most {high}"}
+
+
+class TestMalformedSpecsOverCli:
+    """The specs of ``test_curve.TestMalformedSpecs`` through ``main``.
+    With --max-degree 1 the only catalog entry has e = 1, which no n >= 2
+    divides, so a valid curve exits 3 at once: every spec exits 2 to 5
+    with a JSON diagnostic and no traceback, within the deadline."""
+
+    @_CHECKED
+    @given(_SPECS)
+    @example(EX1)
+    @example(EX2)
+    @example({"n": 7, "p": 10**12 + 39, "f": [["x^2-3", 3], [[1, 1], 1]]})
+    def test_any_spec(self, spec):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "curve.json"
+            path.write_text(json.dumps(spec))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([str(path), "--json", "--max-degree", "1"])
+        assert code in (2, 3, 4, 5)
+        report = json.loads(out.getvalue())
+        assert report["exit_code"] == code and report["error"]
+        assert "Traceback" not in err.getvalue()
 
 
 def test_perfbench_spans_resolve():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superell import descent, finitefield
@@ -18,7 +20,7 @@ from superell.qpoly import QPoly, parse_poly
 from superell.reduction import raw_gauss_values, reduce_special_fiber
 from superell.tree import build_tree, galois_on_tree
 
-from conftest import node_orbit_data
+from conftest import SAMPLE_CURVES, node_orbit_data
 from oracles import (
     filtration_by_witness_search,
     gamma_by_division,
@@ -284,18 +286,36 @@ class TestFiltrationOracle:
 class TestOneFactorization:
     """Every Kummer equation of the fiber and its descent is factored
     once by ``factor_poly``: ``fbar`` of each VertexReduction, h_raw of
-    each InertiaQuotient (to normalize it) and h' of each
-    DescendedComponent, from which the power class, the genus and the
-    piece equations are all read."""
+    an InertiaQuotient only when it is not (n, fbar) of its vertex, and
+    h' of a DescendedComponent only when r_v > 1 makes it a new
+    polynomial.  The power class, the normal form, the genus and the
+    piece equations are all read off these factorizations."""
 
     @pytest.mark.parametrize("name", ("ex1", "ex2", "good_reduction"))
     def test_each_equation_once(self, sample_results, factorizations, name):
         r = sample_results[name]
         fiber = reduce_special_fiber(r.curve, r.tree,
                                      raw_gauss_values(r.curve, r.tree))
+        assert factorizations["power_class"] == len(fiber.reductions)
         ic = build_inertial_curve(r.inertial.ctx.act, fiber)
-        assert factorizations[0] <= (len(fiber.reductions) + len(ic.iq)
-                                     + len(ic.components))
+        new_quotients = sum(
+            (iq.nbar, iq.h_raw) != (r.curve.n, fiber.reductions[v].fbar)
+            for v, iq in ic.iq.items())
+        new_components = sum(c.d_v < r.L.residue_field.k
+                             for c in ic.components)
+        assert factorizations["power_class"] == (
+            len(fiber.reductions) + new_quotients + new_components)
+        assert sum(factorizations.values()) == factorizations["power_class"]
+
+    @pytest.mark.parametrize("name, bound", (("ex1", 7), ("ex2", 7),
+                                             ("good_reduction", 3)))
+    def test_whole_run(self, factorizations, name, bound):
+        """One ``compute_with_retry`` factors each Kummer equation once
+        and f mod p once; root finding factors nothing."""
+        compute_with_retry(SuperellipticCurve.from_json_dict(json.loads(
+            (SAMPLE_CURVES / f"{name}.json").read_text())))
+        assert sum(factorizations.values()) <= bound
+        assert factorizations["residue_degree_bound"] == 1
 
 
 class TestWildQuotientGenera:

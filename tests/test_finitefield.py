@@ -9,7 +9,6 @@ from superell import finitefield
 from superell.errors import (
     CharacteristicDividesExponent,
     CountsInconsistent,
-    IsProperPower,
     NonPrime,
     ReducibleModulus,
     ZeroFunction,
@@ -22,8 +21,6 @@ from superell.finitefield import (
     count_kummer_points,
     factor_poly,
     fq_make,
-    kummer_genus,
-    normalize_kummer_equation,
     power_class,
     zeta_numerator,
 )
@@ -467,6 +464,53 @@ class TestFactorization:
         assert factor_poly(g) == factor_poly(g)
 
 
+class TestRoots:
+    """``FqPoly.roots`` splits gcd(h, x^q - x) at degree 1 and never
+    factors h."""
+
+    @staticmethod
+    def _family(F, rng):
+        """Seeded h = unit * prod (x - r)^e * prod of irreducibles of
+        degree 2 or 3: repeated roots, no roots, or both kinds."""
+        for case in range(12):
+            h = FqPoly.constant(F.from_index(rng.randrange(1, F.q)))
+            for _ in range(case % 4):
+                lin = FqPoly(F, [F.from_index(rng.randrange(F.q)), F.one()])
+                h = h * lin ** rng.randrange(1, 4)
+            for _ in range(rng.randrange(1 if case % 4 == 0 else 0, 3)):
+                while True:
+                    g = FqPoly(F, [F.from_index(rng.randrange(F.q))
+                                   for _ in range(rng.randrange(2, 4))]
+                               + [F.one()])
+                    if factor_poly(g) == [(g, 1)]:
+                        break
+                h = h * g
+            yield h
+
+    @pytest.mark.parametrize("p, k", ((2, 1), (2, 4), (3, 2), (5, 1),
+                                      (7, 2)))
+    def test_degree_one_factors(self, p, k):
+        F = fq_make(p, k)
+        rng = random.Random(31 * p + k)
+        repeated = rootless = 0
+        for h in self._family(F, rng):
+            linear = [f for f, _ in factor_poly(h) if f.degree() == 1]
+            expected = sorted((F._neg(f.coeffs[0].i) for f in linear))
+            assert [r.index() for r in h.roots()] == expected
+            assert expected == [i for i in range(F.q)
+                                if h.evaluate(F.from_index(i)).is_zero()]
+            repeated += any(e > 1 and f.degree() == 1
+                            for f, e in factor_poly(h))
+            rootless += not expected and h.degree() > 0
+        assert repeated and rootless
+
+    def test_no_factorization(self, factorizations):
+        F = fq_make(7)
+        h = poly(F, -1, 1) ** 2 * poly(F, 1, 0, 1) * poly(F, 2, 1)
+        assert len(h.roots()) == 2
+        assert not factorizations
+
+
 class TestPowerClass:
     def test_not_a_power(self):
         # (x^2-1)^2 (x^2+1) is not a proper power modulo 4th powers
@@ -547,9 +591,8 @@ class TestPowerClass:
                 assert pc.genus == kummer_genus_by_factorizations(
                     pc.n_v, pc.witness)
                 for zeta in (F.one(), F.from_index(rng.randrange(1, F.q))):
-                    assert pc.sheet_equation(zeta) \
-                        == normalize_kummer_equation(pc.n_v,
-                                                     pc.witness * zeta)
+                    assert pc.sheet_equation(zeta) == power_class(
+                        pc.witness * zeta, pc.n_v).normal_form()
 
 
 class TestCounting:
@@ -914,24 +957,24 @@ class TestNormalize:
         # (x-1)^2 (x+1) / x, with the denominator cleared: times x^2
         F = fq_make(3, 2)
         h = poly(F, -1, 1) ** 2 * poly(F, 1, 1) * FqPoly.x(F)
-        out = normalize_kummer_equation(2, h)
+        out = power_class(h, 2).normal_form()
         assert out == FqPoly.x(F) * poly(F, 1, 1)
 
     def test_untouched(self):
         F = fq_make(5)
         h = poly(F, 0, 1) ** 2 * poly(F, 1, 1)
-        assert normalize_kummer_equation(3, h) == h
+        assert power_class(h, 3).normal_form() == h
 
     def test_fourth_power_collapses(self):
         F = fq_make(3)
-        out = normalize_kummer_equation(2, poly(F, 0, 0, 0, 0, 1))
+        out = power_class(poly(F, 0, 0, 0, 0, 1), 2).normal_form()
         assert out.degree() == 0
 
     def test_same_function_field(self):
         # h / h' must be an nbar-th power
         F = fq_make(3, 2)
         h = poly(F, -1, 1) ** 2 * poly(F, 1, 1) * FqPoly.x(F) ** 3
-        out = normalize_kummer_equation(2, h)
+        out = power_class(h, 2).normal_form()
         ratio, rem = h.divmod(out)
         assert rem.is_zero()
         pc = power_class(ratio, 2)
@@ -942,28 +985,23 @@ class TestKummerGenus:
     def test_vertex_component_genus3(self):
         F = fq_make(3, 2)
         h = poly(F, -1, 0, 1) ** 2 * poly(F, 1, 0, 1)
-        assert kummer_genus(4, h) == 3
+        assert power_class(h, 4).genus == 3
 
     def test_genus1_with_zeta_root(self):
         F = fq_make(2, 2)
         zbar = F.gen()
         h = FqPoly.x(F) * FqPoly(F, [zbar, F.one()])
-        assert kummer_genus(3, h) == 1
+        assert power_class(h, 3).genus == 1
 
     def test_constant_genus0(self):
         F = fq_make(7)
-        assert kummer_genus(4, poly(F, 3)) == 0
-
-    def test_proper_power_rejected(self):
-        F = fq_make(3)
-        with pytest.raises(IsProperPower):
-            kummer_genus(2, poly(F, 0, 0, 1))
+        assert power_class(poly(F, 3), 4).genus == 0
 
     def test_hyperelliptic(self):
         F = fq_make(5)
         h = poly(F, 1, 2, 3, 4, 0, 1)  # degree 5 squarefree
         assert h.gcd(h.derivative()).degree() == 0
-        assert kummer_genus(2, h) == 2
+        assert power_class(h, 2).genus == 2
 
 
 class TestOrderAndUnitValue:

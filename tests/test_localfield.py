@@ -863,7 +863,7 @@ class TestRootSearch:
         curve = _curve(name)
         r = compute_with_retry(curve)
         leaves = lifts = 0
-        for g, _ in curve.squarefree_decomposition():
+        for g, _ in curve.f.squarefree_decomposition():
             search = localfield.roots_of_qpoly(r.L, g)
             del newton_refines[:]
             roots = search.lift(lambda: r.G)

@@ -462,7 +462,7 @@ class TestClusterBuilder:
         curve = SuperellipticCurve(4, parse_poly("(x^2-5)*(x-1)*(x-6)"), 5)
         L, _ = splitting_field(curve.f, 5)
         div = branch_divisor(curve, splits_in(L, [
-            g for g, _ in curve.squarefree_decomposition()]))
+            g for g, _ in curve.f.squarefree_decomposition()]))
         messages = []
         for builder in (build_tree, build_tree_by_triples):
             with pytest.raises(NotInvariant) as exc:
